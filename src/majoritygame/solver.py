@@ -9,6 +9,7 @@ position for one fixed excess.
 from __future__ import annotations
 
 import os
+from bisect import insort
 from dataclasses import dataclass
 
 from .core import (
@@ -57,6 +58,18 @@ def _env_memo_limit() -> int | None:
     return limit
 
 
+@dataclass
+class SolverStats:
+    """Work done by one solver's kernel, counted on memo misses only.
+
+    ``entries`` is the number of positions valued and stored; ``cuts``
+    counts PLUS children skipped plus move scans stopped early.
+    """
+
+    entries: int = 0
+    cuts: int = 0
+
+
 @dataclass(frozen=True)
 class TraceStep:
     """One move of a concrete line of play."""
@@ -91,43 +104,85 @@ class GameSolver:
     The value of a position is the element count of the final position
     under optimal play.  A fresh solver reads an optional memo cap from
     MAJORITY_ORACLE_MEMO_LIMIT; hitting the cap raises MemoLimitExceeded.
+    ``stats`` counts the work the kernel behind ``value`` has done.
     """
 
     def __init__(self, params: GameParams, memo_limit: int | None = None):
         self.params = params
         self.e = params.e
         self._memo: dict[tuple[int, ...], int] = {}
+        self.stats = SolverStats()
         self._memo_limit = memo_limit if memo_limit is not None else _env_memo_limit()
 
     def value(self, M: Position) -> int:
         """Element count of the final position reached under optimal play."""
-        key = M.elements
-        cached = self._memo.get(key)
+        is_final(M, self.e)  # raises ValueError for totals no game at this excess reaches
+        return self._value(tuple(reversed(M.elements)))
+
+    def _value(self, key: tuple[int, ...]) -> int:
+        """Value of a valid position given as its weights in ascending order.
+
+        Works on raw tuples: a child drops the selected pair and gets the
+        merged weight inserted in order, so it is never re-sorted or
+        re-validated.  Moves are deduplicated by value pair, as in
+        legal_moves.  Two cuts skip work without changing any stored
+        value: a PLUS child is not evaluated when the MINUS child already
+        cannot beat the running best, and the scan stops once the best
+        reaches len(key) - 1, the most any move can keep.
+        """
+        memo = self._memo
+        cached = memo.get(key)
         if cached is not None:
             return cached
-        if is_final(M, self.e):
-            result = len(M)
+        c = len(key)
+        if 2 * key[-1] >= sum(key) - self.e + 2:
+            result = c
         else:
-            result = max(
-                min(
-                    self.value(apply_move(M, mv, AssignerChoice.PLUS)),
-                    self.value(apply_move(M, mv, AssignerChoice.MINUS)),
-                )
-                for mv in legal_moves(M)
-            )
-        self._store(key, result)
-        return result
-
-    def _store(self, key: tuple[int, ...], result: int) -> None:
-        if (
-            self._memo_limit is not None
-            and key not in self._memo
-            and len(self._memo) >= self._memo_limit
-        ):
+            result = 0
+            top = c - 1
+            cuts = 0
+            for b in range(1, c):
+                w = key[b]
+                if b < top and key[b + 1] == w:
+                    continue
+                for a in range(b):
+                    wp = key[a]
+                    if a + 1 < b and key[a + 1] == wp:
+                        continue
+                    rest = list(key)
+                    del rest[b]
+                    del rest[a]
+                    minus = rest.copy()
+                    insort(minus, w - wp)
+                    minus = tuple(minus)
+                    v = memo.get(minus)
+                    if v is None:
+                        v = self._value(minus)
+                    if v <= result:
+                        cuts += 1
+                        continue
+                    insort(rest, w + wp)
+                    plus = tuple(rest)
+                    vp = memo.get(plus)
+                    if vp is None:
+                        vp = self._value(plus)
+                    if vp < v:
+                        v = vp
+                    if v > result:
+                        result = v
+                        if result == top:
+                            break
+                if result == top:
+                    cuts += 1
+                    break
+            self.stats.cuts += cuts
+        limit = self._memo_limit
+        if limit is not None and len(memo) >= limit:
             raise MemoLimitExceeded(
-                f"solve table would exceed {self._memo_limit} entries; "
-                f"raise or unset {MEMO_LIMIT_ENV}")
-        self._memo[key] = result
+                f"solve table would exceed {limit} entries; raise or unset {MEMO_LIMIT_ENV}")
+        memo[key] = result
+        self.stats.entries += 1
+        return result
 
     def comparisons_needed(self) -> int:
         """Comparisons required from the start position under optimal play."""

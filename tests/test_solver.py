@@ -1,6 +1,7 @@
 """Minimax solving, strategy extraction, and the potential's guarantees."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from majoritygame.core import (
     AssignerChoice,
@@ -16,6 +17,7 @@ from majoritygame.solver import (
     MEMO_LIMIT_ENV,
     GameSolver,
     MemoLimitExceeded,
+    SolverStats,
     formula_comparisons,
     potential_guided_choice,
     reachable_positions,
@@ -59,12 +61,71 @@ class TestValues:
                 start = start_position(params)
                 assert solver.value(start) == value_nomemo(start, params.e), (n, k)
 
+    def test_value_validates_at_the_boundary(self):
+        with pytest.raises(ValueError, match="parity"):
+            GameSolver(GameParams(1, 1)).value(Position((2,)))
+        with pytest.raises(ValueError, match="below"):
+            GameSolver(GameParams(3, 3)).value(Position((1,)))
+
+    def test_bare_majority_matches_classical_bound(self):
+        # K(2m+1, m+1) = 2m - B(m), the n - B(n) bound of Saks & Werman (1991)
+        for m in range(1, 13):
+            params = GameParams(2 * m + 1, m + 1)
+            assert GameSolver(params).comparisons_needed() == 2 * m - binary_weight(m), m
+
     def test_solver_agrees_with_formula_midrange(self):
         for n in range(1, 13):
             for k in range(n // 2 + 1, n + 1):
                 params = GameParams(n, k)
                 assert GameSolver(params).comparisons_needed() == formula_comparisons(
                     params), (n, k)
+
+
+def _reachable_weights(e: int):
+    """Positions of at most 7 weights in 0..4 that a game at excess e can reach."""
+    return st.lists(st.integers(0, 4), min_size=1, max_size=7).filter(
+        lambda ws: sum(ws) >= e and (sum(ws) - e) % 2 == 0).map(
+        lambda ws: Position(tuple(ws)))
+
+
+class TestValueProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda e: st.tuples(st.just(e), _reachable_weights(e))))
+    def test_matches_unmemoized_recursion_on_any_position(self, case):
+        e, M = case
+        assert GameSolver(GameParams(e, e)).value(M) == value_nomemo(M, e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda e: st.tuples(st.just(e), st.lists(_reachable_weights(e), min_size=2, max_size=8))))
+    def test_reused_solver_matches_fresh_solvers(self, case):
+        e, positions = case
+        reused = GameSolver(GameParams(e, e))
+        for M in positions:
+            assert reused.value(M) == GameSolver(GameParams(e, e)).value(M), M
+
+
+class TestStats:
+    def test_counts_only_memo_misses(self):
+        solver = GameSolver(GameParams(13, 7))
+        assert solver.stats == SolverStats()
+        solver.comparisons_needed()
+        first = (solver.stats.entries, solver.stats.cuts)
+        assert min(first) > 0
+        solver.comparisons_needed()
+        assert (solver.stats.entries, solver.stats.cuts) == first
+
+    def test_final_position_is_one_entry(self):
+        solver = GameSolver(GameParams(3, 2))
+        solver.value(Position((2, 1)))
+        assert solver.stats == SolverStats(entries=1, cuts=0)
+
+    def test_cuts_shrink_the_table_below_the_reachable_set(self):
+        for n, k in [(9, 5), (11, 6), (12, 7)]:
+            params = GameParams(n, k)
+            solver = GameSolver(params)
+            solver.comparisons_needed()
+            assert solver.stats.entries < len(reachable_positions(params)), (n, k)
 
 
 class TestStrategies:
