@@ -1,13 +1,15 @@
 """Ball-level question game over n balls coloured in two unseen colours.
 
-Comparisons "are balls i and j the same colour?" build a union-find
-structure with one parity bit per ball: balls in one component are on
-the same side of its bipartition exactly when their parities agree.
-The multiset of side-size differences is the weight-level position, and
-answering a cross-component comparison realizes one Assigner choice on
-it.  This module also hosts the identification rule, the exhaustive
-colouring oracle it is checked against, adversarial answering, and
-transcript import/export.
+Comparisons "are balls i and j the same colour?" join balls into
+components, each split into two sides: balls on one side are the same
+colour, and the two sides differ.  Every ball records its component's
+root and its side, and every root keeps both sides' balls, so a merge
+relabels the smaller component and reads rebuild nothing.  The multiset
+of side-size differences is the weight-level position, and answering a
+cross-component comparison realizes one Assigner choice on it.  This
+module also hosts the identification rule, the exhaustive colouring
+oracle it is checked against, adversarial answering, and transcript
+import/export.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from .core import (
     AssignerChoice,
@@ -69,15 +72,24 @@ class Component:
 
 
 class QuestionGraph:
-    """Union-find over balls 1..n with parity bits and a full history."""
+    """Balls 1..n in two-sided components, with a full answer history.
+
+    Each ball records its component's root and its side (0 or 1)
+    relative to the root; each root records both sides as sorted ball
+    tuples.  A merge relabels the smaller component, so ``find`` is two
+    list reads, and ``components()`` and ``weights()`` are built from the
+    roots' sides once per structural change and cached until the next.
+    """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"need at least one ball, got n={n}")
         self._n = n
-        self._parent = list(range(n + 1))  # index 0 unused
-        self._rank = [0] * (n + 1)
-        self._parity = [0] * (n + 1)  # side relative to the parent
+        self._root = list(range(n + 1))  # index 0 unused
+        self._side = [0] * (n + 1)  # side relative to the root
+        self._sides = {ball: ((ball,), ()) for ball in range(1, n + 1)}
+        self._comps: tuple[Component, ...] | None = None
+        self._weights: Position | None = None
         self.history: list[tuple[int, int, BallAnswer]] = []
 
     @property
@@ -86,9 +98,9 @@ class QuestionGraph:
 
     def copy(self) -> "QuestionGraph":
         dup = QuestionGraph(self._n)
-        dup._parent = self._parent[:]
-        dup._rank = self._rank[:]
-        dup._parity = self._parity[:]
+        dup._root = self._root[:]
+        dup._side = self._side[:]
+        dup._sides = dict(self._sides)  # side tuples are never mutated
         dup.history = self.history[:]
         return dup
 
@@ -96,41 +108,33 @@ class QuestionGraph:
         if not (1 <= ball <= self._n):
             raise ValueError(f"ball {ball} out of range 1..{self._n}")
 
+    def _pair(self, i: int, j: int) -> tuple[int, int, int]:
+        """Both balls' roots and 1 when they sit on opposite sides, else 0."""
+        if i == j:
+            raise ValueError("cannot compare a ball with itself")
+        self._check_ball(i)
+        self._check_ball(j)
+        return self._root[i], self._root[j], self._side[i] ^ self._side[j]
+
     def find(self, ball: int) -> tuple[int, int]:
         """Root of the ball's component and the ball's side relative to it.
 
-        Compresses paths; parities stay relative to the root, whose own
-        parity is always 0.
+        The root itself is always on side 0.
         """
         self._check_ball(ball)
-        path = []
-        node = ball
-        while self._parent[node] != node:
-            path.append(node)
-            node = self._parent[node]
-        root = node
-        for node in reversed(path):
-            parent = self._parent[node]
-            if parent != root:
-                # parent sits nearer the root and was re-pointed already
-                self._parity[node] ^= self._parity[parent]
-                self._parent[node] = root
-        return root, self._parity[ball] if ball != root else 0
+        return self._root[ball], self._side[ball]
 
     def forced_answer(self, i: int, j: int) -> BallAnswer | None:
         """The answer already implied for (i, j), or None across components."""
-        if i == j:
-            raise ValueError("cannot compare a ball with itself")
-        ri, pi = self.find(i)
-        rj, pj = self.find(j)
+        ri, rj, apart = self._pair(i, j)
         if ri != rj:
             return None
-        return BallAnswer.SAME if pi == pj else BallAnswer.DIFFERENT
+        return BallAnswer.DIFFERENT if apart else BallAnswer.SAME
 
     def add_comparison(self, i: int, j: int, answer: BallAnswer) -> None:
         """Record the answer to comparing balls i and j.
 
-        Joins the two components under the implied parity constraint.
+        Joins the two components under the implied side constraint.
         When i and j are already connected the answer is checked against
         the forced one: a contradiction raises InconsistentAnswerError
         and a consistent repeat leaves the structure unchanged (the
@@ -138,43 +142,56 @@ class QuestionGraph:
         """
         if not isinstance(answer, BallAnswer):
             raise ValueError(f"answer must be a BallAnswer, got {answer!r}")
-        forced = self.forced_answer(i, j)
-        if forced is not None:
-            if forced != answer:
+        keep, gone, apart = self._pair(i, j)
+        flip = apart ^ (answer is BallAnswer.DIFFERENT)
+        if keep == gone:
+            if flip:
+                forced = BallAnswer.DIFFERENT if apart else BallAnswer.SAME
                 raise InconsistentAnswerError(
                     f"balls {i} and {j} are already forced to answer {forced.value}")
             self.history.append((i, j, answer))
             return
-        ri, pi = self.find(i)
-        rj, pj = self.find(j)
-        rel = pi ^ pj ^ (0 if answer is BallAnswer.SAME else 1)
-        if self._rank[ri] < self._rank[rj]:
-            ri, rj = rj, ri  # rel is symmetric in the two roots
-        self._parent[rj] = ri
-        self._parity[rj] = rel
-        if self._rank[ri] == self._rank[rj]:
-            self._rank[ri] += 1
+        sides = self._sides
+        keep0, keep1 = sides[keep]
+        gone0, gone1 = sides[gone]
+        if len(keep0) + len(keep1) < len(gone0) + len(gone1):
+            keep, gone = gone, keep  # flip is symmetric in the two roots
+            keep0, keep1, gone0, gone1 = gone0, gone1, keep0, keep1
+        del sides[gone]
+        root, side = self._root, self._side
+        for ball in gone0 + gone1:
+            root[ball] = keep
+            side[ball] ^= flip
+        if flip:
+            gone0, gone1 = gone1, gone0
+        sides[keep] = (tuple(sorted(keep0 + gone0)), tuple(sorted(keep1 + gone1)))
+        self._comps = self._weights = None
         self.history.append((i, j, answer))
 
     def components(self) -> list[Component]:
-        """Current components, ordered by their smallest ball."""
-        sides: dict[int, tuple[list[int], list[int]]] = {}
-        for ball in range(1, self._n + 1):
-            root, parity = self.find(ball)
-            sides.setdefault(root, ([], []))[parity].append(ball)
-        comps = []
-        for zero, one in sides.values():
-            if not one or len(zero) > len(one) or (len(zero) == len(one) and zero[0] < one[0]):
-                larger, smaller = zero, one
-            else:
-                larger, smaller = one, zero
-            comps.append(Component(tuple(larger), tuple(smaller)))
-        comps.sort(key=lambda comp: comp.min_ball)
-        return comps
+        """Current components, ordered by their smallest ball.
+
+        Each call returns a new list; the components themselves are
+        immutable.
+        """
+        if self._comps is None:
+            comps = []
+            for zero, one in self._sides.values():
+                # zero holds the root, so it is never empty
+                if len(zero) > len(one) or (len(zero) == len(one) and zero[0] < one[0]):
+                    comps.append(Component(zero, one))
+                else:
+                    comps.append(Component(one, zero))
+            comps.sort(key=lambda comp: comp.min_ball)
+            self._comps = tuple(comps)
+        return list(self._comps)
 
     def weights(self) -> Position:
         """The weight-level position induced by the current components."""
-        return Position(tuple(comp.weight for comp in self.components()))
+        if self._weights is None:
+            self._weights = Position(
+                tuple(abs(len(zero) - len(one)) for zero, one in self._sides.values()))
+        return self._weights
 
 
 def locate_ball(comps: list[Component], ball: int) -> tuple[int, bool]:
@@ -402,6 +419,31 @@ def run_adversarial_game(params: GameParams, mode: str = "optimal") -> Adversari
         comparisons += 1
 
 
+def start_state(n: int) -> frozenset:
+    """The ball state before any comparison: n singleton components.
+
+    A ball state is a frozenset of components, each an unordered pair
+    of disjoint ball sets (one possibly empty) given as a frozenset.
+    """
+    return frozenset(frozenset((frozenset((ball,)), frozenset())) for ball in range(1, n + 1))
+
+
+def merged_states(state: frozenset) -> Iterator[tuple[frozenset, frozenset]]:
+    """For each pair of components, the two states their merge can give.
+
+    The pair's sides are joined aligned in the first child and crossed
+    in the second: the two possible answers to comparing them.
+    """
+    comps = tuple(state)
+    for x in range(len(comps)):
+        a0, a1 = tuple(comps[x])
+        for y in range(x + 1, len(comps)):
+            b0, b1 = tuple(comps[y])
+            rest = state - {comps[x], comps[y]}
+            yield (rest | {frozenset((a0 | b0, a1 | b1))},
+                   rest | {frozenset((a0 | b1, a1 | b0))})
+
+
 def min_comparisons_ball_level(params: GameParams, force: bool = False) -> int:
     """Worst-case-optimal comparison count by exhaustive strategy search.
 
@@ -415,8 +457,6 @@ def min_comparisons_ball_level(params: GameParams, force: bool = False) -> int:
             f"exhaustive ball-level search is guarded at n={BALL_SEARCH_GUARD_N}; "
             f"pass force=True to override")
     e = params.e
-    start = frozenset(
-        frozenset((frozenset((ball,)), frozenset())) for ball in range(1, params.n + 1))
     memo: dict[frozenset, int] = {}
 
     def search(state: frozenset) -> int:
@@ -427,23 +467,15 @@ def min_comparisons_ball_level(params: GameParams, force: bool = False) -> int:
         if is_final(pos, e):
             memo[state] = 0
             return 0
-        comps = tuple(state)
-        best = None
-        for x in range(len(comps)):
-            a0, a1 = tuple(comps[x])
-            for y in range(x + 1, len(comps)):
-                b0, b1 = tuple(comps[y])
-                rest = state - {comps[x], comps[y]}
-                worst = max(
-                    search(rest | {frozenset((a0 | b0, a1 | b1))}),
-                    search(rest | {frozenset((a0 | b1, a1 | b0))}),
-                )
-                if best is None or worst < best:
-                    best = worst
+        best = len(state)  # above any worst case: one component is always final
+        for aligned, crossed in merged_states(state):
+            worst = search(aligned)
+            if worst < best:  # otherwise the pair's maximum cannot beat best
+                best = min(best, max(worst, search(crossed)))
         memo[state] = best + 1
         return best + 1
 
-    return search(start)
+    return search(start_state(params.n))
 
 
 def export_transcript(g: QuestionGraph, params: GameParams) -> str:
@@ -493,10 +525,35 @@ def export_transcript_json(g: QuestionGraph, params: GameParams) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _json_int(obj: dict, key: str) -> int:
+    if key not in obj:
+        raise ValueError(f"JSON transcript is missing {key!r}")
+    value = obj[key]
+    if type(value) is not int:  # bool is an int subclass, so compare types
+        raise ValueError(f"JSON transcript field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def import_transcript_json(text: str) -> tuple[GameParams, QuestionGraph]:
+    """Rebuild a graph from the JSON export, checking its shape first.
+
+    Malformed input raises ValueError, and inconsistent records raise
+    InconsistentAnswerError, as in the line format.
+    """
     payload = json.loads(text)
-    params = GameParams(int(payload["n"]), int(payload["k"]))
+    if not isinstance(payload, dict):
+        raise ValueError("JSON transcript must be an object with 'n', 'k' and 'comparisons'")
+    params = GameParams(_json_int(payload, "n"), _json_int(payload, "k"))
+    records = payload.get("comparisons", [])
+    if not isinstance(records, list):
+        raise ValueError(f"JSON transcript 'comparisons' must be a list, got {records!r}")
     g = QuestionGraph(params.n)
-    for record in payload.get("comparisons", []):
-        g.add_comparison(int(record["i"]), int(record["j"]), BallAnswer(record["answer"]))
+    for record in records:
+        if not isinstance(record, dict):
+            raise ValueError(f"bad transcript record {record!r}")
+        i, j = _json_int(record, "i"), _json_int(record, "j")
+        answer = record.get("answer")
+        if answer not in ("same", "different"):
+            raise ValueError(f"bad answer {answer!r} in transcript record {record!r}")
+        g.add_comparison(i, j, BallAnswer(answer))
     return params, g

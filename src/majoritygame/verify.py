@@ -25,9 +25,11 @@ from .ballgame import (
     import_transcript_json,
     induced_move_and_choice,
     locate_ball,
+    merged_states,
     min_comparisons_ball_level,
     run_adversarial_game,
     side_status_table,
+    start_state,
 )
 from .core import (
     AssignerChoice,
@@ -404,32 +406,20 @@ def suite_assigner_tie(ms: tuple[int, ...] = (3, 7)) -> SuiteReport:
 
 
 def _all_ball_states(n: int) -> set[frozenset]:
-    """Every component structure reachable on n balls.
+    """Every ball state (see ``start_state``) reachable on n balls.
 
-    A state is a set of components, each an unordered pair of disjoint
-    ball sets (one possibly empty).  All merges are expanded regardless
-    of finality, which makes the enumeration independent of any
-    threshold k.
+    All merges are expanded regardless of finality, which makes the
+    enumeration independent of any threshold k.
     """
-    start = frozenset(
-        frozenset((frozenset((ball,)), frozenset())) for ball in range(1, n + 1))
+    start = start_state(n)
     seen = {start}
     frontier = [start]
     while frontier:
-        state = frontier.pop()
-        comps = tuple(state)
-        for x in range(len(comps)):
-            a0, a1 = tuple(comps[x])
-            for y in range(x + 1, len(comps)):
-                b0, b1 = tuple(comps[y])
-                rest = state - {comps[x], comps[y]}
-                for child in (
-                    rest | {frozenset((a0 | b0, a1 | b1))},
-                    rest | {frozenset((a0 | b1, a1 | b0))},
-                ):
-                    if child not in seen:
-                        seen.add(child)
-                        frontier.append(child)
+        for pair in merged_states(frontier.pop()):
+            for child in pair:
+                if child not in seen:
+                    seen.add(child)
+                    frontier.append(child)
     return seen
 
 

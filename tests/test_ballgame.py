@@ -1,9 +1,10 @@
-"""Ball-level question game: union-find, identification, transcripts."""
+"""Ball-level question game: component state, identification, transcripts."""
 
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from majoritygame.ballgame import (
     BALL_SEARCH_GUARD_N,
@@ -105,6 +106,108 @@ class TestQuestionGraph:
         assert comp.weight == 1
         assert comp.min_ball == 2
         assert comp.balls == (2, 4, 6)
+
+
+def _reference(n, history):
+    """Components and ball colours from a BFS 2-colouring of the history alone."""
+    adjacent = {ball: [] for ball in range(1, n + 1)}
+    for i, j, answer in history:
+        apart = 0 if answer is BallAnswer.SAME else 1
+        adjacent[i].append((j, apart))
+        adjacent[j].append((i, apart))
+    colour = {}
+    comps = []
+    for first in range(1, n + 1):  # the smallest ball of each new component
+        if first in colour:
+            continue
+        colour[first] = 0
+        sides = ([first], [])
+        queue = [first]
+        for ball in queue:
+            for other, apart in adjacent[ball]:
+                if other not in colour:
+                    colour[other] = colour[ball] ^ apart
+                    sides[colour[other]].append(other)
+                    queue.append(other)
+        zero, one = tuple(sorted(sides[0])), tuple(sorted(sides[1]))
+        # a tie goes to side 0, which holds the smallest ball
+        comps.append(Component(zero, one) if len(zero) >= len(one) else Component(one, zero))
+    return comps, colour
+
+
+def _assert_matches_history(g):
+    comps, colour = _reference(g.n, g.history)
+    returned = g.components()
+    assert returned == comps
+    returned.reverse()
+    returned.append(Component((1,), ()))
+    assert g.components() == comps  # the caller's list is its own
+    assert g.weights() == Position(tuple(comp.weight for comp in comps))
+    comp_of = {ball: idx for idx, comp in enumerate(comps) for ball in comp.balls}
+    for a in range(1, g.n + 1):
+        root_a, side_a = g.find(a)
+        for b in range(1, g.n + 1):
+            root_b, side_b = g.find(b)
+            connected = comp_of[a] == comp_of[b]
+            assert (root_a == root_b) == connected
+            if connected:
+                assert (side_a == side_b) == (colour[a] == colour[b])
+            if a != b:
+                expected = None
+                if connected:
+                    expected = (BallAnswer.SAME if colour[a] == colour[b]
+                                else BallAnswer.DIFFERENT)
+                assert g.forced_answer(a, b) is expected
+
+
+def _play(g, steps):
+    """Apply random answers, checking the graph against its history after each."""
+    for i, j, answer in steps:
+        if i == j:
+            continue
+        forced = g.forced_answer(i, j)
+        if forced is not None and forced is not answer:
+            before = list(g.history)
+            with pytest.raises(InconsistentAnswerError):
+                g.add_comparison(i, j, answer)
+            assert g.history == before
+        else:
+            g.add_comparison(i, j, answer)
+        _assert_matches_history(g)
+
+
+def _games(max_n=12):
+    def for_n(n):
+        steps = st.lists(
+            st.tuples(st.integers(1, n), st.integers(1, n), st.sampled_from(BallAnswer)),
+            max_size=2 * n)
+        return st.tuples(st.just(n), steps, steps, steps)
+    return st.integers(1, max_n).flatmap(for_n)
+
+
+class TestQuestionGraphProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(_games())
+    def test_matches_a_reference_built_from_history(self, game):
+        n, first, second, third = game
+        g = QuestionGraph(n)
+        _assert_matches_history(g)
+        _play(g, first + second + third)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_games())
+    def test_copy_and_original_stay_independent(self, game):
+        n, shared, ours, theirs = game
+        g = QuestionGraph(n)
+        _play(g, shared)
+        dup = g.copy()
+        assert dup.history == g.history
+        history = list(g.history)
+        _play(g, ours)
+        _assert_matches_history(dup)
+        _play(dup, theirs)
+        _assert_matches_history(g)
+        assert g.history[:len(history)] == dup.history[:len(history)] == history
 
 
 class TestIdentification:
@@ -338,6 +441,34 @@ class TestTranscripts:
             import_transcript("5 4\n1 2 maybe\n")
         with pytest.raises(ValueError):
             import_transcript("5 4\n1 2\n")
+
+    @pytest.mark.parametrize("blob, message", [
+        ("", "Expecting value"),
+        ("{}", "missing 'n'"),
+        ("[]", "must be an object"),
+        ("5", "must be an object"),
+        ('{"n": 5}', "missing 'k'"),
+        ('{"n": 5, "k": 2}', "does not guarantee a majority"),
+        ('{"n": true, "k": 4}', "'n' must be an integer, got True"),
+        ('{"n": 5.0, "k": 4}', "'n' must be an integer, got 5.0"),
+        ('{"n": "5", "k": 4}', "'n' must be an integer, got '5'"),
+        ('{"n": 5, "k": 4, "comparisons": {}}', "'comparisons' must be a list"),
+        ('{"n": 5, "k": 4, "comparisons": "1 2 same"}', "'comparisons' must be a list"),
+        ('{"n": 5, "k": 4, "comparisons": [[1, 2, "same"]]}', "bad transcript record"),
+        ('{"n": 5, "k": 4, "comparisons": [{"i": 1, "answer": "same"}]}', "missing 'j'"),
+        ('{"n": 5, "k": 4, "comparisons": [{"i": 1, "j": 2.0, "answer": "same"}]}',
+         "'j' must be an integer"),
+        ('{"n": 5, "k": 4, "comparisons": [{"i": false, "j": 2, "answer": "same"}]}',
+         "'i' must be an integer, got False"),
+        ('{"n": 5, "k": 4, "comparisons": [{"i": 1, "j": 2}]}', "bad answer None"),
+        ('{"n": 5, "k": 4, "comparisons": [{"i": 1, "j": 2, "answer": "maybe"}]}',
+         "bad answer 'maybe'"),
+        ('{"n": 5, "k": 4, "comparisons": [{"i": 1, "j": 9, "answer": "same"}]}',
+         "out of range"),
+    ])
+    def test_json_import_rejects_garbage(self, blob, message):
+        with pytest.raises(ValueError, match=message):
+            import_transcript_json(blob)
 
     def test_import_replays_consistency_checks(self):
         bad = "3 2\n1 2 same\n2 3 same\n1 3 different\n"
