@@ -177,8 +177,7 @@ class QuestionGraph:
         if self._comps is None:
             comps = []
             for zero, one in self._sides.values():
-                # zero holds the root, so it is never empty
-                if len(zero) > len(one) or (len(zero) == len(one) and zero[0] < one[0]):
+                if _zero_is_larger(zero, one):
                     comps.append(Component(zero, one))
                 else:
                     comps.append(Component(one, zero))
@@ -192,6 +191,22 @@ class QuestionGraph:
             self._weights = Position(
                 tuple(abs(len(zero) - len(one)) for zero, one in self._sides.values()))
         return self._weights
+
+
+def _zero_is_larger(zero: tuple[int, ...], one: tuple[int, ...]) -> bool:
+    """Whether a root's side 0 is its component's nominal larger side.
+
+    On a weight-0 tie the side holding the smaller ball wins.  Side 0
+    holds the root, so it is never empty.
+    """
+    return len(zero) > len(one) or (len(zero) == len(one) and zero[0] < one[0])
+
+
+def _place_ball(g: QuestionGraph, ball: int) -> tuple[int, int, bool]:
+    """The ball's root, its component's weight, and whether it sits on the larger side."""
+    root, side = g.find(ball)
+    zero, one = g._sides[root]
+    return root, abs(len(zero) - len(one)), _zero_is_larger(zero, one) == (side == 0)
 
 
 def locate_ball(comps: list[Component], ball: int) -> tuple[int, bool]:
@@ -312,12 +327,10 @@ def induced_move_and_choice(
     both on their smaller sides) make 'same' add the weights, opposite
     sides make 'same' cancel them.
     """
-    comps = g.components()
-    ci, i_on_larger = locate_ball(comps, i)
-    cj, j_on_larger = locate_ball(comps, j)
-    if ci == cj:
+    ri, wi, i_on_larger = _place_ball(g, i)
+    rj, wj, j_on_larger = _place_ball(g, j)
+    if ri == rj:
         raise ValueError(f"balls {i} and {j} share a component; no move is induced")
-    wi, wj = comps[ci].weight, comps[cj].weight
     w, wp = max(wi, wj), min(wi, wj)
     move = _move_for_pair(g.weights(), w, wp)
     plus = (i_on_larger == j_on_larger) == (answer is BallAnswer.SAME)
@@ -345,10 +358,8 @@ def adversarial_answer(
     forced = g.forced_answer(i, j)
     if forced is not None:
         return forced
-    comps = g.components()
-    ci, i_on_larger = locate_ball(comps, i)
-    cj, j_on_larger = locate_ball(comps, j)
-    wi, wj = comps[ci].weight, comps[cj].weight
+    _, wi, i_on_larger = _place_ball(g, i)
+    _, wj, j_on_larger = _place_ball(g, j)
     if min(wi, wj) == 0:
         return BallAnswer.SAME
     M = g.weights()

@@ -5,11 +5,16 @@ r-fold ordinary derivative it carries no r! factor, so evaluating a
 hyperderivative keeps 2-adic valuations meaningful.  Final positions of
 the comparison game admit a small certificate polynomial whose (e-1)-st
 hyperderivative at -1 recovers the order-e signed count up to sign.
+
+Only the public constructor accumulates repeated exponents.  Operator
+results are built in a fresh dict that is taken over as it stands, with
+only its zero coefficients dropped, and certificates expand their
+product of binomial factors directly in one coefficient dict.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from collections.abc import Iterable, Mapping
 
 from .core import Position, is_final, minority_capacity
 from .statistics import binomial, potential
@@ -24,7 +29,7 @@ class LaurentPoly:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
+    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         acc: dict[int, int] = {}
         for p, c in items:
@@ -32,16 +37,27 @@ class LaurentPoly:
         self._coeffs = {p: c for p, c in acc.items() if c}
 
     @classmethod
+    def _adopt(cls, coeffs: dict[int, int]) -> "LaurentPoly":
+        """Wrap a freshly built exponent -> coefficient dict without copying it.
+
+        Only zero coefficients are dropped; the caller must not keep or
+        change the dict afterwards.
+        """
+        poly = object.__new__(cls)
+        poly._coeffs = {p: c for p, c in coeffs.items() if c} if 0 in coeffs.values() else coeffs
+        return poly
+
+    @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return cls._adopt({})
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return cls._adopt({0: 1})
 
     @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
-        return cls({exponent: coefficient})
+        return cls._adopt({exponent: coefficient})
 
     def coefficient(self, exponent: int) -> int:
         return self._coeffs.get(exponent, 0)
@@ -62,7 +78,7 @@ class LaurentPoly:
         return hash(frozenset(self._coeffs.items()))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({p: -c for p, c in self._coeffs.items()})
+        return LaurentPoly._adopt({p: -c for p, c in self._coeffs.items()})
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -70,7 +86,7 @@ class LaurentPoly:
         acc = dict(self._coeffs)
         for p, c in other._coeffs.items():
             acc[p] = acc.get(p, 0) + c
-        return LaurentPoly(acc)
+        return LaurentPoly._adopt(acc)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -84,7 +100,7 @@ class LaurentPoly:
         for p, c in self._coeffs.items():
             for q, d in other._coeffs.items():
                 acc[p + q] = acc.get(p + q, 0) + c * d
-        return LaurentPoly(acc)
+        return LaurentPoly._adopt(acc)
 
     def hyperderivative(self, r: int) -> "LaurentPoly":
         """Apply D(r): x^p -> binomial(p, r) x^(p-r), extended linearly."""
@@ -92,7 +108,7 @@ class LaurentPoly:
             raise ValueError(f"derivative order must be non-negative, got {r}")
         if r == 0:
             return self
-        return LaurentPoly({p - r: binomial(p, r) * c for p, c in self._coeffs.items()})
+        return LaurentPoly._adopt({p - r: binomial(p, r) * c for p, c in self._coeffs.items()})
 
     def eval_at_minus_one(self) -> int:
         """Sum of coefficients with sign (-1)^exponent."""
@@ -125,15 +141,18 @@ def certificate_polynomial(M: Position, e: int) -> LaurentPoly:
 
     Only defined for final positions.  Dropping one copy of the maximum
     keeps every exponent non-negative: the remaining elements weigh at
-    most s + e - 1 in total.
+    most s + e - 1 in total.  The product is expanded in one coefficient
+    dict: multiplying by 1 + x^-w adds a copy shifted down by w.
     """
     if not is_final(M, e):
         raise ValueError(f"{M} is not final for excess {e}")
-    s = minority_capacity(M, e)
-    g = LaurentPoly.monomial(s + e - 1)
+    coeffs = {minority_capacity(M, e) + e - 1: 1}
     for w in M.elements[1:]:
-        g = g * (LaurentPoly.one() + LaurentPoly.monomial(-w))
-    return g
+        shifted = dict(coeffs)
+        for p, c in coeffs.items():
+            shifted[p - w] = shifted.get(p - w, 0) + c
+        coeffs = shifted
+    return LaurentPoly._adopt(coeffs)
 
 
 def certificate_value(M: Position, e: int) -> int:

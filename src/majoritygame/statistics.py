@@ -54,6 +54,8 @@ def binomial(p: int, r: int) -> int:
     """
     if r < 0:
         return 0
+    if p >= 0:
+        return math.comb(p, r)
     num = 1
     for i in range(r):
         num *= p - i

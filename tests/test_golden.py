@@ -1,7 +1,8 @@
-"""Byte-identical CLI stdout on a fixed set of ball-level runs.
+"""Byte-identical CLI stdout on a fixed set of ball- and weight-level runs.
 
 Each file under ``tests/golden/`` holds the stdout of one command,
-captured before the ball-level state was rewritten; a refactor must
+captured before the code it exercises was last rewritten (the
+ball-level state, then the Laurent arithmetic); a refactor must
 reproduce it exactly.  To regenerate a file after an intended output
 change, run the command from the repository root, for example::
 
@@ -25,6 +26,10 @@ CASES = {
         "verify", "--suite", "reformulation", "--seed", "7", "--trials", "300",
         "--format", "json"),
     "verify_adversarial.json": ("verify", "--suite", "adversarial", "--format", "json"),
+    "verify_certificate.json": ("verify", "--suite", "certificate", "--format", "json"),
+    "verify_leibniz_seed7.json": (
+        "verify", "--suite", "leibniz", "--seed", "7", "--format", "json"),
+    "table_max_n12.csv": ("table", "--max-n", "12", "--format", "csv"),
     "play_balls_n7_k4_selector.out": (
         "play", "--n", "7", "--k", "4", "--level", "balls", "--role", "selector"),
 }

@@ -60,6 +60,46 @@ class TestArithmetic:
         assert f + (-f) == LaurentPoly.zero()
 
 
+class TestNoStoredZeros:
+    """Operator results never hold a zero coefficient, even after cancellation."""
+
+    @staticmethod
+    def assert_normalized(result):
+        rebuilt = LaurentPoly(result.terms())
+        assert all(c for _, c in result.terms())
+        assert result == rebuilt
+        assert hash(result) == hash(rebuilt)
+
+    def test_cancellation_in_add_sub_mul(self):
+        x = LaurentPoly.monomial(1)
+        one = LaurentPoly.one()
+        cases = [
+            (x + (-x), LaurentPoly.zero()),
+            (x - x, LaurentPoly.zero()),
+            ((one + x) + (one - x), laurent((0, 2))),
+            ((one + x) * (one - x), laurent((0, 1), (2, -1))),
+            ((x + LaurentPoly.monomial(-1)) * (x - LaurentPoly.monomial(-1)),
+             laurent((2, 1), (-2, -1))),
+            (LaurentPoly.monomial(3, 0), LaurentPoly.zero()),
+        ]
+        for result, expected in cases:
+            self.assert_normalized(result)
+            assert result == expected
+
+    def test_hyperderivative_with_vanishing_binomial(self):
+        x = LaurentPoly.monomial(1)
+        assert not x.hyperderivative(2)
+        self.assert_normalized(x.hyperderivative(2))
+        mixed = laurent((1, 5), (3, 2), (-1, 1)).hyperderivative(2)  # D(2) kills x
+        self.assert_normalized(mixed)
+        assert mixed == laurent((1, 6), (-3, 1))
+
+    @given(laurents, laurents, st.integers(0, 4))
+    def test_every_operator_result_is_normalized(self, f, g, r):
+        for result in (f + g, f - g, -f, f * g, f.hyperderivative(r)):
+            self.assert_normalized(result)
+
+
 class TestHyperderivative:
     def test_monomial_cases(self):
         assert LaurentPoly.monomial(5).hyperderivative(2) == laurent((3, 10))
@@ -128,6 +168,19 @@ class TestCertificates:
         with pytest.raises(ValueError):
             final_position_bound_holds(Position((1, 1, 1)), 1)
 
+    def test_direct_product_matches_generic_arithmetic(self):
+        checked = 0
+        for M in _small_positions(10, extra_zeros=2):
+            for e in range(1, M.total + 1):
+                if (M.total - e) % 2 or not is_final(M, e):
+                    continue
+                expected = LaurentPoly.monomial(minority_capacity(M, e) + e - 1)
+                for w in M.elements[1:]:
+                    expected = expected * (LaurentPoly.one() + LaurentPoly.monomial(-w))
+                assert certificate_polynomial(M, e) == expected, (M, e)
+                checked += 1
+        assert checked == 1383
+
     def test_value_matches_signed_count_on_small_finals(self):
         for M in _small_positions(10):
             total = M.total
@@ -147,7 +200,7 @@ class TestCertificates:
                 assert final_position_bound_holds(M, e), (M, e, potential(M, e))
 
 
-def _small_positions(max_total):
+def _small_positions(max_total, extra_zeros=1):
     out = []
 
     def parts(total, max_part):
@@ -160,6 +213,6 @@ def _small_positions(max_total):
 
     for total in range(max_total + 1):
         for part in parts(total, total):
-            out.append(Position(part))
-            out.append(Position(part + (0,)))
+            for zeros in range(extra_zeros + 1):
+                out.append(Position(part + (0,) * zeros))
     return out

@@ -57,6 +57,15 @@ class TestSmallHelpers:
         assert binomial(-3, 2) == 6
         assert binomial(5, -1) == 0
 
+    def test_binomial_matches_falling_factorial(self):
+        for p in range(-6, 13):
+            for r in range(-1, 9):
+                falling = 1
+                for i in range(r):
+                    falling *= p - i
+                expected = falling // math.factorial(r) if r >= 0 else 0
+                assert binomial(p, r) == expected, (p, r)
+
 
 class TestWeightCounts:
     def test_known_values(self):
