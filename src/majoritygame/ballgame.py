@@ -3,9 +3,10 @@
 Comparisons "are balls i and j the same colour?" join balls into
 components, each split into two sides: balls on one side are the same
 colour, and the two sides differ.  Every ball records its component's
-root and its side, and every root keeps both sides' balls, so a merge
-relabels the smaller component and reads rebuild nothing.  The multiset
-of side-size differences is the weight-level position, and answering a
+root, which is the component's smallest ball, and its side, and every
+root keeps both sides' balls, so a merge relabels the component with
+the larger root and reads rebuild nothing.  The multiset of side-size
+differences is the weight-level position, and answering a
 cross-component comparison realizes one Assigner choice on it.  This
 module also hosts the identification rule, the exhaustive colouring
 oracle it is checked against, adversarial answering, and transcript
@@ -74,11 +75,13 @@ class Component:
 class QuestionGraph:
     """Balls 1..n in two-sided components, with a full answer history.
 
-    Each ball records its component's root and its side (0 or 1)
-    relative to the root; each root records both sides as sorted ball
-    tuples.  A merge relabels the smaller component, so ``find`` is two
-    list reads, and ``components()`` and ``weights()`` are built from the
-    roots' sides once per structural change and cached until the next.
+    Each ball records its component's root, the component's smallest
+    ball, and its side (0 or 1) relative to the root; each root records
+    both sides as sorted ball tuples, keyed in ascending root order.  A
+    merge keeps the smaller root and relabels the other component, so
+    ``find`` is two list reads.  ``components()`` caches one Component
+    per root and rebuilds only merged ones; ``weights()`` is cached until
+    the next merge.
     """
 
     def __init__(self, n: int):
@@ -88,7 +91,7 @@ class QuestionGraph:
         self._root = list(range(n + 1))  # index 0 unused
         self._side = [0] * (n + 1)  # side relative to the root
         self._sides = {ball: ((ball,), ()) for ball in range(1, n + 1)}
-        self._comps: tuple[Component, ...] | None = None
+        self._comps: dict[int, Component] = {}
         self._weights: Position | None = None
         self.history: list[tuple[int, int, BallAnswer]] = []
 
@@ -105,6 +108,8 @@ class QuestionGraph:
         return dup
 
     def _check_ball(self, ball: int) -> None:
+        if type(ball) is not int:  # bool is an int subclass, so compare types
+            raise ValueError(f"ball must be an integer, got {ball!r}")
         if not (1 <= ball <= self._n):
             raise ValueError(f"ball {ball} out of range 1..{self._n}")
 
@@ -119,7 +124,7 @@ class QuestionGraph:
     def find(self, ball: int) -> tuple[int, int]:
         """Root of the ball's component and the ball's side relative to it.
 
-        The root itself is always on side 0.
+        The root is the component's smallest ball and always on side 0.
         """
         self._check_ball(ball)
         return self._root[ball], self._side[ball]
@@ -151,13 +156,11 @@ class QuestionGraph:
                     f"balls {i} and {j} are already forced to answer {forced.value}")
             self.history.append((i, j, answer))
             return
+        if gone < keep:
+            keep, gone = gone, keep  # flip is symmetric in the two roots
         sides = self._sides
         keep0, keep1 = sides[keep]
-        gone0, gone1 = sides[gone]
-        if len(keep0) + len(keep1) < len(gone0) + len(gone1):
-            keep, gone = gone, keep  # flip is symmetric in the two roots
-            keep0, keep1, gone0, gone1 = gone0, gone1, keep0, keep1
-        del sides[gone]
+        gone0, gone1 = sides.pop(gone)
         root, side = self._root, self._side
         for ball in gone0 + gone1:
             root[ball] = keep
@@ -165,25 +168,28 @@ class QuestionGraph:
         if flip:
             gone0, gone1 = gone1, gone0
         sides[keep] = (tuple(sorted(keep0 + gone0)), tuple(sorted(keep1 + gone1)))
-        self._comps = self._weights = None
+        self._comps.pop(keep, None)
+        self._comps.pop(gone, None)
+        self._weights = None
         self.history.append((i, j, answer))
 
     def components(self) -> list[Component]:
-        """Current components, ordered by their smallest ball.
+        """Current components, ordered by their smallest ball (their root).
 
         Each call returns a new list; the components themselves are
         immutable.
         """
-        if self._comps is None:
-            comps = []
-            for zero, one in self._sides.values():
+        cache = self._comps
+        comps = []
+        for root, (zero, one) in self._sides.items():
+            comp = cache.get(root)
+            if comp is None:
                 if _zero_is_larger(zero, one):
-                    comps.append(Component(zero, one))
+                    comp = cache[root] = Component(zero, one)
                 else:
-                    comps.append(Component(one, zero))
-            comps.sort(key=lambda comp: comp.min_ball)
-            self._comps = tuple(comps)
-        return list(self._comps)
+                    comp = cache[root] = Component(one, zero)
+            comps.append(comp)
+        return comps
 
     def weights(self) -> Position:
         """The weight-level position induced by the current components."""
@@ -196,10 +202,10 @@ class QuestionGraph:
 def _zero_is_larger(zero: tuple[int, ...], one: tuple[int, ...]) -> bool:
     """Whether a root's side 0 is its component's nominal larger side.
 
-    On a weight-0 tie the side holding the smaller ball wins.  Side 0
-    holds the root, so it is never empty.
+    On a weight-0 tie the side holding the smaller ball wins, and that is
+    side 0, which holds the root: the component's smallest ball.
     """
-    return len(zero) > len(one) or (len(zero) == len(one) and zero[0] < one[0])
+    return len(zero) >= len(one)
 
 
 def _place_ball(g: QuestionGraph, ball: int) -> tuple[int, int, bool]:
@@ -252,41 +258,31 @@ def side_status_table(
     colours; an assignment is admissible when one colour reaches k.
     Entry idx holds ((larger can be minority, larger can be majority),
     (smaller can be minority, smaller can be majority)).  Empty smaller
-    sides keep (False, False).
+    sides keep (False, False).  Bit idx of a mask puts component idx's
+    smaller side in colour A; the colour-A counts of all masks are built
+    by doubling, and a smaller side's status is its larger side's swapped.
     """
     c = len(comps)
     if c > COLOURING_GUARD:
         raise ValueError(f"colouring enumeration is guarded at {COLOURING_GUARD} components")
-    larger_sizes = [len(comp.larger) for comp in comps]
-    smaller_sizes = [len(comp.smaller) for comp in comps]
-    larger_minority = [False] * c
-    larger_majority = [False] * c
-    smaller_minority = [False] * c
-    smaller_majority = [False] * c
-    for mask in range(1 << c):
-        count_a = 0
-        for idx in range(c):
-            count_a += smaller_sizes[idx] if (mask >> idx) & 1 else larger_sizes[idx]
+    counts = [sum(len(comp.larger) for comp in comps)]
+    for comp in comps:
+        d = len(comp.smaller) - len(comp.larger)
+        counts += [count + d for count in counts]
+    full = (1 << c) - 1
+    majority = minority = 0  # bit idx: component idx's larger side can be that
+    for mask, count_a in enumerate(counts):
         if count_a >= k:
-            majority_is_a = True
+            majority |= full ^ mask
+            minority |= mask
         elif n - count_a >= k:
-            majority_is_a = False
-        else:
-            continue
-        for idx in range(c):
-            larger_in_a = not ((mask >> idx) & 1)
-            if larger_in_a == majority_is_a:
-                larger_majority[idx] = True
-                if smaller_sizes[idx]:
-                    smaller_minority[idx] = True
-            else:
-                larger_minority[idx] = True
-                if smaller_sizes[idx]:
-                    smaller_majority[idx] = True
-    return [
-        ((larger_minority[i], larger_majority[i]), (smaller_minority[i], smaller_majority[i]))
-        for i in range(c)
-    ]
+            majority |= mask
+            minority |= full ^ mask
+    table = []
+    for idx, comp in enumerate(comps):
+        larger = (bool(minority >> idx & 1), bool(majority >> idx & 1))
+        table.append((larger, larger[::-1] if comp.smaller else (False, False)))
+    return table
 
 
 def consistent_colouring_exists(
@@ -525,15 +521,15 @@ def import_transcript(text: str) -> tuple[GameParams, QuestionGraph]:
 
 
 def export_transcript_json(g: QuestionGraph, params: GameParams) -> str:
+    """The ``json.dumps(..., indent=2)`` layout plus a newline, written directly:
+    n, k and balls are exact ints, answers plain words, and json's C encoder does not indent.
+    """
     _check_params(g, params)
-    payload = {
-        "n": params.n,
-        "k": params.k,
-        "comparisons": [
-            {"i": i, "j": j, "answer": answer.value} for i, j, answer in g.history
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    records = ",\n".join(
+        f'    {{\n      "i": {i},\n      "j": {j},\n      "answer": "{answer.value}"\n    }}'
+        for i, j, answer in g.history)
+    comparisons = f"[\n{records}\n  ]" if records else "[]"
+    return f'{{\n  "n": {params.n},\n  "k": {params.k},\n  "comparisons": {comparisons}\n}}\n'
 
 
 def _json_int(obj: dict, key: str) -> int:

@@ -25,6 +25,8 @@ class GameParams:
     k: int
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int or type(self.k) is not int:  # bool is an int subclass
+            raise ValueError(f"n and k must be integers, got n={self.n!r}, k={self.k!r}")
         if self.n < 1:
             raise ValueError(f"ball count must be positive, got n={self.n}")
         if self.k > self.n:

@@ -536,6 +536,7 @@ def suite_reformulation(
                     report.add_failure(
                         f"n={n} k={k} state {g.weights()}: announced {announced}, "
                         f"colouring oracle says {determined}")
+        del states  # free this n's states before the next, larger set is built
     report.details["states"] = state_counts
     return report
 

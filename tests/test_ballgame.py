@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from majoritygame.ballgame import (
     BALL_SEARCH_GUARD_N,
@@ -29,6 +29,7 @@ from majoritygame.ballgame import (
 )
 from majoritygame.core import AssignerChoice, GameParams, Position, apply_move
 from majoritygame.solver import GameSolver, formula_comparisons
+from majoritygame.verify import _all_ball_states, _graph_for_state
 
 
 class TestQuestionGraph:
@@ -80,6 +81,20 @@ class TestQuestionGraph:
             g.add_comparison(1, 4, BallAnswer.SAME)
         with pytest.raises(ValueError):
             QuestionGraph(0)
+
+    def test_rejects_balls_that_are_not_ints(self):
+        g = QuestionGraph(3)
+        for bad in (True, False, 2.0, "2"):
+            with pytest.raises(ValueError, match="ball must be an integer"):
+                g.add_comparison(bad, 3, BallAnswer.SAME)
+            with pytest.raises(ValueError, match="ball must be an integer"):
+                g.add_comparison(3, bad, BallAnswer.DIFFERENT)
+            with pytest.raises(ValueError, match="ball must be an integer"):
+                g.find(bad)
+            with pytest.raises(ValueError, match="ball must be an integer"):
+                g.forced_answer(3, bad)
+        assert g.history == []
+        assert g.weights() == Position((1, 1, 1))
 
     def test_components_ordering_and_tie_break(self):
         g = QuestionGraph(6)
@@ -389,7 +404,70 @@ class TestExhaustiveSearch:
             min_comparisons_ball_level(big)
 
 
+def _reference_side_status_table(comps, n, k):
+    """The colouring oracle as first written: one pass over the components per mask."""
+    c = len(comps)
+    larger_sizes = [len(comp.larger) for comp in comps]
+    smaller_sizes = [len(comp.smaller) for comp in comps]
+    larger_minority = [False] * c
+    larger_majority = [False] * c
+    smaller_minority = [False] * c
+    smaller_majority = [False] * c
+    for mask in range(1 << c):
+        count_a = 0
+        for idx in range(c):
+            count_a += smaller_sizes[idx] if (mask >> idx) & 1 else larger_sizes[idx]
+        if count_a >= k:
+            majority_is_a = True
+        elif n - count_a >= k:
+            majority_is_a = False
+        else:
+            continue
+        for idx in range(c):
+            larger_in_a = not ((mask >> idx) & 1)
+            if larger_in_a == majority_is_a:
+                larger_majority[idx] = True
+                if smaller_sizes[idx]:
+                    smaller_minority[idx] = True
+            else:
+                larger_minority[idx] = True
+                if smaller_sizes[idx]:
+                    smaller_majority[idx] = True
+    return [
+        ((larger_minority[i], larger_majority[i]), (smaller_minority[i], smaller_majority[i]))
+        for i in range(c)
+    ]
+
+
+@st.composite
+def _component_lists(draw, max_components=14):
+    """Components with consecutive ball labels, larger side first."""
+    comps, ball = [], 1
+    for _ in range(draw(st.integers(1, max_components))):
+        larger = draw(st.integers(1, 3))
+        smaller = draw(st.integers(0, larger))
+        comps.append(Component(tuple(range(ball, ball + larger)),
+                               tuple(range(ball + larger, ball + larger + smaller))))
+        ball += larger + smaller
+    n = ball - 1
+    return comps, n, draw(st.integers(n // 2 + 1, n))
+
+
 class TestSideStatusTable:
+    def test_matches_reference_on_every_small_ball_state(self):
+        for n in range(1, 8):
+            for state in _all_ball_states(n):
+                comps = _graph_for_state(n, state).components()
+                for k in range(n // 2 + 1, n + 1):
+                    assert side_status_table(comps, n, k) == _reference_side_status_table(
+                        comps, n, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_component_lists())
+    def test_matches_reference_on_random_components(self, case):
+        comps, n, k = case
+        assert side_status_table(comps, n, k) == _reference_side_status_table(comps, n, k)
+
     def test_guard(self):
         comps = [Component((b,), ()) for b in range(1, 23)]
         with pytest.raises(ValueError):
@@ -431,6 +509,25 @@ class TestTranscripts:
         params2, g2 = import_transcript_json(blob)
         assert params2 == params and g2.history == g.history
         assert export_transcript_json(g2, params2) == blob
+
+    @settings(max_examples=80, deadline=None)
+    @given(_games(), st.data())
+    @example((1, [], [], []), None)
+    @example((12, [(10, 12, BallAnswer.SAME), (1, 11, BallAnswer.DIFFERENT)], [], []), None)
+    def test_json_export_matches_the_json_module(self, game, data):
+        n, first, second, third = game
+        g = QuestionGraph(n)
+        for i, j, answer in first + second + third:
+            if i != j and g.forced_answer(i, j) in (None, answer):
+                g.add_comparison(i, j, answer)
+        k = n if data is None else data.draw(st.integers(n // 2 + 1, n))
+        payload = {
+            "n": n,
+            "k": k,
+            "comparisons": [
+                {"i": i, "j": j, "answer": answer.value} for i, j, answer in g.history],
+        }
+        assert export_transcript_json(g, GameParams(n, k)) == json.dumps(payload, indent=2) + "\n"
 
     def test_import_rejects_garbage(self):
         with pytest.raises(ValueError):

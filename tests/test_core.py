@@ -39,6 +39,11 @@ class TestGameParams:
         with pytest.raises(ValueError):
             GameParams(3, 4)
 
+    def test_rejects_non_integers(self):
+        for n, k in ((True, True), (1, True), (7.0, 4), (7, 4.0), ("7", 4)):
+            with pytest.raises(ValueError, match="n and k must be integers"):
+                GameParams(n, k)
+
 
 class TestPosition:
     def test_canonical_order(self):

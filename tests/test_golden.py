@@ -2,14 +2,16 @@
 
 Each file under ``tests/golden/`` holds the stdout of one command,
 captured before the code it exercises was last rewritten (the
-ball-level state, then the Laurent arithmetic); a refactor must
-reproduce it exactly.  To regenerate a file after an intended output
-change, run the command from the repository root, for example::
+ball-level state, the Laurent arithmetic, then the smallest-ball roots
+and the JSON transcript writer); a refactor must reproduce it exactly.
+To regenerate a file after an intended output change, run the command
+from the repository root, for example::
 
     PYTHONPATH=src python -m majoritygame verify --suite adversarial \\
         --format json > tests/golden/verify_adversarial.json
 
-The play session reads its answers from the matching ``.in`` file.
+A play session reads its answers from the matching ``.in`` file, or
+from the one named in ``STDIN``.
 """
 
 import io
@@ -32,12 +34,18 @@ CASES = {
     "table_max_n12.csv": ("table", "--max-n", "12", "--format", "csv"),
     "play_balls_n7_k4_selector.out": (
         "play", "--n", "7", "--k", "4", "--level", "balls", "--role", "selector"),
+    "play_balls_n7_k4_potential.out": (
+        "play", "--n", "7", "--k", "4", "--level", "balls", "--adversary", "potential"),
+    "play_balls_n9_k5_assigner.out": (
+        "play", "--n", "9", "--k", "5", "--level", "balls", "--role", "assigner"),
 }
+
+STDIN = {"play_balls_n7_k4_potential.out": "play_balls_n7_k4_selector.in"}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name, capsys, monkeypatch):
-    stdin = (GOLDEN / name).with_suffix(".in")
+    stdin = GOLDEN / STDIN.get(name, Path(name).with_suffix(".in").name)
     if stdin.exists():
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin.read_text()))
     assert main(list(CASES[name])) == 0
