@@ -27,8 +27,9 @@ from .core import (
     Position,
     is_final,
     minority_capacity,
+    move_for_pair,
 )
-from .solver import GameSolver, potential_guided_choice
+from .solver import GameSolver
 
 #: Components beyond which the exhaustive colouring oracle refuses to run.
 COLOURING_GUARD = 20
@@ -306,13 +307,6 @@ def consistent_colouring_exists(
     return minority_ok if colour == "minority" else majority_ok
 
 
-def _move_for_pair(M: Position, w: int, wp: int) -> Move:
-    """Indices of one occurrence each of w and w' (w >= w') in M."""
-    first = M.elements.index(w)
-    second = M.elements.index(wp, first + 1)
-    return Move(first, second)
-
-
 def induced_move_and_choice(
     g: QuestionGraph, i: int, j: int, answer: BallAnswer
 ) -> tuple[Move, AssignerChoice]:
@@ -327,8 +321,7 @@ def induced_move_and_choice(
     rj, wj, j_on_larger = _place_ball(g, j)
     if ri == rj:
         raise ValueError(f"balls {i} and {j} share a component; no move is induced")
-    w, wp = max(wi, wj), min(wi, wj)
-    move = _move_for_pair(g.weights(), w, wp)
+    move = move_for_pair(g.weights(), wi, wj)
     plus = (i_on_larger == j_on_larger) == (answer is BallAnswer.SAME)
     return move, AssignerChoice.PLUS if plus else AssignerChoice.MINUS
 
@@ -358,17 +351,10 @@ def adversarial_answer(
     _, wj, j_on_larger = _place_ball(g, j)
     if min(wi, wj) == 0:
         return BallAnswer.SAME
+    if solver is None:
+        solver = GameSolver(params)
     M = g.weights()
-    move = _move_for_pair(M, max(wi, wj), min(wi, wj))
-    if mode == "optimal":
-        if solver is None:
-            solver = GameSolver(params)
-        choices = solver.optimal_assigner_choices(M, move)
-        choice = AssignerChoice.MINUS if AssignerChoice.MINUS in choices else AssignerChoice.PLUS
-    elif mode == "potential":
-        choice = potential_guided_choice(M, params.e, move)
-    else:
-        raise ValueError(f"unknown adversary mode {mode!r}")
+    choice = solver.assigner_reply(M, move_for_pair(M, wi, wj), mode)
     same_realizes_plus = i_on_larger == j_on_larger
     if choice is AssignerChoice.PLUS:
         return BallAnswer.SAME if same_realizes_plus else BallAnswer.DIFFERENT

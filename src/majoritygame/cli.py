@@ -25,22 +25,14 @@ from .ballgame import (
 from .core import (
     AssignerChoice,
     GameParams,
-    Move,
     Position,
     apply_move,
     is_final,
-    minority_capacity,
+    move_for_pair,
     move_values,
     start_position,
 )
-from .solver import (
-    GameSolver,
-    MemoLimitExceeded,
-    formula_comparisons,
-    potential_guided_choice,
-    verify_first_move_tie,
-    verify_two_one_family,
-)
+from .solver import GameSolver, MemoLimitExceeded, formula_comparisons
 from .statistics import (
     INFINITE,
     potential,
@@ -49,10 +41,11 @@ from .statistics import (
     two_adic_valuation,
 )
 from .verify import (
-    RANDOMIZED_SUITES,
     SUITES,
-    run_all_suites,
+    iter_suites,
     run_suite,
+    suite_two_one_family,
+    verify_first_move_tie,
 )
 
 
@@ -66,12 +59,14 @@ def _valuation_json(v) -> dict:
     return {"finite": True, "value": int(v)}
 
 
-def _emit_json(payload: dict, stream: IO[str]) -> None:
-    print(json.dumps(payload, indent=2), file=stream)
+def _emit_json(command: str, params: dict, results: dict | list, failures: list[str]) -> None:
+    """Print the one JSON envelope every command uses."""
+    payload = {"command": command, "params": params, "results": results, "failures": failures}
+    print(json.dumps(payload, indent=2))
 
 
-def _csv_writer(stream: IO[str]):
-    return csv.writer(stream, lineterminator="\n")
+def _csv_writer():
+    return csv.writer(sys.stdout, lineterminator="\n")
 
 
 def _solver_for_excess(e: int) -> GameSolver:
@@ -100,16 +95,10 @@ def cmd_table(args: argparse.Namespace) -> int:
             })
             if not match:
                 failures.append(f"n={n} k={k}: solved {comparisons} != formula {expected}")
-    out = sys.stdout
     if args.format == "json":
-        _emit_json({
-            "command": "table",
-            "params": {"max_n": args.max_n},
-            "results": rows,
-            "failures": failures,
-        }, out)
+        _emit_json("table", {"max_n": args.max_n}, rows, failures)
     elif args.format == "csv":
-        writer = _csv_writer(out)
+        writer = _csv_writer()
         writer.writerow(["n", "k", "d", "comparisons", "formula", "match"])
         for row in rows:
             writer.writerow([row["n"], row["k"], row["d"], row["comparisons"],
@@ -169,16 +158,10 @@ def cmd_value(args: argparse.Namespace) -> int:
         result["n"] = params.n
         result["k"] = params.k
         result["formula"] = formula_comparisons(params)
-    out = sys.stdout
     if args.format == "json":
-        _emit_json({
-            "command": "value",
-            "params": {"position": str(M), "e": e},
-            "results": result,
-            "failures": [],
-        }, out)
+        _emit_json("value", {"position": str(M), "e": e}, result, [])
     elif args.format == "csv":
-        writer = _csv_writer(out)
+        writer = _csv_writer()
         writer.writerow(["field", "value"])
         for key, value in result.items():
             if key == "potential":
@@ -215,7 +198,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     signed = {order: signed_count(M, e, order) for order in range(1, max_order + 1)}
     capacity = (M.total - e) // 2
     pot = potential(M, e) if e >= 1 else None
-    out = sys.stdout
     if args.format == "json":
         results = {
             "position": str(M),
@@ -228,14 +210,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         }
         if pot is not None:
             results["potential"] = _valuation_json(pot)
-        _emit_json({
-            "command": "stats",
-            "params": {"position": str(M), "e": e, "max_order": max_order},
-            "results": results,
-            "failures": [],
-        }, out)
+        _emit_json("stats", {"position": str(M), "e": e, "max_order": max_order}, results, [])
     elif args.format == "csv":
-        writer = _csv_writer(out)
+        writer = _csv_writer()
         writer.writerow(["field", "value"])
         writer.writerow(["position", str(M)])
         writer.writerow(["e", e])
@@ -265,67 +242,45 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.m is not None:
-        if args.suite == "two-one-family":
-            reports = [verify_two_one_family(args.m)]
-        elif args.suite == "assigner-tie":
-            reports = [verify_first_move_tie(args.m)]
-        else:
+        families = {"two-one-family": suite_two_one_family, "assigner-tie": verify_first_move_tie}
+        if args.suite not in families:
             raise ValueError("--m applies to the two-one-family and assigner-tie suites")
+        reports = [families[args.suite](args.m)]
     elif args.suite is not None:
         reports = [run_suite(args.suite, seed=args.seed, trials=args.trials)]
     else:
         if args.trials is not None:
             raise ValueError("--trials needs --suite; full runs use each suite's default")
-        if args.format == "text":
-            # stream suite lines as they complete
-            reports = []
-            failed = 0
-            for name in SUITES:
-                if name in RANDOMIZED_SUITES and args.seed is not None:
-                    report = SUITES[name](seed=args.seed)
-                else:
-                    report = SUITES[name]()
-                reports.append(report)
-                print(report.summary(), flush=True)
-                failed += 0 if report.passed else 1
-            print(f"{len(reports) - failed}/{len(reports)} suites passed")
-            return 0 if failed == 0 else 1
-        reports = run_all_suites(seed=args.seed)
-    out = sys.stdout
-    all_passed = all(report.passed for report in reports)
+        reports = iter_suites(args.seed)
+    if args.format == "text":
+        passed = total = 0
+        for report in reports:
+            print(report.summary(), flush=True)
+            passed += report.passed
+            total += 1
+        print(f"{passed}/{total} suites passed")
+        return 0 if passed == total else 1
+    reports = list(reports)
     if args.format == "json":
-        _emit_json({
-            "command": "verify",
-            "params": {
-                "suite": args.suite,
-                "seed": args.seed,
-                "trials": args.trials,
-                "m": args.m,
-            },
-            "results": [
-                {
-                    "suite": report.suite,
-                    "cases": report.cases,
-                    "failures": report.failure_count,
-                    "passed": report.passed,
-                    "details": report.details,
-                }
-                for report in reports
-            ],
-            "failures": [w for report in reports for w in report.failures],
-        }, out)
-    elif args.format == "csv":
-        writer = _csv_writer(out)
+        params = {"suite": args.suite, "seed": args.seed, "trials": args.trials, "m": args.m}
+        results = [
+            {
+                "suite": report.suite,
+                "cases": report.cases,
+                "failures": report.failure_count,
+                "passed": report.passed,
+                "details": report.details,
+            }
+            for report in reports
+        ]
+        _emit_json("verify", params, results, [w for report in reports for w in report.failures])
+    else:
+        writer = _csv_writer()
         writer.writerow(["suite", "cases", "failures", "status"])
         for report in reports:
             writer.writerow([report.suite, report.cases, report.failure_count,
                              "pass" if report.passed else "fail"])
-    else:
-        for report in reports:
-            print(report.summary())
-        passed = sum(1 for report in reports if report.passed)
-        print(f"{passed}/{len(reports)} suites passed")
-    return 0 if all_passed else 1
+    return 0 if all(report.passed for report in reports) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -417,17 +372,6 @@ def _play_balls(
             print(f"recorded: balls {i} and {j} are {answer.value}", file=out_stream)
 
 
-def _find_pair_move(M: Position, w: int, wp: int) -> Move:
-    if w < wp:
-        w, wp = wp, w
-    try:
-        first = M.elements.index(w)
-        second = M.elements.index(wp, first + 1)
-    except ValueError:
-        raise ValueError(f"{M} holds no pair ({w},{wp})") from None
-    return Move(first, second)
-
-
 def _play_weights(
     params: GameParams,
     role: str,
@@ -453,21 +397,16 @@ def _play_weights(
                 print("enter two weights, e.g. '1 1'", file=out_stream)
                 continue
             try:
-                move = _find_pair_move(M, int(fields[0]), int(fields[1]))
+                move = move_for_pair(M, int(fields[0]), int(fields[1]))
             except ValueError as exc:
                 print(f"bad selection: {exc}", file=out_stream)
                 continue
-            if adversary == "optimal":
-                choices = solver.optimal_assigner_choices(M, move)
-                choice = (AssignerChoice.MINUS if AssignerChoice.MINUS in choices
-                          else AssignerChoice.PLUS)
-            else:
-                choice = potential_guided_choice(M, e, move)
+            choice = solver.assigner_reply(M, move, adversary)
             w, wp = move_values(M, move)
             print(f"assigner replies {choice.value} on ({w},{wp})", file=out_stream)
         else:
             pair = solver.optimal_selector_moves(M)[0]
-            move = _find_pair_move(M, pair[0], pair[1])
+            move = move_for_pair(M, *pair)
             line = _read_line(f"selected pair {pair}; reply [+/-] ", in_stream, out_stream)
             if line is None:
                 print("aborted", file=out_stream)
@@ -541,12 +480,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         }
         if from_start:
             results["formula"] = formula_comparisons(params)
-        _emit_json({
-            "command": "trace",
-            "params": {"n": params.n, "k": params.k, "origin": str(origin)},
-            "results": results,
-            "failures": [],
-        }, sys.stdout)
+        _emit_json("trace", {"n": params.n, "k": params.k, "origin": str(origin)}, results, [])
         return 0
     print(f"principal variation from {origin} at excess {e}:")
     for idx, step in enumerate(result.principal_variation):

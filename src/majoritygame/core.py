@@ -181,6 +181,18 @@ def move_values(M: Position, move: Move) -> tuple[int, int]:
     return M.elements[move.first], M.elements[move.second]
 
 
+def move_for_pair(M: Position, w: int, wp: int) -> Move:
+    """The move selecting the first occurrences of w and wp, given in either order."""
+    if w < wp:
+        w, wp = wp, w
+    try:
+        first = M.elements.index(w)
+        second = M.elements.index(wp, first + 1)
+    except ValueError:
+        raise ValueError(f"{M} holds no pair ({w},{wp})") from None
+    return Move(first, second)
+
+
 def _check_move(M: Position, move: Move) -> None:
     c = len(M.elements)
     if move.first == move.second:

@@ -20,20 +20,17 @@ from .core import (
     apply_move,
     is_final,
     legal_moves,
+    move_for_pair,
     move_values,
     start_position,
 )
-from .report import SuiteReport
-from .statistics import INFINITE, binary_weight, potential, two_adic_valuation
+from .statistics import binary_weight, potential
 
 #: Environment variable holding an optional cap on solve-table entries.
 MEMO_LIMIT_ENV = "MAJORITY_ORACLE_MEMO_LIMIT"
 
 #: Largest n for which exhaustive reachability enumeration runs unforced.
 EXHAUSTIVE_GUARD_N = 12
-
-#: Largest m for which the first-move-tie check solves the game exactly.
-SOLVER_GUARD_M = 7
 
 
 class MemoLimitExceeded(RuntimeError):
@@ -208,18 +205,18 @@ class GameSolver:
         best = min(vals.values())
         return tuple(c for c in (AssignerChoice.PLUS, AssignerChoice.MINUS) if vals[c] == best)
 
-    def _principal_move(self, M: Position) -> Move:
-        best = self.value(M)
-        candidates = []
-        for mv in legal_moves(M):
-            worst = min(self.value(apply_move(M, mv, c)) for c in AssignerChoice)
-            if worst == best:
-                candidates.append((move_values(M, mv), mv))
-        return min(candidates, key=lambda item: item[0])[1]
+    def assigner_reply(self, M: Position, move: Move, mode: str = "optimal") -> AssignerChoice:
+        """The Assigner's one reply to move for an adversary mode.
 
-    def _principal_choice(self, M: Position, move: Move) -> AssignerChoice:
-        choices = self.optimal_assigner_choices(M, move)
-        return AssignerChoice.MINUS if AssignerChoice.MINUS in choices else AssignerChoice.PLUS
+        Mode 'optimal' takes a value-minimizing reply, MINUS when both
+        replies tie; mode 'potential' takes potential_guided_choice.
+        """
+        if mode == "optimal":
+            choices = self.optimal_assigner_choices(M, move)
+            return AssignerChoice.MINUS if AssignerChoice.MINUS in choices else AssignerChoice.PLUS
+        if mode == "potential":
+            return potential_guided_choice(M, self.e, move)
+        raise ValueError(f"unknown adversary mode {mode!r}")
 
     def solve(self, M: Position | None = None) -> SolveResult:
         """Value, optimal move sets, and the principal variation for M.
@@ -231,16 +228,13 @@ class GameSolver:
             M = start_position(self.params)
         val = self.value(M)
         moves = self.optimal_selector_moves(M)
-        choices: dict[tuple[int, int], tuple[AssignerChoice, ...]] = {}
-        for mv in legal_moves(M):
-            pair = move_values(M, mv)
-            if pair in moves and pair not in choices:
-                choices[pair] = self.optimal_assigner_choices(M, mv)
+        choices = {pair: self.optimal_assigner_choices(M, move_for_pair(M, *pair))
+                   for pair in moves}
         variation: list[TraceStep] = []
         cur = M
         while not is_final(cur, self.e):
-            mv = self._principal_move(cur)
-            choice = self._principal_choice(cur, mv)
+            mv = move_for_pair(cur, *self.optimal_selector_moves(cur)[0])
+            choice = self.assigner_reply(cur, mv)
             variation.append(TraceStep(cur, mv, move_values(cur, mv), choice))
             cur = apply_move(cur, mv, choice)
         return SolveResult(val, moves, choices, variation, cur)
@@ -304,97 +298,3 @@ def reachable_positions(params: GameParams, force: bool = False) -> set[Position
                     seen.add(succ)
                     frontier.append(succ)
     return seen
-
-
-def verify_potential_dominates(params: GameParams, force: bool = False) -> SuiteReport:
-    """Check potential >= value on every position reachable from the start."""
-    report = SuiteReport(f"potential-dominates(n={params.n},k={params.k})")
-    solver = GameSolver(params)
-    e = params.e
-    min_slack = None
-    witness = None
-    for M in sorted(reachable_positions(params, force=force), key=lambda p: p.elements):
-        pot = potential(M, e)
-        val = solver.value(M)
-        report.cases += 1
-        if not pot >= val:
-            report.add_failure(f"{M}: potential {pot} < value {val}")
-        if pot != INFINITE and (min_slack is None or pot - val < min_slack):
-            min_slack = pot - val
-            witness = M
-    report.details["min_slack"] = min_slack
-    report.details["min_slack_position"] = str(witness) if witness is not None else None
-    return report
-
-
-def two_one_family_potential(m: int) -> int | float:
-    """Closed form for the potential of {2, 1^(2m-1)} at excess 1.
-
-    Odd m gives 2 + binary_weight(m-1) + two_adic_valuation(m-1) — which
-    is INFINITE at m = 1 — and even m gives
-    2 + binary_weight(m-1) - two_adic_valuation(m).
-    """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    base = 2 + binary_weight(m - 1)
-    if m % 2 == 1:
-        return base + two_adic_valuation(m - 1)
-    return base - two_adic_valuation(m)
-
-
-def verify_two_one_family(max_m: int) -> SuiteReport:
-    """Compare the {2, 1^(2m-1)} potential against its closed form."""
-    report = SuiteReport("two-one-family")
-    for m in range(1, max_m + 1):
-        M = Position((2,) + (1,) * (2 * m - 1))
-        direct = potential(M, 1)
-        closed = two_one_family_potential(m)
-        report.cases += 1
-        if direct != closed:
-            report.add_failure(f"m={m}: direct {direct} != closed form {closed}")
-    return report
-
-
-def verify_first_move_tie(m: int, solver_guard_m: int = SOLVER_GUARD_M) -> SuiteReport:
-    """For m = 3 (mod 4): the potential strictly prefers the cancelling
-    reply to the opening move, yet both replies are value-optimal.
-
-    The value comparison solves three games exactly and is skipped above
-    the solver guard; the potential identities are always checked.
-    """
-    if m % 4 != 3:
-        raise ValueError(f"need m = 3 (mod 4), got {m}")
-    report = SuiteReport(f"assigner-tie(m={m})")
-    n = 2 * m + 1
-    params = GameParams(n, m + 1)
-    merged = Position((2,) + (1,) * (2 * m - 1))
-    cancelled = Position((1,) * (2 * m - 1) + (0,))
-    target = 1 + binary_weight(m)
-
-    checks = [
-        (potential(merged, 1) == 1 + target,
-         f"potential of {merged} is {potential(merged, 1)}, expected {1 + target}"),
-        (potential(cancelled, 1) == target,
-         f"potential of {cancelled} is {potential(cancelled, 1)}, expected {target}"),
-        (potential(Position((2,) + (1,) * (2 * m - 3) + (0,)), 1) == target,
-         f"potential after cancelling inside {merged} should be {target}"),
-    ]
-    for ok, witness in checks:
-        report.cases += 1
-        if not ok:
-            report.add_failure(witness)
-
-    if m <= solver_guard_m:
-        solver = GameSolver(params)
-        v_start = solver.value(start_position(params))
-        v_merged = solver.value(merged)
-        v_cancelled = solver.value(cancelled)
-        report.cases += 1
-        if not (v_start == v_merged == v_cancelled):
-            report.add_failure(
-                f"values differ: start {v_start}, merged {v_merged}, cancelled {v_cancelled}")
-        report.details["values"] = {
-            "start": v_start, "merged": v_merged, "cancelled": v_cancelled}
-    else:
-        report.details["value_check"] = f"skipped above solver guard m={solver_guard_m}"
-    return report

@@ -40,6 +40,7 @@ from .core import (
     is_final,
     minority_capacity,
     move_values,
+    start_position,
 )
 from .laurent import (
     LaurentPoly,
@@ -48,14 +49,9 @@ from .laurent import (
     final_position_bound_holds,
 )
 from .report import SuiteReport
-from .solver import (
-    formula_comparisons,
-    solve_game,
-    verify_first_move_tie,
-    verify_potential_dominates,
-    verify_two_one_family,
-)
+from .solver import GameSolver, formula_comparisons, reachable_positions, solve_game
 from .statistics import (
+    INFINITE,
     binary_weight,
     potential,
     signed_count,
@@ -69,6 +65,9 @@ DEFAULT_SEED = 20917
 
 #: Positions up to this total get the brute-force cross-check.
 _BRUTE_TOTAL_CAP = 14
+
+#: Largest m for which the first-move-tie check solves the game exactly.
+SOLVER_GUARD_M = 7
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +358,27 @@ def suite_final_bound(max_total: int = 16, extra_zeros: int = 2) -> SuiteReport:
 # game-value suites
 
 
+def verify_potential_dominates(params: GameParams) -> SuiteReport:
+    """Check potential >= value on every position reachable from the start."""
+    report = SuiteReport(f"potential-dominates(n={params.n},k={params.k})")
+    solver = GameSolver(params)
+    e = params.e
+    min_slack = None
+    witness = None
+    for M in sorted(reachable_positions(params), key=lambda p: p.elements):
+        pot = potential(M, e)
+        val = solver.value(M)
+        report.cases += 1
+        if not pot >= val:
+            report.add_failure(f"{M}: potential {pot} < value {val}")
+        if pot != INFINITE and (min_slack is None or pot - val < min_slack):
+            min_slack = pot - val
+            witness = M
+    report.details["min_slack"] = min_slack
+    report.details["min_slack_position"] = str(witness) if witness is not None else None
+    return report
+
+
 def suite_potential_dominates(max_n: int = 10) -> SuiteReport:
     """Potential >= game value on all reachable positions, all games up to n."""
     report = SuiteReport("potential-dominates")
@@ -383,9 +403,79 @@ def suite_formula(max_n: int = 12) -> SuiteReport:
     return report
 
 
+def two_one_family_potential(m: int) -> int | float:
+    """Closed form for the potential of {2, 1^(2m-1)} at excess 1.
+
+    Odd m gives 2 + binary_weight(m-1) + two_adic_valuation(m-1) — which
+    is INFINITE at m = 1 — and even m gives
+    2 + binary_weight(m-1) - two_adic_valuation(m).
+    """
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    base = 2 + binary_weight(m - 1)
+    if m % 2 == 1:
+        return base + two_adic_valuation(m - 1)
+    return base - two_adic_valuation(m)
+
+
 def suite_two_one_family(max_m: int = 32) -> SuiteReport:
-    """Closed-form potentials for the {2, 1^(2m-1)} family at excess 1."""
-    return verify_two_one_family(max_m)
+    """Closed-form potentials for the {2, 1^(2m-1)} family at excess 1, m = 1..max_m."""
+    if max_m < 1:
+        raise ValueError(f"need m >= 1, got m={max_m}")
+    report = SuiteReport("two-one-family")
+    for m in range(1, max_m + 1):
+        M = Position((2,) + (1,) * (2 * m - 1))
+        direct = potential(M, 1)
+        closed = two_one_family_potential(m)
+        report.cases += 1
+        if direct != closed:
+            report.add_failure(f"m={m}: direct {direct} != closed form {closed}")
+    return report
+
+
+def verify_first_move_tie(m: int) -> SuiteReport:
+    """For m = 3 (mod 4): the potential strictly prefers the cancelling
+    reply to the opening move, yet both replies are value-optimal.
+
+    The value comparison solves three games exactly and is skipped above
+    SOLVER_GUARD_M; the potential identities are always checked.
+    """
+    if m < 1 or m % 4 != 3:
+        raise ValueError(f"need a positive m = 3 (mod 4), got m={m}")
+    report = SuiteReport(f"assigner-tie(m={m})")
+    n = 2 * m + 1
+    params = GameParams(n, m + 1)
+    merged = Position((2,) + (1,) * (2 * m - 1))
+    cancelled = Position((1,) * (2 * m - 1) + (0,))
+    target = 1 + binary_weight(m)
+
+    checks = [
+        (potential(merged, 1) == 1 + target,
+         f"potential of {merged} is {potential(merged, 1)}, expected {1 + target}"),
+        (potential(cancelled, 1) == target,
+         f"potential of {cancelled} is {potential(cancelled, 1)}, expected {target}"),
+        (potential(Position((2,) + (1,) * (2 * m - 3) + (0,)), 1) == target,
+         f"potential after cancelling inside {merged} should be {target}"),
+    ]
+    for ok, witness in checks:
+        report.cases += 1
+        if not ok:
+            report.add_failure(witness)
+
+    if m <= SOLVER_GUARD_M:
+        solver = GameSolver(params)
+        v_start = solver.value(start_position(params))
+        v_merged = solver.value(merged)
+        v_cancelled = solver.value(cancelled)
+        report.cases += 1
+        if not (v_start == v_merged == v_cancelled):
+            report.add_failure(
+                f"values differ: start {v_start}, merged {v_merged}, cancelled {v_cancelled}")
+        report.details["values"] = {
+            "start": v_start, "merged": v_merged, "cancelled": v_cancelled}
+    else:
+        report.details["value_check"] = f"skipped above solver guard m={SOLVER_GUARD_M}"
+    return report
 
 
 def suite_assigner_tie(ms: tuple[int, ...] = (3, 7)) -> SuiteReport:
@@ -624,12 +714,15 @@ def run_suite(name: str, seed: int | None = None, trials: int | None = None) -> 
     return SUITES[name](**kwargs)
 
 
-def run_all_suites(seed: int | None = None) -> list[SuiteReport]:
-    """Run every suite in registry order with default sizes."""
-    reports = []
+def iter_suites(seed: int | None = None) -> Iterator[SuiteReport]:
+    """Run every suite in registry order with default sizes, yielding each report.
+
+    The seed reaches the randomized suites only.
+    """
     for name in SUITES:
-        if name in RANDOMIZED_SUITES and seed is not None:
-            reports.append(SUITES[name](seed=seed))
-        else:
-            reports.append(SUITES[name]())
-    return reports
+        yield run_suite(name, seed=seed if name in RANDOMIZED_SUITES else None)
+
+
+def run_all_suites(seed: int | None = None) -> list[SuiteReport]:
+    """Every suite's report, in registry order, with default sizes."""
+    return list(iter_suites(seed))

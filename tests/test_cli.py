@@ -141,6 +141,14 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--suite", "leibniz", "--m", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("suite, m", [
+        ("two-one-family", "0"), ("two-one-family", "-4"), ("assigner-tie", "-1")])
+    def test_family_parameter_below_one_exits_2(self, capsys, suite, m):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--m", m)
+        assert code == 2
+        assert out == ""
+        assert f"got m={m}" in err
+
     def test_trials_without_suite_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--trials", "5")
         assert code == 2

@@ -12,6 +12,7 @@ from majoritygame.core import (
     is_final,
     legal_moves,
     minority_capacity,
+    move_for_pair,
     move_values,
     start_position,
 )
@@ -153,6 +154,26 @@ class TestMoves:
                 assert succ.total == M.total
             else:
                 assert succ.total == M.total - 2 * wp
+
+
+class TestMoveForPair:
+    def test_either_order(self):
+        M = Position((3, 2, 1, 1))
+        assert move_for_pair(M, 3, 1) == move_for_pair(M, 1, 3) == Move(0, 2)
+
+    def test_equal_weights_need_two_copies(self):
+        assert move_for_pair(Position((2, 1, 1)), 1, 1) == Move(1, 2)
+        with pytest.raises(ValueError, match=r"\[2,1\] holds no pair \(1,1\)"):
+            move_for_pair(Position((2, 1)), 1, 1)
+
+    def test_missing_pair(self):
+        with pytest.raises(ValueError, match=r"\[3,2\] holds no pair \(3,1\)"):
+            move_for_pair(Position((3, 2)), 1, 3)
+
+    @given(positions.filter(lambda M: len(M) >= 2))
+    def test_matches_legal_moves(self, M):
+        for mv in legal_moves(M):
+            assert move_for_pair(M, *move_values(M, mv)) == mv
 
 
 def test_start_position():

@@ -2,8 +2,9 @@
 
 Each file under ``tests/golden/`` holds the stdout of one command,
 captured before the code it exercises was last rewritten (the
-ball-level state, the Laurent arithmetic, then the smallest-ball roots
-and the JSON transcript writer); a refactor must reproduce it exactly.
+ball-level state, the Laurent arithmetic, the smallest-ball roots and
+the JSON transcript writer, then the single move lookup, Assigner reply
+and suite runner); a refactor must reproduce it exactly.
 To regenerate a file after an intended output change, run the command
 from the repository root, for example::
 
@@ -38,9 +39,29 @@ CASES = {
         "play", "--n", "7", "--k", "4", "--level", "balls", "--adversary", "potential"),
     "play_balls_n9_k5_assigner.out": (
         "play", "--n", "9", "--k", "5", "--level", "balls", "--role", "assigner"),
+    "value_n13_k7.txt": ("value", "--n", "13", "--k", "7"),
+    "value_n13_k7.csv": ("value", "--n", "13", "--k", "7", "--format", "csv"),
+    "value_position_e3.csv": (
+        "value", "--position", "[3,2,1^4,0]", "--e", "3", "--format", "csv"),
+    "stats_position_e1_b3.txt": ("stats", "--position", "[2,1^5]", "--e", "1", "--b", "3"),
+    "stats_position_e1_b3.csv": (
+        "stats", "--position", "[2,1^5]", "--e", "1", "--b", "3", "--format", "csv"),
+    "trace_n13_k7.txt": ("trace", "--n", "13", "--k", "7"),
+    "trace_n13_k7.json": ("trace", "--n", "13", "--k", "7", "--format", "json"),
+    "trace_n9_k5_position.txt": ("trace", "--n", "9", "--k", "5", "--position", "[2,1^5,0]"),
+    "table_max_n12.txt": ("table", "--max-n", "12"),
+    "verify_assigner_tie_m11.txt": ("verify", "--suite", "assigner-tie", "--m", "11"),
+    "play_weights_n9_k5_selector.out": ("play", "--n", "9", "--k", "5", "--level", "weights"),
+    "play_weights_n9_k5_potential.out": (
+        "play", "--n", "9", "--k", "5", "--level", "weights", "--adversary", "potential"),
+    "play_weights_n9_k5_assigner.out": (
+        "play", "--n", "9", "--k", "5", "--level", "weights", "--role", "assigner"),
 }
 
-STDIN = {"play_balls_n7_k4_potential.out": "play_balls_n7_k4_selector.in"}
+STDIN = {
+    "play_balls_n7_k4_potential.out": "play_balls_n7_k4_selector.in",
+    "play_weights_n9_k5_potential.out": "play_weights_n9_k5_selector.in",
+}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

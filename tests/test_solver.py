@@ -10,6 +10,7 @@ from majoritygame.core import (
     Position,
     apply_move,
     is_final,
+    legal_moves,
     start_position,
 )
 from majoritygame.solver import (
@@ -22,13 +23,9 @@ from majoritygame.solver import (
     potential_guided_choice,
     reachable_positions,
     solve_game,
-    two_one_family_potential,
     value_nomemo,
-    verify_first_move_tie,
-    verify_potential_dominates,
-    verify_two_one_family,
 )
-from majoritygame.statistics import INFINITE, binary_weight, potential
+from majoritygame.statistics import binary_weight, potential
 
 
 class TestValues:
@@ -173,6 +170,39 @@ class TestStrategies:
             potential_guided_choice(Position((2, 1)), 1, Move(0, 1))
 
 
+class TestAssignerReply:
+    def test_tie_gives_minus(self):
+        solver = GameSolver(GameParams(7, 4))
+        M = Position((1,) * 7)
+        both = (AssignerChoice.PLUS, AssignerChoice.MINUS)
+        assert solver.optimal_assigner_choices(M, Move(0, 1)) == both
+        assert solver.assigner_reply(M, Move(0, 1)) is AssignerChoice.MINUS
+
+    def test_optimal_reply_is_value_minimizing(self):
+        solver = GameSolver(GameParams(9, 5))
+        for M in reachable_positions(GameParams(9, 5)):
+            if is_final(M, 1):
+                continue
+            for mv in legal_moves(M):
+                reply = solver.assigner_reply(M, mv)
+                assert reply in solver.optimal_assigner_choices(M, mv)
+
+    def test_potential_mode_is_potential_guided_choice(self):
+        params = GameParams(9, 5)
+        solver = GameSolver(params)
+        for M in reachable_positions(params):
+            if is_final(M, params.e):
+                continue
+            for mv in legal_moves(M):
+                assert (solver.assigner_reply(M, mv, "potential")
+                        is potential_guided_choice(M, params.e, mv))
+
+    def test_unknown_mode_raises(self):
+        solver = GameSolver(GameParams(7, 4))
+        with pytest.raises(ValueError, match="unknown adversary mode 'greedy'"):
+            solver.assigner_reply(Position((1,) * 7), Move(0, 1), "greedy")
+
+
 class TestMemoLimit:
     def test_explicit_limit_aborts(self):
         with pytest.raises(MemoLimitExceeded):
@@ -212,48 +242,6 @@ class TestReachability:
     def test_guard(self):
         with pytest.raises(ValueError):
             reachable_positions(GameParams(EXHAUSTIVE_GUARD_N + 2, EXHAUSTIVE_GUARD_N))
-
-
-class TestPotentialAgainstValues:
-    def test_domination_small_games(self):
-        for n in range(1, 9):
-            for k in range(n // 2 + 1, n + 1):
-                report = verify_potential_dominates(GameParams(n, k))
-                assert report.passed, report.failures[:3]
-                assert report.cases > 0
-
-    def test_zero_slack_somewhere(self):
-        # the start position itself is tight: potential = e + binary_weight(s)
-        report = verify_potential_dominates(GameParams(7, 4))
-        assert report.details["min_slack"] == 0
-
-
-class TestNamedFamilies:
-    def test_two_one_family_closed_form(self):
-        assert two_one_family_potential(1) == INFINITE
-        assert two_one_family_potential(2) == 2
-        assert two_one_family_potential(3) == 4
-        assert two_one_family_potential(4) == 2
-        assert two_one_family_potential(5) == 5
-        report = verify_two_one_family(24)
-        assert report.passed, report.failures[:3]
-
-    def test_direct_potential_agreement(self):
-        for m in (1, 2, 3, 4, 6, 8):
-            M = Position((2,) + (1,) * (2 * m - 1))
-            assert potential(M, 1) == two_one_family_potential(m), m
-
-    def test_first_move_tie(self):
-        for m in (3, 7):
-            report = verify_first_move_tie(m)
-            assert report.passed, report.failures[:3]
-        with pytest.raises(ValueError):
-            verify_first_move_tie(5)
-
-    def test_first_move_tie_values_detail(self):
-        report = verify_first_move_tie(3)
-        values = report.details["values"]
-        assert values["start"] == values["merged"] == values["cancelled"]
 
 
 def test_start_potential_equals_optimal_final_size():

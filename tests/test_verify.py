@@ -1,8 +1,16 @@
-"""Suite registry, dispatch, and report plumbing."""
+"""Suite registry, dispatch, the all-suites runner, and the named checks."""
+
+import contextlib
+import io
+import json
 
 import pytest
 
+from majoritygame import verify
+from majoritygame.cli import main
+from majoritygame.core import GameParams, Position
 from majoritygame.report import WITNESS_CAP, SuiteReport
+from majoritygame.statistics import INFINITE, potential
 from majoritygame.verify import (
     RANDOMIZED_SUITES,
     SUITES,
@@ -10,6 +18,10 @@ from majoritygame.verify import (
     run_suite,
     suite_conservation,
     suite_leibniz,
+    suite_two_one_family,
+    two_one_family_potential,
+    verify_first_move_tie,
+    verify_potential_dominates,
 )
 
 
@@ -72,3 +84,118 @@ class TestDispatch:
         second = suite_conservation(seed=7, trials=5)
         assert first.cases == second.cases
         assert first.passed and second.passed
+
+
+class TestPotentialAgainstValues:
+    def test_domination_small_games(self):
+        for n in range(1, 9):
+            for k in range(n // 2 + 1, n + 1):
+                report = verify_potential_dominates(GameParams(n, k))
+                assert report.passed, report.failures[:3]
+                assert report.cases > 0
+
+    def test_zero_slack_somewhere(self):
+        # the start position itself is tight: potential = e + binary_weight(s)
+        report = verify_potential_dominates(GameParams(7, 4))
+        assert report.details["min_slack"] == 0
+
+
+class TestNamedFamilies:
+    def test_two_one_family_closed_form(self):
+        assert two_one_family_potential(1) == INFINITE
+        assert two_one_family_potential(2) == 2
+        assert two_one_family_potential(3) == 4
+        assert two_one_family_potential(4) == 2
+        assert two_one_family_potential(5) == 5
+        report = suite_two_one_family(24)
+        assert report.passed, report.failures[:3]
+
+    def test_direct_potential_agreement(self):
+        for m in (1, 2, 3, 4, 6, 8):
+            M = Position((2,) + (1,) * (2 * m - 1))
+            assert potential(M, 1) == two_one_family_potential(m), m
+
+    def test_first_move_tie(self):
+        for m in (3, 7):
+            report = verify_first_move_tie(m)
+            assert report.passed, report.failures[:3]
+        with pytest.raises(ValueError):
+            verify_first_move_tie(5)
+
+    def test_first_move_tie_values_detail(self):
+        report = verify_first_move_tie(3)
+        values = report.details["values"]
+        assert values["start"] == values["merged"] == values["cancelled"]
+
+
+class TestAllSuites:
+    """The all-suites path, run over a two-suite registry of fakes."""
+
+    @pytest.fixture
+    def fakes(self, monkeypatch):
+        """Register a passing randomized suite and a failing fixed one.
+
+        Each records its arguments and the stdout printed before it ran;
+        the returned runner calls the CLI and returns (exit code, stdout).
+        """
+        calls = {}
+        stdout = io.StringIO()
+
+        def randomized(seed=0, trials=3):
+            calls["randomized"] = {"seed": seed, "stdout": stdout.getvalue()}
+            report = SuiteReport("randomized")
+            report.cases = trials
+            return report
+
+        def fixed(**kwargs):
+            calls["fixed"] = {"kwargs": kwargs, "stdout": stdout.getvalue()}
+            report = SuiteReport("fixed")
+            report.cases = 2
+            report.add_failure("witness")
+            return report
+
+        monkeypatch.setattr(verify, "SUITES", {"randomized": randomized, "fixed": fixed})
+        monkeypatch.setattr(verify, "RANDOMIZED_SUITES", frozenset({"randomized"}))
+
+        def run(*argv):
+            with contextlib.redirect_stdout(stdout):
+                return main(list(argv)), stdout.getvalue()
+
+        return calls, run
+
+    def test_text_prints_each_summary_before_the_next_suite(self, fakes):
+        calls, run = fakes
+        code, out = run("verify")
+        assert code == 1
+        assert calls["fixed"]["stdout"] == "PASS randomized (cases=3)\n"
+        assert out.splitlines() == [
+            "PASS randomized (cases=3)",
+            "FAIL fixed (cases=2, failures=1) first: witness",
+            "1/2 suites passed",
+        ]
+
+    def test_json_lists_both_reports(self, fakes):
+        _, run = fakes
+        code, out = run("verify", "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        assert [r["suite"] for r in payload["results"]] == ["randomized", "fixed"]
+        assert [r["passed"] for r in payload["results"]] == [True, False]
+        assert payload["failures"] == ["witness"]
+
+    def test_csv_lists_both_reports(self, fakes):
+        _, run = fakes
+        code, out = run("verify", "--format", "csv")
+        assert code == 1
+        assert out.splitlines() == [
+            "suite,cases,failures,status", "randomized,3,0,pass", "fixed,2,1,fail"]
+
+    def test_seed_reaches_only_the_randomized_suite(self, fakes):
+        calls, run = fakes
+        assert run("verify", "--seed", "5", "--format", "json")[0] == 1
+        assert calls["randomized"]["seed"] == 5
+        assert calls["fixed"]["kwargs"] == {}
+        reports = run_all_suites(seed=9)
+        assert [r.suite for r in reports] == ["randomized", "fixed"]
+        assert calls["randomized"]["seed"] == 9
+        assert calls["fixed"]["kwargs"] == {}
