@@ -82,11 +82,14 @@ def _solver_for_excess(e: int) -> GameSolver:
 def cmd_table(args: argparse.Namespace) -> int:
     rows = []
     failures = []
+    solvers: dict[int, GameSolver] = {}  # one bounds table per excess, shared across games
     for n in range(1, args.max_n + 1):
         for k in range(n // 2 + 1, n + 1):
             params = GameParams(n, k)
-            solver = GameSolver(params)
-            comparisons = solver.comparisons_needed()
+            solver = solvers.get(params.e)
+            if solver is None:
+                solver = solvers[params.e] = _solver_for_excess(params.e)
+            comparisons = n - solver.value(start_position(params))
             expected = formula_comparisons(params)
             match = comparisons == expected
             rows.append({
@@ -141,9 +144,13 @@ def cmd_value(args: argparse.Namespace) -> int:
     M, e, params = _position_and_excess(args)
     if e < 1:
         raise ValueError(f"the excess must be at least 1, got {e}")
-    solver = GameSolver(params) if params is not None else _solver_for_excess(e)
+    solver = _solver_for_excess(e)
     final = is_final(M, e)
     val = solver.value(M)
+    if args.stats:
+        stats = solver.stats
+        print(f"solver: entries={stats.entries} probes={stats.probes} hits={stats.hits}",
+              file=sys.stderr)
     comparisons = len(M) - val
     pot = potential(M, e)
     result = {
@@ -245,6 +252,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         families = {"two-one-family": suite_two_one_family, "assigner-tie": verify_first_move_tie}
         if args.suite not in families:
             raise ValueError("--m applies to the two-one-family and assigner-tie suites")
+        if args.seed is not None or args.trials is not None:
+            raise ValueError(f"suite {args.suite!r} is deterministic; seed and trials do not apply")
         reports = [families[args.suite](args.m)]
     elif args.suite is not None:
         reports = [run_suite(args.suite, seed=args.seed, trials=args.trials)]
@@ -429,12 +438,16 @@ def cmd_play(args: argparse.Namespace) -> int:
     if args.n is None or args.k is None:
         raise ValueError("play needs --n and --k")
     params = GameParams(args.n, args.k)
+    if args.adversary is not None and args.role == "assigner":
+        raise ValueError("--adversary sets the engine's answers to a selector; "
+                         "with --role assigner the engine selects")
+    adversary = args.adversary if args.adversary is not None else "optimal"
     if args.level == "weights":
         if args.out is not None:
             raise ValueError("--out records ball-level transcripts; use --level balls")
-        code, _ = _play_weights(params, args.role, args.adversary, sys.stdin, sys.stdout)
+        code, _ = _play_weights(params, args.role, adversary, sys.stdin, sys.stdout)
         return code
-    code, g, _ = _play_balls(params, args.role, args.adversary, sys.stdin, sys.stdout)
+    code, g, _ = _play_balls(params, args.role, adversary, sys.stdin, sys.stdout)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(export_transcript(g, params))
@@ -529,6 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_value.add_argument("--position", type=str)
     p_value.add_argument("--e", type=int)
     p_value.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p_value.add_argument("--stats", action="store_true",
+                         help="print the solver's work counters to stderr")
     p_value.set_defaults(func=cmd_value)
 
     p_stats = sub.add_parser(
@@ -559,8 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_play.add_argument("--k", type=int)
     p_play.add_argument("--role", choices=("selector", "assigner"), default="selector")
     p_play.add_argument("--adversary", choices=("optimal", "potential"),
-                        default="optimal",
-                        help="answering strategy used against a selector")
+                        help="answering strategy used against a selector "
+                             "(default optimal; not with --role assigner)")
     p_play.add_argument("--level", choices=("balls", "weights"), default="balls")
     p_play.add_argument("--out", type=str,
                         help="write the ball-level transcript to this file")

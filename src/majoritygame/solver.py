@@ -1,9 +1,13 @@
-"""Exact game values by memoized minimax, plus strategy extraction.
+"""Exact game values by null-window minimax, plus strategy extraction.
 
 The Selector tries to finish with as many components as possible (each
 surviving component is one comparison saved); the Assigner tries to
-finish with as few.  Values are exact integers, memoized per canonical
-position for one fixed excess.
+finish with as few.  One kernel answers every question: a fail-soft
+null-window test (Knuth & Moore's alpha-beta with a zero-width window)
+over a table of proven (lower, upper) bounds per canonical position,
+driven to the exact value MTD(f)-style (Plaat, Schaeffer, Pijls & de
+Bruin 1996).  Values are exact integers and depend only on the excess,
+so one table serves every game of that excess.
 """
 
 from __future__ import annotations
@@ -57,14 +61,16 @@ def _env_memo_limit() -> int | None:
 
 @dataclass
 class SolverStats:
-    """Work done by one solver's kernel, counted on memo misses only.
+    """Work done by one solver's kernel.
 
-    ``entries`` is the number of positions valued and stored; ``cuts``
-    counts PLUS children skipped plus move scans stopped early.
+    ``entries`` is the number of positions stored; ``probes`` counts
+    null-window tests entered and ``hits`` the tests a stored bound
+    answered without a scan.
     """
 
     entries: int = 0
-    cuts: int = 0
+    probes: int = 0
+    hits: int = 0
 
 
 @dataclass(frozen=True)
@@ -99,103 +105,164 @@ class GameSolver:
     """Minimax evaluation of positions for one fixed excess.
 
     The value of a position is the element count of the final position
-    under optimal play.  A fresh solver reads an optional memo cap from
-    MAJORITY_ORACLE_MEMO_LIMIT; hitting the cap raises MemoLimitExceeded.
-    ``stats`` counts the work the kernel behind ``value`` has done.
+    under optimal play.  The solver keeps one table mapping each position
+    it has searched to the (lower, upper) bounds proven for its value;
+    the bounds hold whatever root proved them, so any position of the
+    same excess may be valued on the same solver.  A fresh solver reads
+    an optional cap on table entries from MAJORITY_ORACLE_MEMO_LIMIT;
+    reaching the cap raises MemoLimitExceeded and nothing is evicted.
+    ``stats`` counts the work the kernel has done.
     """
 
     def __init__(self, params: GameParams, memo_limit: int | None = None):
         self.params = params
         self.e = params.e
-        self._memo: dict[tuple[int, ...], int] = {}
+        self._bounds: dict[tuple[int, ...], tuple[int, int]] = {}
         self.stats = SolverStats()
         self._memo_limit = memo_limit if memo_limit is not None else _env_memo_limit()
 
     def value(self, M: Position) -> int:
-        """Element count of the final position reached under optimal play."""
-        is_final(M, self.e)  # raises ValueError for totals no game at this excess reaches
-        return self._value(tuple(reversed(M.elements)))
+        """Element count of the final position reached under optimal play.
 
-    def _value(self, key: tuple[int, ...]) -> int:
-        """Value of a valid position given as its weights in ascending order.
-
-        Works on raw tuples: a child drops the selected pair and gets the
-        merged weight inserted in order, so it is never re-sorted or
-        re-validated.  Moves are deduplicated by value pair, as in
-        legal_moves.  Two cuts skip work without changing any stored
-        value: a PLUS child is not evaluated when the MINUS child already
-        cannot beat the running best, and the scan stops once the best
-        reaches len(key) - 1, the most any move can keep.
+        MTD(f) from the guess 1, the least value of any position: each
+        null-window test at one above the proven lower bound either raises
+        that bound or shows it is the value.
         """
-        memo = self._memo
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+        is_final(M, self.e)  # raises ValueError for totals no game at this excess reaches
+        key = tuple(reversed(M.elements))
+        lo = 1
+        while True:
+            b = self._test(key, lo + 1)
+            if b <= lo:
+                return lo
+            lo = b
+
+    def _test(self, key: tuple[int, ...], g: int) -> int:
+        """Fail-soft null-window test of value >= g for a valid position.
+
+        ``key`` holds the weights in ascending order.  Returns a bound b:
+        either b >= g and value >= b, or b < g and value <= b; the
+        position's stored (lower, upper) pair is tightened to match.  A
+        final position stores its exact value; any other starts from the
+        free bounds 1 <= value <= len(key) - 1.
+
+        A child drops the selected pair and gets the merged weight
+        inserted in order, so it is never re-sorted or re-validated;
+        moves are deduplicated by value pair, as in legal_moves.  A move
+        fails as soon as either child's stored upper bound is below g,
+        before any search below it.  The scan stops at the first move
+        whose two children both reach g; when none does, the largest
+        upper bound the moves failed with bounds the value.
+        """
+        bounds = self._bounds
+        stats = self.stats
+        entry = bounds.get(key)
         c = len(key)
-        if 2 * key[-1] >= sum(key) - self.e + 2:
-            result = c
+        if entry is not None:
+            lo, hi = entry
+            if lo >= g or hi < g:
+                stats.probes += 1
+                stats.hits += 1
+                return lo if lo >= g else hi
+        elif 2 * key[-1] >= sum(key) - self.e + 2:
+            stats.probes += 1
+            self._store(key, c, c)
+            return c
         else:
-            result = 0
-            top = c - 1
-            cuts = 0
-            for b in range(1, c):
-                w = key[b]
-                if b < top and key[b + 1] == w:
+            lo, hi = 1, c - 1
+            if g <= lo or hi < g:
+                stats.probes += 1
+                return lo if g <= lo else hi
+        probes = 1
+        hits = 0
+        fail = 0
+        result = 0
+        top = c - 1
+        for b in range(1, c):
+            w = key[b]
+            if b < top and key[b + 1] == w:
+                continue
+            for a in range(b - 1, -1, -1):
+                wp = key[a]
+                if a + 1 < b and key[a + 1] == wp:
                     continue
-                for a in range(b):
-                    wp = key[a]
-                    if a + 1 < b and key[a + 1] == wp:
-                        continue
-                    rest = list(key)
-                    del rest[b]
-                    del rest[a]
-                    minus = rest.copy()
-                    insort(minus, w - wp)
-                    minus = tuple(minus)
-                    v = memo.get(minus)
-                    if v is None:
-                        v = self._value(minus)
-                    if v <= result:
-                        cuts += 1
-                        continue
-                    insort(rest, w + wp)
-                    plus = tuple(rest)
-                    vp = memo.get(plus)
-                    if vp is None:
-                        vp = self._value(plus)
-                    if vp < v:
-                        v = vp
-                    if v > result:
-                        result = v
-                        if result == top:
+                rest = list(key)
+                del rest[b]
+                del rest[a]
+                plus = rest.copy()
+                insort(plus, w + wp)
+                plus = tuple(plus)
+                insort(rest, w - wp)
+                minus = tuple(rest)
+                em = bounds.get(minus)
+                ep = bounds.get(plus)
+                # a stored upper bound below g fails the move unsearched
+                if em is not None and em[1] < g:
+                    v = em[1]
+                elif ep is not None and ep[1] < g:
+                    v = ep[1]
+                else:
+                    if em is not None and em[0] >= g:
+                        probes += 1
+                        hits += 1
+                        v = em[0]
+                    else:
+                        v = self._test(minus, g)
+                    if v >= g:
+                        if ep is not None and ep[0] >= g:
+                            probes += 1
+                            hits += 1
+                            vp = ep[0]
+                        else:
+                            vp = self._test(plus, g)
+                        if vp >= g:
+                            result = v if v < vp else vp
                             break
-                if result == top:
-                    cuts += 1
-                    break
-            self.stats.cuts += cuts
-        limit = self._memo_limit
-        if limit is not None and len(memo) >= limit:
-            raise MemoLimitExceeded(
-                f"solve table would exceed {limit} entries; raise or unset {MEMO_LIMIT_ENV}")
-        memo[key] = result
-        self.stats.entries += 1
-        return result
+                        v = vp
+                    if v > fail:
+                        fail = v
+                    continue
+                probes += 1
+                hits += 1
+                if v > fail:
+                    fail = v
+            if result:
+                break
+        stats.probes += probes
+        stats.hits += hits
+        if result:
+            self._store(key, result, hi)
+            return result
+        self._store(key, lo, fail)
+        return fail
+
+    def _store(self, key: tuple[int, ...], lo: int, hi: int) -> None:
+        """Record bounds for key; a new key past the cap aborts the solve."""
+        if key not in self._bounds:
+            limit = self._memo_limit
+            if limit is not None and len(self._bounds) >= limit:
+                raise MemoLimitExceeded(
+                    f"solve table would exceed {limit} entries; raise or unset {MEMO_LIMIT_ENV}")
+            self.stats.entries += 1
+        self._bounds[key] = (lo, hi)
 
     def comparisons_needed(self) -> int:
         """Comparisons required from the start position under optimal play."""
         return self.params.n - self.value(start_position(self.params))
 
     def optimal_selector_moves(self, M: Position) -> list[tuple[int, int]]:
-        """Sorted value pairs achieving the position's value; empty when final."""
+        """Sorted value pairs achieving the position's value; empty when final.
+
+        No child is worth more than M, so a move is optimal exactly when
+        both of its children pass the null-window test at M's value.
+        """
         if is_final(M, self.e):
             return []
         best = self.value(M)
-        pairs = []
-        for mv in legal_moves(M):
-            worst = min(self.value(apply_move(M, mv, c)) for c in AssignerChoice)
-            if worst == best:
-                pairs.append(move_values(M, mv))
-        return sorted(pairs)
+        return sorted(
+            move_values(M, mv) for mv in legal_moves(M)
+            if all(self._test(tuple(reversed(apply_move(M, mv, c).elements)), best) >= best
+                   for c in AssignerChoice))
 
     def optimal_assigner_choices(self, M: Position, move: Move) -> tuple[AssignerChoice, ...]:
         """The argmin set over the move's two successors."""
@@ -254,7 +321,7 @@ def formula_comparisons(params: GameParams) -> int:
 
 
 def value_nomemo(M: Position, e: int) -> int:
-    """Plain recursion without a table; cross-checks the memoized solver."""
+    """Plain recursion without a table; the reference oracle for GameSolver."""
     if is_final(M, e):
         return len(M)
     return max(

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -74,6 +75,15 @@ class TestValue:
         code, _, err = run_cli(capsys, "value", "--n", "6", "--k", "3")
         assert code == 2
         assert "majority" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_stats_go_to_stderr_only(self, capsys, fmt):
+        plain = run_cli(capsys, "value", "--n", "13", "--k", "7", "--format", fmt)
+        code, out, err = run_cli(
+            capsys, "value", "--n", "13", "--k", "7", "--format", fmt, "--stats")
+        assert (code, out) == plain[:2]
+        assert plain[2] == ""
+        assert re.fullmatch(r"solver: entries=\d+ probes=\d+ hits=\d+\n", err)
 
 
 class TestStats:
@@ -149,6 +159,14 @@ class TestVerify:
         assert out == ""
         assert f"got m={m}" in err
 
+    @pytest.mark.parametrize("flag", [("--seed", "5"), ("--trials", "9")])
+    def test_family_parameter_rejects_seed_and_trials(self, capsys, flag):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "two-one-family", "--m", "3", *flag)
+        assert code == 2
+        assert out == ""
+        assert "seed and trials do not apply" in err
+
     def test_trials_without_suite_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--trials", "5")
         assert code == 2
@@ -223,6 +241,14 @@ class TestPlay:
                                "--role", "assigner")
         assert code == 0
         assert "majority ball: 1 after 1 comparisons" in out
+
+    @pytest.mark.parametrize("level", ["weights", "balls"])
+    def test_assigner_role_rejects_adversary(self, capsys, level):
+        code, out, err = run_cli(capsys, "play", "--n", "5", "--k", "3", "--level", level,
+                                 "--role", "assigner", "--adversary", "potential")
+        assert code == 2
+        assert out == ""
+        assert "--adversary" in err and "--role assigner" in err
 
     def test_weights_level(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1 1\n1 1\n2 2\n"))

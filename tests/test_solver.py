@@ -66,7 +66,7 @@ class TestValues:
 
     def test_bare_majority_matches_classical_bound(self):
         # K(2m+1, m+1) = 2m - B(m), the n - B(n) bound of Saks & Werman (1991)
-        for m in range(1, 13):
+        for m in range(1, 17):
             params = GameParams(2 * m + 1, m + 1)
             assert GameSolver(params).comparisons_needed() == 2 * m - binary_weight(m), m
 
@@ -101,21 +101,56 @@ class TestValueProperties:
         for M in positions:
             assert reused.value(M) == GameSolver(GameParams(e, e)).value(M), M
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda e: st.tuples(
+        st.just(e),
+        st.lists(st.one_of(
+            st.integers(0, 6).map(lambda d: Position((1,) * (e + 2 * d))),  # starts (e + 2d, e + d)
+            _reachable_weights(e)), min_size=2, max_size=6))))
+    def test_shared_table_matches_fresh_solvers(self, case):
+        # bounds proven from one root stay valid from every other root of the same excess
+        e, positions = case
+        shared = GameSolver(GameParams(e, e))
+        for M in positions:
+            fresh = GameSolver(GameParams(e, e))
+            assert shared.value(M) == fresh.value(M), M
+            assert shared.optimal_selector_moves(M) == fresh.optimal_selector_moves(M), M
+            if not is_final(M, e):
+                for mv in legal_moves(M):
+                    assert (shared.optimal_assigner_choices(M, mv)
+                            == fresh.optimal_assigner_choices(M, mv)), (M, mv)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda e: st.tuples(st.just(e), _reachable_weights(e))))
+    def test_null_window_test_is_fail_soft(self, case):
+        # _test(key, g) >= g exactly when value >= g, and the bound lies on that side
+        e, M = case
+        solver = GameSolver(GameParams(e, e))
+        key = tuple(reversed(M.elements))
+        true = value_nomemo(M, e)
+        for g in range(1, len(M) + 2):
+            b = solver._test(key, g)
+            assert (b >= g) == (true >= g), (g, b, true)
+            assert true >= b if b >= g else true <= b, (g, b, true)
+
 
 class TestStats:
     def test_counts_only_memo_misses(self):
         solver = GameSolver(GameParams(13, 7))
         assert solver.stats == SolverStats()
         solver.comparisons_needed()
-        first = (solver.stats.entries, solver.stats.cuts)
-        assert min(first) > 0
+        first = solver.stats.entries
+        scans = solver.stats.probes - solver.stats.hits
+        assert first > 0 and solver.stats.hits > 0
         solver.comparisons_needed()
-        assert (solver.stats.entries, solver.stats.cuts) == first
+        assert solver.stats.entries == first
+        assert solver.stats.probes - solver.stats.hits == scans
 
     def test_final_position_is_one_entry(self):
         solver = GameSolver(GameParams(3, 2))
         solver.value(Position((2, 1)))
-        assert solver.stats == SolverStats(entries=1, cuts=0)
+        # the first probe stores the exact value, the second reads it back
+        assert solver.stats == SolverStats(entries=1, probes=2, hits=1)
 
     def test_cuts_shrink_the_table_below_the_reachable_set(self):
         for n, k in [(9, 5), (11, 6), (12, 7)]:
