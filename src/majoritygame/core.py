@@ -43,6 +43,10 @@ class GameParams:
 
 _TERM = re.compile(r"(\d+)(?:\^(\d+))?\Z")
 
+#: Most elements a position literal may expand to; checked before ``w^mult``
+#: is expanded, so a huge multiplicity is refused without allocating it.
+PARSE_ELEMENT_LIMIT = 4096
+
 
 @dataclass(frozen=True)
 class Position:
@@ -66,7 +70,8 @@ class Position:
         """Parse a bracketed literal such as ``[2,1^5]`` or ``[2,1,1,1,1,1]``.
 
         Repeated weights may be written either expanded or as ``w^mult``;
-        ``[]`` is the empty position.
+        ``[]`` is the empty position.  A literal of more than
+        ``PARSE_ELEMENT_LIMIT`` elements raises ValueError.
         """
         body = text.strip()
         if not (body.startswith("[") and body.endswith("]")):
@@ -84,6 +89,9 @@ class Position:
             mult = int(match.group(2)) if match.group(2) else 1
             if mult < 1:
                 raise ValueError(f"multiplicity must be positive in term {term!r}")
+            if len(weights) + mult > PARSE_ELEMENT_LIMIT:
+                raise ValueError(
+                    f"position literal is limited to {PARSE_ELEMENT_LIMIT} elements: {text!r}")
             weights.extend([w] * mult)
         return cls(tuple(weights))
 

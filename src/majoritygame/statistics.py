@@ -10,11 +10,17 @@ can still permit.
 
 All arithmetic is exact; the 2-adic valuation of zero is ``math.inf``,
 which orders above every finite valuation and absorbs finite addends.
+
+Weight counts are computed for totals up to ``WEIGHT_LIMIT``.  The
+brute-force oracle enumerates each element tuple's submultisets once and
+keeps only their tally by weight, so every excess is then read off that
+tally.  Every cache here is a bounded ``lru_cache``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 
 from .core import Position
@@ -26,6 +32,14 @@ INFINITE = math.inf
 Valuation = int | float
 
 _ENUMERATION_LIMIT = 24
+
+#: Largest total weight whose weight counts are computed: they take
+#: ``total + 1`` ints, and every signed count and potential reads them.
+WEIGHT_LIMIT = 4096
+
+#: Entries kept by each cache below; enough that the verification suites
+#: recompute little, small enough that a long-lived process stays bounded.
+_CACHE_SIZE = 4096
 
 
 def binary_weight(m: int) -> int:
@@ -68,14 +82,18 @@ def subposition_weight_counts(M: Position) -> tuple[int, ...]:
     Entry r is the number of submultisets of weight r, i.e. the
     coefficient of x^r in the product of (1 + x^w) over all elements.
     Each zero element doubles every entry; the counts always sum to
-    2^len(M) and are symmetric about half the total weight.
+    2^len(M) and are symmetric about half the total weight.  Raises
+    ValueError when the total weight exceeds ``WEIGHT_LIMIT``.
     """
     return _weight_counts(M.elements)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _weight_counts(elements: tuple[int, ...]) -> tuple[int, ...]:
-    counts = [0] * (sum(elements) + 1)
+    total = sum(elements)
+    if total > WEIGHT_LIMIT:
+        raise ValueError(f"weight counts are limited to total weight {WEIGHT_LIMIT}, got {total}")
+    counts = [0] * (total + 1)
     counts[0] = 1
     for w in elements:
         if w == 0:
@@ -104,7 +122,10 @@ def signed_count_bruteforce(M: Position, e: int) -> int:
     This is the reference oracle for the closed-form and recursive
     routes: it walks all 2^len(M) submultisets, keeps those whose
     complement outweighs them by at least e, and adds their signs.
-    Guarded at 24 elements to keep the walk bounded.
+    The walk runs once per element tuple and is kept as a tally of
+    submultisets by weight, from which every excess is read; it never
+    uses the weight-count recursion of the closed form.  Guarded at 24
+    elements to keep the walk bounded.
     """
     _check_excess(M, e)
     if len(M.elements) > _ENUMERATION_LIMIT:
@@ -113,24 +134,24 @@ def signed_count_bruteforce(M: Position, e: int) -> int:
     return _signed_count_enumerated(M.elements, e)
 
 
-@lru_cache(maxsize=None)
 def _signed_count_enumerated(elements: tuple[int, ...], e: int) -> int:
-    # Include a submultiset of weight r iff (total - r) - r >= e.
+    # Include a submultiset of weight wt iff (total - wt) - wt >= e.
     bound = sum(elements) - e
     acc = 0
-    for wt in _subset_weights(elements):
+    for wt, count in enumerate(_enumerated_weight_counts(elements)):
         if 2 * wt <= bound:
-            acc += 1 - 2 * (wt & 1)
+            acc += (1 - 2 * (wt & 1)) * count
     return acc
 
 
-@lru_cache(maxsize=64)
-def _subset_weights(elements: tuple[int, ...]) -> tuple[int, ...]:
-    """Weights of all 2^len(elements) submultisets, one entry each."""
+@lru_cache(maxsize=_CACHE_SIZE)
+def _enumerated_weight_counts(elements: tuple[int, ...]) -> tuple[int, ...]:
+    """Entry r: how many of the 2^len(elements) listed submultisets weigh r."""
     weights = [0]
     for w in elements:
         weights.extend([wt + w for wt in weights])
-    return tuple(weights)
+    tally = Counter(weights)
+    return tuple(tally[r] for r in range(sum(elements) + 1))
 
 
 def signed_count(M: Position, e: int, order: int = 1) -> int:
@@ -173,7 +194,7 @@ def signed_count_recursive(M: Position, e: int, order: int) -> int:
     return _signed_count_recursive(M.elements, e, order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _signed_count_recursive(elements: tuple[int, ...], e: int, order: int) -> int:
     if order == 1:
         return _signed_count_enumerated(elements, e)

@@ -297,12 +297,14 @@ def suite_leibniz(seed: int = DEFAULT_SEED, trials: int = 500, max_r: int = 5) -
         f = _random_laurent(rng)
         g = _random_laurent(rng)
         product = f * g
+        df = [f.hyperderivative(i) for i in range(max_r + 1)]
+        dg = [g.hyperderivative(i) for i in range(max_r + 1)]
         for r in range(max_r + 1):
             report.cases += 1
             lhs = product.hyperderivative(r)
             rhs = LaurentPoly.zero()
             for i in range(r + 1):
-                rhs = rhs + f.hyperderivative(i) * g.hyperderivative(r - i)
+                rhs = rhs + df[i] * dg[r - i]
             if lhs != rhs:
                 report.add_failure(f"r={r}: D_r({f!r} * {g!r}) mismatch")
     report.details["pairs"] = trials
@@ -596,6 +598,8 @@ def suite_reformulation(
     for n in range(1, oracle_n + 1):
         states = _all_ball_states(n)
         state_counts[n] = len(states)
+        # The colouring table depends only on k and each component's side sizes.
+        tables = {}
         for state in states:
             g = _graph_for_state(n, state)
             comps = g.components()
@@ -608,11 +612,14 @@ def suite_reformulation(
                 report.add_failure(f"n={n}: graph reconstruction lost structure")
                 continue
             total = sum(comp.weight for comp in comps)
+            sizes = tuple((len(comp.larger), len(comp.smaller)) for comp in comps)
             for k in _valid_thresholds(n):
                 params = GameParams(n, k)
                 if total < params.e:
                     continue  # no admissible colouring: outside every game
-                table = side_status_table(comps, n, k)
+                table = tables.get((k, sizes))
+                if table is None:
+                    table = tables[k, sizes] = side_status_table(comps, n, k)
                 determined = None
                 for idx, comp in enumerate(comps):
                     minority_ok, majority_ok = table[idx][0]
@@ -626,7 +633,7 @@ def suite_reformulation(
                     report.add_failure(
                         f"n={n} k={k} state {g.weights()}: announced {announced}, "
                         f"colouring oracle says {determined}")
-        del states  # free this n's states before the next, larger set is built
+        del states, tables  # free this n's states before the next, larger set is built
     report.details["states"] = state_counts
     return report
 

@@ -7,6 +7,8 @@ import re
 import pytest
 
 from majoritygame.cli import main
+from majoritygame.core import PARSE_ELEMENT_LIMIT
+from majoritygame.statistics import WEIGHT_LIMIT
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +117,28 @@ class TestStats:
     def test_parity_mismatch_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "stats", "--position", "[2,1]", "--e", "2")
         assert code == 2
+
+    def test_total_weight_just_past_the_limit_exits_2(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "stats", "--position", f"[{WEIGHT_LIMIT}]", "--e", "0", "--format", "csv")
+        assert code == 0
+        assert f"total,{WEIGHT_LIMIT}" in out
+        code, out, err = run_cli(
+            capsys, "stats", "--position", f"[{WEIGHT_LIMIT + 1}]", "--e", "1")
+        assert code == 2
+        assert out == ""
+        assert f"limited to total weight {WEIGHT_LIMIT}" in err
+
+    def test_element_count_just_past_the_limit_exits_2(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "stats", "--position", f"[0^{PARSE_ELEMENT_LIMIT}]", "--e", "0")
+        assert code == 0
+        assert f"weight counts: {2 ** PARSE_ELEMENT_LIMIT}" in out
+        code, out, err = run_cli(
+            capsys, "stats", "--position", f"[1,0^{PARSE_ELEMENT_LIMIT}]", "--e", "1")
+        assert code == 2
+        assert out == ""
+        assert f"limited to {PARSE_ELEMENT_LIMIT} elements" in err
 
 
 class TestVerify:

@@ -4,7 +4,8 @@ Each file under ``tests/golden/`` holds the stdout of one command,
 captured before the code it exercises was last rewritten (the
 ball-level state, the Laurent arithmetic, the smallest-ball roots and
 the JSON transcript writer, then the single move lookup, Assigner reply
-and suite runner); a refactor must reproduce it exactly.
+and suite runner, then the once-per-tuple submultiset enumeration); a
+refactor must reproduce it exactly.
 To regenerate a file after an intended output change, run the command
 from the repository root, for example::
 
@@ -32,6 +33,11 @@ CASES = {
     "verify_certificate.json": ("verify", "--suite", "certificate", "--format", "json"),
     "verify_leibniz_seed7.json": (
         "verify", "--suite", "leibniz", "--seed", "7", "--format", "json"),
+    "verify_closed_form.json": ("verify", "--suite", "closed-form", "--format", "json"),
+    "verify_conservation_seed7.json": (
+        "verify", "--suite", "conservation", "--seed", "7", "--format", "json"),
+    "verify_conservation_iterated_seed7.json": (
+        "verify", "--suite", "conservation-iterated", "--seed", "7", "--format", "json"),
     "table_max_n12.csv": ("table", "--max-n", "12", "--format", "csv"),
     "play_balls_n7_k4_selector.out": (
         "play", "--n", "7", "--k", "4", "--level", "balls", "--role", "selector"),

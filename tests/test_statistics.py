@@ -5,9 +5,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from majoritygame import statistics as statistics_module
 from majoritygame.core import AssignerChoice, Position, apply_move, legal_moves, move_values
 from majoritygame.statistics import (
     INFINITE,
+    WEIGHT_LIMIT,
     binary_weight,
     binomial,
     potential,
@@ -88,6 +90,13 @@ class TestWeightCounts:
         zeros = sum(1 for w in M if w == 0)
         assert counts[0] == 2 ** zeros
 
+    def test_total_weight_limit(self):
+        assert subposition_weight_counts(Position((WEIGHT_LIMIT,)))[-1] == 1
+        with pytest.raises(ValueError, match="limited to total weight"):
+            subposition_weight_counts(Position((WEIGHT_LIMIT + 1,)))
+        with pytest.raises(ValueError, match="limited to total weight"):
+            signed_count(Position((WEIGHT_LIMIT, 1)), 1)
+
 
 class TestSignedCounts:
     def test_frozen_values(self):
@@ -117,6 +126,34 @@ class TestSignedCounts:
     def test_bruteforce_guard(self):
         with pytest.raises(ValueError):
             signed_count_bruteforce(Position((1,) * 25), 1)
+
+    @given(st.lists(st.integers(0, 6), max_size=12))
+    def test_bruteforce_matches_per_subset_reference(self, ws):
+        M = Position(tuple(ws))
+        weights = _subset_weights(M.elements)
+        for e in range(M.total % 2, M.total + 5, 2):
+            assert signed_count_bruteforce(M, e) == _per_subset_signed_count(
+                weights, M.total, e), e
+
+    def test_bruteforce_enumerates_once_per_element_tuple(self):
+        elements = (6, 5, 3, 3, 1, 0, 0)
+        tally = statistics_module._enumerated_weight_counts
+        tally.cache_clear()
+        total = sum(elements)
+        for e in range(total % 2, total + 1, 2):
+            signed_count_bruteforce(Position(elements), e)
+        assert tally.cache_info().misses == 1
+        assert sum(tally(elements)) == 2 ** len(elements)
+
+    def test_bruteforce_never_reads_the_closed_form_weight_counts(self, monkeypatch):
+        def closed_form_weight_counts(elements):
+            raise AssertionError("the oracle must enumerate, not use the weight-count DP")
+
+        statistics_module._enumerated_weight_counts.cache_clear()
+        monkeypatch.setattr(statistics_module, "_weight_counts", closed_form_weight_counts)
+        M = Position((6, 4, 4, 2, 1, 1, 0))
+        assert signed_count_bruteforce(M, 0) == _per_subset_signed_count(
+            _subset_weights(M.elements), M.total, 0)
 
     def test_closed_form_matches_enumeration_exhaustively(self):
         for M in _positions_up_to(9):
@@ -154,6 +191,13 @@ class TestSignedCounts:
                 sign = -1 if s % 2 else 1
                 for order in range(1, n + 1):
                     assert signed_count(M, e, order) == sign * math.comb(n - order, s)
+
+
+def test_every_cache_is_bounded():
+    caches = [f for f in vars(statistics_module).values() if hasattr(f, "cache_info")]
+    assert caches
+    for f in caches:
+        assert f.cache_info().maxsize is not None, f.__name__
 
 
 class TestPotential:
@@ -200,3 +244,21 @@ def _positions_up_to(max_total):
             out.append(Position(part))
             out.append(Position(part + (0,)))
     return out
+
+
+def _subset_weights(elements):
+    """Weights of all 2^len(elements) submultisets, one entry each."""
+    weights = [0]
+    for w in elements:
+        weights.extend([wt + w for wt in weights])
+    return weights
+
+
+def _per_subset_signed_count(weights, total, e):
+    """The order-1 signed count as one signed term per listed submultiset."""
+    bound = total - e
+    acc = 0
+    for wt in weights:
+        if 2 * wt <= bound:
+            acc += 1 - 2 * (wt & 1)
+    return acc
