@@ -30,13 +30,12 @@ from .ballgame import (
 from .core import (
     AssignerChoice,
     GameParams,
-    Move,
     Position,
     apply_move,
     is_final,
     legal_moves,
     minority_capacity,
-    move_values,
+    move_for_pair,
     start_position,
 )
 from .laurent import (
@@ -84,7 +83,6 @@ __all__ = [
     "InconsistentAnswerError",
     "LaurentPoly",
     "MemoLimitExceeded",
-    "Move",
     "Position",
     "QuestionGraph",
     "SolveResult",
@@ -110,7 +108,7 @@ __all__ = [
     "legal_moves",
     "min_comparisons_ball_level",
     "minority_capacity",
-    "move_values",
+    "move_for_pair",
     "optimal_selector_comparison",
     "potential",
     "potential_guided_choice",

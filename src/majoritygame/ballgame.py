@@ -23,7 +23,6 @@ from typing import Iterator
 from .core import (
     AssignerChoice,
     GameParams,
-    Move,
     Position,
     is_final,
     minority_capacity,
@@ -309,8 +308,8 @@ def consistent_colouring_exists(
 
 def induced_move_and_choice(
     g: QuestionGraph, i: int, j: int, answer: BallAnswer
-) -> tuple[Move, AssignerChoice]:
-    """The weight-level move and choice realized by answering (i, j).
+) -> tuple[tuple[int, int], AssignerChoice]:
+    """The weight pair (w, w') and the choice realized by answering (i, j).
 
     Only defined for balls in distinct components.  The answer merges
     the two bipartitions; sides aligned (both balls on their larger or
@@ -321,9 +320,9 @@ def induced_move_and_choice(
     rj, wj, j_on_larger = _place_ball(g, j)
     if ri == rj:
         raise ValueError(f"balls {i} and {j} share a component; no move is induced")
-    move = move_for_pair(g.weights(), wi, wj)
+    pair = move_for_pair(g.weights(), wi, wj)
     plus = (i_on_larger == j_on_larger) == (answer is BallAnswer.SAME)
-    return move, AssignerChoice.PLUS if plus else AssignerChoice.MINUS
+    return pair, AssignerChoice.PLUS if plus else AssignerChoice.MINUS
 
 
 def adversarial_answer(
@@ -352,9 +351,8 @@ def adversarial_answer(
     if min(wi, wj) == 0:
         return BallAnswer.SAME
     if solver is None:
-        solver = GameSolver(params)
-    M = g.weights()
-    choice = solver.assigner_reply(M, move_for_pair(M, wi, wj), mode)
+        solver = GameSolver(params.e)
+    choice = solver.assigner_reply(g.weights(), (wi, wj), mode)
     same_realizes_plus = i_on_larger == j_on_larger
     if choice is AssignerChoice.PLUS:
         return BallAnswer.SAME if same_realizes_plus else BallAnswer.DIFFERENT
@@ -400,7 +398,7 @@ def run_adversarial_game(params: GameParams, mode: str = "optimal") -> Adversari
     comparison count always equals the game's exact optimum.
     """
     g = QuestionGraph(params.n)
-    solver = GameSolver(params)
+    solver = GameSolver(params.e)
     comparisons = 0
     while True:
         ball = identify_majority(g, params)

@@ -29,7 +29,6 @@ from .core import (
     apply_move,
     is_final,
     move_for_pair,
-    move_values,
     start_position,
 )
 from .solver import GameSolver, MemoLimitExceeded, formula_comparisons
@@ -69,12 +68,6 @@ def _csv_writer():
     return csv.writer(sys.stdout, lineterminator="\n")
 
 
-def _solver_for_excess(e: int) -> GameSolver:
-    # Position values depend only on the excess, so any parameters with
-    # that excess produce the same solver; (n, k) = (e, e) always works.
-    return GameSolver(GameParams(e, e))
-
-
 # ---------------------------------------------------------------------------
 # table
 
@@ -88,7 +81,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             params = GameParams(n, k)
             solver = solvers.get(params.e)
             if solver is None:
-                solver = solvers[params.e] = _solver_for_excess(params.e)
+                solver = solvers[params.e] = GameSolver(params.e)
             comparisons = n - solver.value(start_position(params))
             expected = formula_comparisons(params)
             match = comparisons == expected
@@ -121,30 +114,21 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def _position_and_excess(args: argparse.Namespace) -> tuple[Position, int, GameParams | None]:
     """Resolve --position/--e against --n/--k; the latter imply the start."""
-    if args.position is not None:
-        M = Position.parse(args.position)
-        if args.e is not None:
-            e = args.e
-            params = None
-            if args.n is not None or args.k is not None:
-                raise ValueError("give either --position with --e, or --n with --k")
-        elif args.n is not None and args.k is not None:
-            params = GameParams(args.n, args.k)
-            e = params.e
-        else:
-            raise ValueError("--position needs --e (or --n and --k for the excess)")
-        return M, e, params
+    usage = "give either --position with --e, or --n with --k"
+    if args.e is not None:
+        if args.position is None or args.n is not None or args.k is not None:
+            raise ValueError(usage)
+        return Position.parse(args.position), args.e, None
     if args.n is None or args.k is None:
-        raise ValueError("need --n and --k, or --position with --e")
+        raise ValueError(usage)
     params = GameParams(args.n, args.k)
-    return start_position(params), params.e, params
+    M = start_position(params) if args.position is None else Position.parse(args.position)
+    return M, params.e, params
 
 
 def cmd_value(args: argparse.Namespace) -> int:
     M, e, params = _position_and_excess(args)
-    if e < 1:
-        raise ValueError(f"the excess must be at least 1, got {e}")
-    solver = _solver_for_excess(e)
+    solver = GameSolver(e)
     final = is_final(M, e)
     val = solver.value(M)
     if args.stats:
@@ -191,6 +175,12 @@ def cmd_value(args: argparse.Namespace) -> int:
 # stats
 
 
+#: Most binomial terms ``stats`` may evaluate.  Each of its signed counts,
+#: one per order up to --b, sums s + 1 big-integer terms (at least one),
+#: where 2s + e is the total weight; a larger request exits 2 unrun.
+STATS_TERM_LIMIT = 131_072
+
+
 def cmd_stats(args: argparse.Namespace) -> int:
     if args.position is None or args.e is None:
         raise ValueError("stats needs --position and --e")
@@ -201,9 +191,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     max_order = args.b if args.b is not None else max(e, 1)
     if max_order < 1:
         raise ValueError(f"the order must be at least 1, got {max_order}")
+    capacity = (M.total - e) // 2
+    terms = max_order * (max(capacity, 0) + 1)
+    if terms > STATS_TERM_LIMIT:
+        raise ValueError(f"orders 1..{max_order} need {terms} binomial terms, "
+                         f"limited to {STATS_TERM_LIMIT}; lower --b")
     counts = subposition_weight_counts(M)
     signed = {order: signed_count(M, e, order) for order in range(1, max_order + 1)}
-    capacity = (M.total - e) // 2
     pot = potential(M, e) if e >= 1 else None
     if args.format == "json":
         results = {
@@ -323,7 +317,7 @@ def _play_balls(
     out_stream: IO[str],
 ) -> tuple[int, QuestionGraph, int]:
     g = QuestionGraph(params.n)
-    solver = GameSolver(params)
+    solver = GameSolver(params.e)
     comparisons = 0
     print(f"n={params.n} balls, majority threshold k={params.k}; "
           f"optimal play needs {formula_comparisons(params)} comparisons",
@@ -390,7 +384,7 @@ def _play_weights(
 ) -> tuple[int, int]:
     M = start_position(params)
     e = params.e
-    solver = GameSolver(params)
+    solver = GameSolver(e)
     comparisons = 0
     print(f"excess e={e}; optimal play needs {formula_comparisons(params)} comparisons",
           file=out_stream)
@@ -406,16 +400,14 @@ def _play_weights(
                 print("enter two weights, e.g. '1 1'", file=out_stream)
                 continue
             try:
-                move = move_for_pair(M, int(fields[0]), int(fields[1]))
+                pair = move_for_pair(M, int(fields[0]), int(fields[1]))
             except ValueError as exc:
                 print(f"bad selection: {exc}", file=out_stream)
                 continue
-            choice = solver.assigner_reply(M, move, adversary)
-            w, wp = move_values(M, move)
-            print(f"assigner replies {choice.value} on ({w},{wp})", file=out_stream)
+            choice = solver.assigner_reply(M, pair, adversary)
+            print(f"assigner replies {choice.value} on ({pair[0]},{pair[1]})", file=out_stream)
         else:
             pair = solver.optimal_selector_moves(M)[0]
-            move = move_for_pair(M, *pair)
             line = _read_line(f"selected pair {pair}; reply [+/-] ", in_stream, out_stream)
             if line is None:
                 print("aborted", file=out_stream)
@@ -427,7 +419,7 @@ def _play_weights(
             else:
                 print("reply '+' or '-'", file=out_stream)
                 continue
-        M = apply_move(M, move, choice)
+        M = apply_move(M, pair, choice)
         comparisons += 1
     print(f"final position: {M} ({len(M)} components) after {comparisons} comparisons",
           file=out_stream)
@@ -463,20 +455,18 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.n is None or args.k is None:
         raise ValueError("trace needs --n and --k")
     params = GameParams(args.n, args.k)
-    M = Position.parse(args.position) if args.position is not None else None
-    solver = GameSolver(params)
-    result = solver.solve(M)
-    origin = M if M is not None else start_position(params)
+    from_start = args.position is None
+    origin = start_position(params) if from_start else Position.parse(args.position)
     e = params.e
+    result = GameSolver(e).solve(origin)
     comparisons = len(origin) - result.value
-    from_start = M is None
     if args.format == "json":
         payload_steps = []
         for step in result.principal_variation:
             payload_steps.append({
                 "position": str(step.position),
                 "potential": _valuation_json(potential(step.position, e)),
-                "pair": list(step.values),
+                "pair": list(step.pair),
                 "choice": step.choice.value,
             })
         results = {
@@ -498,7 +488,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     print(f"principal variation from {origin} at excess {e}:")
     for idx, step in enumerate(result.principal_variation):
         pot = potential(step.position, e)
-        w, wp = step.values
+        w, wp = step.pair
         print(f"step {idx}: {step.position}  potential={_valuation_text(pot)}  "
               f"select ({w},{wp}) -> {step.choice.value}")
     final_pot = potential(result.final_position, e)

@@ -127,14 +127,6 @@ class AssignerChoice(Enum):
     MINUS = "-"
 
 
-@dataclass(frozen=True)
-class Move:
-    """Indices into a canonical position; ``first`` points at the larger weight."""
-
-    first: int
-    second: int
-
-
 def start_position(params: GameParams) -> Position:
     """The opening position: every ball its own component of weight 1."""
     return Position((1,) * params.n)
@@ -164,14 +156,14 @@ def is_final(M: Position, e: int) -> bool:
     return bool(M.elements) and M.elements[0] >= s + 1
 
 
-def legal_moves(M: Position) -> list[Move]:
-    """All index pairs, deduplicated by value pair (w, w').
+def legal_moves(M: Position) -> list[tuple[int, int]]:
+    """The distinct weight pairs (w, w') with w >= w', in index order.
 
-    Replacing equal-valued elements is interchangeable, so one
-    representative per value pair suffices.  Positions with fewer than
-    two elements have no moves.
+    Replacing equal-valued elements is interchangeable, so a move is
+    named by its value pair alone.  Positions with fewer than two
+    elements have no moves.
     """
-    moves: list[Move] = []
+    moves: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     elems = M.elements
     for i in range(len(elems)):
@@ -179,42 +171,31 @@ def legal_moves(M: Position) -> list[Move]:
             pair = (elems[i], elems[j])
             if pair not in seen:
                 seen.add(pair)
-                moves.append(Move(i, j))
+                moves.append(pair)
     return moves
 
 
-def move_values(M: Position, move: Move) -> tuple[int, int]:
-    """The weight pair (w, w') a move points at, after validity checks."""
-    _check_move(M, move)
-    return M.elements[move.first], M.elements[move.second]
+def move_for_pair(M: Position, w: int, wp: int) -> tuple[int, int]:
+    """The pair (w, wp), given in either order, as M's (larger, smaller) elements.
 
-
-def move_for_pair(M: Position, w: int, wp: int) -> Move:
-    """The move selecting the first occurrences of w and wp, given in either order."""
+    This is the one check that M holds the pair: equal weights need two
+    copies.
+    """
     if w < wp:
         w, wp = wp, w
+    elems = M.elements
     try:
-        first = M.elements.index(w)
-        second = M.elements.index(wp, first + 1)
+        first = elems.index(w)
+        return elems[first], elems[elems.index(wp, first + 1)]
     except ValueError:
         raise ValueError(f"{M} holds no pair ({w},{wp})") from None
-    return Move(first, second)
 
 
-def _check_move(M: Position, move: Move) -> None:
-    c = len(M.elements)
-    if move.first == move.second:
-        raise ValueError(f"move must use two distinct elements, got index {move.first} twice")
-    if not (0 <= move.first < c and 0 <= move.second < c):
-        raise ValueError(f"move {move} out of range for a {c}-element position")
-    if M.elements[move.first] < M.elements[move.second]:
-        raise ValueError(f"move {move} lists the smaller weight first")
-
-
-def apply_move(M: Position, move: Move, choice: AssignerChoice) -> Position:
-    """Replace the selected pair by w + w' or w - w' and re-canonicalize."""
-    w, wp = move_values(M, move)
-    merged = w + wp if choice is AssignerChoice.PLUS else w - wp
-    rest = [x for idx, x in enumerate(M.elements) if idx != move.first and idx != move.second]
-    rest.append(merged)
+def apply_move(M: Position, pair: tuple[int, int], choice: AssignerChoice) -> Position:
+    """Replace one w and one w' by w + w' or w - w' and re-canonicalize."""
+    w, wp = move_for_pair(M, *pair)
+    rest = list(M.elements)
+    rest.remove(w)
+    rest.remove(wp)
+    rest.append(w + wp if choice is AssignerChoice.PLUS else w - wp)
     return Position(tuple(rest))

@@ -19,13 +19,10 @@ from dataclasses import dataclass
 from .core import (
     AssignerChoice,
     GameParams,
-    Move,
     Position,
     apply_move,
     is_final,
     legal_moves,
-    move_for_pair,
-    move_values,
     start_position,
 )
 from .statistics import binary_weight, potential
@@ -75,28 +72,23 @@ class SolverStats:
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One move of a concrete line of play."""
+    """One move of a concrete line of play: the weight pair (w, w') and the reply."""
 
     position: Position
-    move: Move
-    values: tuple[int, int]
+    pair: tuple[int, int]
     choice: AssignerChoice
 
 
 @dataclass
 class SolveResult:
-    """Value and optimal strategies for one position.
+    """Value and one optimal line of play for one position.
 
-    ``optimal_selector_moves`` lists the value pairs whose worst-case
-    successor value attains the maximum; ``assigner_choices`` maps each
-    of them to the Assigner's argmin set.  The principal variation is a
-    deterministic optimal line: lexicographically smallest value pair,
-    ties between Assigner replies broken towards MINUS.
+    The principal variation is deterministic: lexicographically smallest
+    optimal value pair, ties between Assigner replies broken towards
+    MINUS.
     """
 
     value: int
-    optimal_selector_moves: list[tuple[int, int]]
-    assigner_choices: dict[tuple[int, int], tuple[AssignerChoice, ...]]
     principal_variation: list[TraceStep]
     final_position: Position
 
@@ -114,9 +106,10 @@ class GameSolver:
     ``stats`` counts the work the kernel has done.
     """
 
-    def __init__(self, params: GameParams, memo_limit: int | None = None):
-        self.params = params
-        self.e = params.e
+    def __init__(self, e: int, memo_limit: int | None = None):
+        if type(e) is not int or e < 1:  # bool is an int subclass
+            raise ValueError(f"the excess must be an integer of at least 1, got {e!r}")
+        self.e = e
         self._bounds: dict[tuple[int, ...], tuple[int, int]] = {}
         self.stats = SolverStats()
         self._memo_limit = memo_limit if memo_limit is not None else _env_memo_limit()
@@ -246,10 +239,6 @@ class GameSolver:
             self.stats.entries += 1
         self._bounds[key] = (lo, hi)
 
-    def comparisons_needed(self) -> int:
-        """Comparisons required from the start position under optimal play."""
-        return self.params.n - self.value(start_position(self.params))
-
     def optimal_selector_moves(self, M: Position) -> list[tuple[int, int]]:
         """Sorted value pairs achieving the position's value; empty when final.
 
@@ -260,57 +249,54 @@ class GameSolver:
             return []
         best = self.value(M)
         return sorted(
-            move_values(M, mv) for mv in legal_moves(M)
-            if all(self._test(tuple(reversed(apply_move(M, mv, c).elements)), best) >= best
+            pair for pair in legal_moves(M)
+            if all(self._test(tuple(reversed(apply_move(M, pair, c).elements)), best) >= best
                    for c in AssignerChoice))
 
-    def optimal_assigner_choices(self, M: Position, move: Move) -> tuple[AssignerChoice, ...]:
-        """The argmin set over the move's two successors."""
+    def optimal_assigner_choices(
+        self, M: Position, pair: tuple[int, int]
+    ) -> tuple[AssignerChoice, ...]:
+        """The argmin set over the successors of selecting pair."""
         if is_final(M, self.e):
             raise ValueError(f"{M} is already final for excess {self.e}")
-        vals = {c: self.value(apply_move(M, move, c)) for c in AssignerChoice}
+        vals = {c: self.value(apply_move(M, pair, c)) for c in AssignerChoice}
         best = min(vals.values())
         return tuple(c for c in (AssignerChoice.PLUS, AssignerChoice.MINUS) if vals[c] == best)
 
-    def assigner_reply(self, M: Position, move: Move, mode: str = "optimal") -> AssignerChoice:
-        """The Assigner's one reply to move for an adversary mode.
+    def assigner_reply(
+        self, M: Position, pair: tuple[int, int], mode: str = "optimal"
+    ) -> AssignerChoice:
+        """The Assigner's one reply to selecting pair for an adversary mode.
 
         Mode 'optimal' takes a value-minimizing reply, MINUS when both
         replies tie; mode 'potential' takes potential_guided_choice.
         """
         if mode == "optimal":
-            choices = self.optimal_assigner_choices(M, move)
+            choices = self.optimal_assigner_choices(M, pair)
             return AssignerChoice.MINUS if AssignerChoice.MINUS in choices else AssignerChoice.PLUS
         if mode == "potential":
-            return potential_guided_choice(M, self.e, move)
+            return potential_guided_choice(M, self.e, pair)
         raise ValueError(f"unknown adversary mode {mode!r}")
 
-    def solve(self, M: Position | None = None) -> SolveResult:
-        """Value, optimal move sets, and the principal variation for M.
+    def solve(self, M: Position) -> SolveResult:
+        """Value and the principal variation for M.
 
-        Defaults to the start position.  The variation's length always
-        equals len(M) minus the value.
+        The variation's length always equals len(M) minus the value.
         """
-        if M is None:
-            M = start_position(self.params)
         val = self.value(M)
-        moves = self.optimal_selector_moves(M)
-        choices = {pair: self.optimal_assigner_choices(M, move_for_pair(M, *pair))
-                   for pair in moves}
         variation: list[TraceStep] = []
         cur = M
         while not is_final(cur, self.e):
-            mv = move_for_pair(cur, *self.optimal_selector_moves(cur)[0])
-            choice = self.assigner_reply(cur, mv)
-            variation.append(TraceStep(cur, mv, move_values(cur, mv), choice))
-            cur = apply_move(cur, mv, choice)
-        return SolveResult(val, moves, choices, variation, cur)
+            pair = self.optimal_selector_moves(cur)[0]
+            choice = self.assigner_reply(cur, pair)
+            variation.append(TraceStep(cur, pair, choice))
+            cur = apply_move(cur, pair, choice)
+        return SolveResult(val, variation, cur)
 
 
 def solve_game(params: GameParams, memo_limit: int | None = None) -> tuple[int, SolveResult]:
     """Solve from the start; returns (comparisons needed, full result)."""
-    solver = GameSolver(params, memo_limit=memo_limit)
-    result = solver.solve()
+    result = GameSolver(params.e, memo_limit=memo_limit).solve(start_position(params))
     return params.n - result.value, result
 
 
@@ -325,17 +311,17 @@ def value_nomemo(M: Position, e: int) -> int:
     if is_final(M, e):
         return len(M)
     return max(
-        min(value_nomemo(apply_move(M, mv, c), e) for c in AssignerChoice)
-        for mv in legal_moves(M)
+        min(value_nomemo(apply_move(M, pair, c), e) for c in AssignerChoice)
+        for pair in legal_moves(M)
     )
 
 
-def potential_guided_choice(M: Position, e: int, move: Move) -> AssignerChoice:
+def potential_guided_choice(M: Position, e: int, pair: tuple[int, int]) -> AssignerChoice:
     """Assigner reply minimizing the successor potential; ties pick MINUS."""
     if is_final(M, e):
         raise ValueError(f"{M} is already final for excess {e}")
-    plus = potential(apply_move(M, move, AssignerChoice.PLUS), e)
-    minus = potential(apply_move(M, move, AssignerChoice.MINUS), e)
+    plus = potential(apply_move(M, pair, AssignerChoice.PLUS), e)
+    minus = potential(apply_move(M, pair, AssignerChoice.MINUS), e)
     return AssignerChoice.PLUS if plus < minus else AssignerChoice.MINUS
 
 
@@ -358,9 +344,9 @@ def reachable_positions(params: GameParams, force: bool = False) -> set[Position
         M = frontier.pop()
         if is_final(M, e):
             continue
-        for mv in legal_moves(M):
+        for pair in legal_moves(M):
             for choice in AssignerChoice:
-                succ = apply_move(M, mv, choice)
+                succ = apply_move(M, pair, choice)
                 if succ not in seen:
                     seen.add(succ)
                     frontier.append(succ)

@@ -34,12 +34,10 @@ from .ballgame import (
 from .core import (
     AssignerChoice,
     GameParams,
-    Move,
     Position,
     apply_move,
     is_final,
     minority_capacity,
-    move_values,
     start_position,
 )
 from .laurent import (
@@ -121,10 +119,10 @@ def _random_position(rng: random.Random, max_total: int = 24) -> Position:
             return Position(weights)
 
 
-def _random_move(rng: random.Random, M: Position) -> Move:
-    """A uniform index pair; canonical descending order makes it valid."""
+def _random_move(rng: random.Random, M: Position) -> tuple[int, int]:
+    """The weight pair (w, w') at a uniform index pair; descending order puts w first."""
     i, j = rng.sample(range(len(M)), 2)
-    return Move(min(i, j), max(i, j))
+    return M.elements[min(i, j)], M.elements[max(i, j)]
 
 
 def _random_laurent(
@@ -155,10 +153,9 @@ def suite_conservation(
     rng = random.Random(seed)
     for _ in range(trials):
         M = _random_position(rng, max_total=max_total)
-        move = _random_move(rng, M)
-        w, wp = move_values(M, move)
-        plus = apply_move(M, move, AssignerChoice.PLUS)
-        minus = apply_move(M, move, AssignerChoice.MINUS)
+        w, wp = pair = _random_move(rng, M)
+        plus = apply_move(M, pair, AssignerChoice.PLUS)
+        minus = apply_move(M, pair, AssignerChoice.MINUS)
         sign = -1 if wp % 2 else 1
         for e in _valid_excesses(M, beyond=1):
             report.cases += 1
@@ -191,10 +188,9 @@ def suite_conservation_iterated(
     rng = random.Random(seed)
     for _ in range(trials):
         M = _random_position(rng, max_total=max_total)
-        move = _random_move(rng, M)
-        w, wp = move_values(M, move)
-        plus = apply_move(M, move, AssignerChoice.PLUS)
-        minus = apply_move(M, move, AssignerChoice.MINUS)
+        w, wp = pair = _random_move(rng, M)
+        plus = apply_move(M, pair, AssignerChoice.PLUS)
+        minus = apply_move(M, pair, AssignerChoice.MINUS)
         sign = -1 if wp % 2 else 1
         for order in range(1, max_order + 1):
             for e in _valid_excesses(M):
@@ -363,8 +359,8 @@ def suite_final_bound(max_total: int = 16, extra_zeros: int = 2) -> SuiteReport:
 def verify_potential_dominates(params: GameParams) -> SuiteReport:
     """Check potential >= value on every position reachable from the start."""
     report = SuiteReport(f"potential-dominates(n={params.n},k={params.k})")
-    solver = GameSolver(params)
     e = params.e
+    solver = GameSolver(e)
     min_slack = None
     witness = None
     for M in sorted(reachable_positions(params), key=lambda p: p.elements):
@@ -465,7 +461,7 @@ def verify_first_move_tie(m: int) -> SuiteReport:
             report.add_failure(witness)
 
     if m <= SOLVER_GUARD_M:
-        solver = GameSolver(params)
+        solver = GameSolver(params.e)
         v_start = solver.value(start_position(params))
         v_merged = solver.value(merged)
         v_cancelled = solver.value(cancelled)
@@ -559,13 +555,13 @@ def suite_reformulation(
             j = rng.choice(comps[cb].balls)
             answer = rng.choice((BallAnswer.SAME, BallAnswer.DIFFERENT))
             before = g.weights()
-            move, choice = induced_move_and_choice(g, i, j, answer)
+            pair, choice = induced_move_and_choice(g, i, j, answer)
             g.add_comparison(i, j, answer)
             report.cases += 1
-            if g.weights() != apply_move(before, move, choice):
+            if g.weights() != apply_move(before, pair, choice):
                 report.add_failure(
                     f"n={n}: answer {answer.value} on ({i},{j}) disagrees with "
-                    f"move {move} choice {choice.value} from {before}")
+                    f"pair {pair} choice {choice.value} from {before}")
             merged = g.components()
             idx, _ = locate_ball(merged, i)
             comp = merged[idx]

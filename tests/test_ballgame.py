@@ -300,9 +300,10 @@ class TestIdentification:
 class TestInducedMoves:
     def test_same_on_singletons_is_plus(self):
         g = QuestionGraph(4)
-        move, choice = induced_move_and_choice(g, 1, 2, BallAnswer.SAME)
+        pair, choice = induced_move_and_choice(g, 1, 2, BallAnswer.SAME)
+        assert pair == (1, 1)
         assert choice is AssignerChoice.PLUS
-        assert apply_move(g.weights(), move, choice) == Position((2, 1, 1))
+        assert apply_move(g.weights(), pair, choice) == Position((2, 1, 1))
 
     def test_crossed_sides_flip_the_translation(self):
         g = QuestionGraph(4)
@@ -334,9 +335,10 @@ class TestInducedMoves:
                 j = rng.choice(comps[cb].balls)
                 answer = rng.choice((BallAnswer.SAME, BallAnswer.DIFFERENT))
                 before = g.weights()
-                move, choice = induced_move_and_choice(g, i, j, answer)
+                pair, choice = induced_move_and_choice(g, i, j, answer)
+                assert pair[0] >= pair[1]
                 g.add_comparison(i, j, answer)
-                assert g.weights() == apply_move(before, move, choice)
+                assert g.weights() == apply_move(before, pair, choice)
 
 
 class TestAdversary:
@@ -375,7 +377,7 @@ class TestAdversary:
 
     def test_selector_comparison_is_minimal_and_optimal(self):
         params = GameParams(5, 3)
-        solver = GameSolver(params)
+        solver = GameSolver(params.e)
         g = QuestionGraph(5)
         i, j = optimal_selector_comparison(g, params, solver)
         assert (i, j) == (1, 2)
@@ -387,7 +389,7 @@ class TestAdversary:
         params = GameParams(3, 3)
         g = QuestionGraph(3)
         with pytest.raises(ValueError):
-            optimal_selector_comparison(g, params, GameSolver(params))
+            optimal_selector_comparison(g, params, GameSolver(params.e))
 
 
 class TestExhaustiveSearch:

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from majoritygame.cli import main
+from majoritygame.cli import STATS_TERM_LIMIT, main
 from majoritygame.core import PARSE_ELEMENT_LIMIT
 from majoritygame.statistics import WEIGHT_LIMIT
 
@@ -73,6 +73,15 @@ class TestValue:
             capsys, "value", "--position", "[1,1,1]", "--e", "2")  # parity
         assert code == 2
 
+    def test_excess_without_position_exits_2(self, capsys):
+        # --e belongs with --position; with --n and --k it used to be ignored
+        code, out, err = run_cli(capsys, "value", "--n", "5", "--k", "3", "--e", "3")
+        assert code == 2
+        assert out == ""
+        assert "give either --position with --e, or --n with --k" in err
+        code, out, _ = run_cli(capsys, "value", "--e", "3")
+        assert (code, out) == (2, "")
+
     def test_invalid_threshold_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "value", "--n", "6", "--k", "3")
         assert code == 2
@@ -128,6 +137,20 @@ class TestStats:
         assert code == 2
         assert out == ""
         assert f"limited to total weight {WEIGHT_LIMIT}" in err
+
+    def test_term_count_just_past_the_limit_exits_2(self, capsys):
+        # [4095] at e=1 has capacity s=2047: 64 orders of s+1 terms is the limit exactly
+        assert STATS_TERM_LIMIT == 64 * 2048 == 131_072
+        code, out, _ = run_cli(
+            capsys, "stats", "--position", "[4095]", "--e", "1", "--b", "64")
+        assert code == 0
+        assert "signed count (order 64): " in out
+        for position, order, terms in [("[4095]", 65, 65 * 2048), ("[5]", 43691, 131_073)]:
+            code, out, err = run_cli(
+                capsys, "stats", "--position", position, "--e", "1", "--b", str(order))
+            assert code == 2
+            assert out == ""
+            assert f"need {terms} binomial terms, limited to {STATS_TERM_LIMIT}" in err
 
     def test_element_count_just_past_the_limit_exits_2(self, capsys):
         code, out, _ = run_cli(

@@ -6,14 +6,12 @@ from hypothesis import given, strategies as st
 from majoritygame.core import (
     AssignerChoice,
     GameParams,
-    Move,
     Position,
     apply_move,
     is_final,
     legal_moves,
     minority_capacity,
     move_for_pair,
-    move_values,
     start_position,
 )
 
@@ -114,9 +112,9 @@ class TestCapacityAndFinal:
 class TestMoves:
     def test_legal_moves_deduplicate_value_pairs(self):
         M = Position((1, 1, 1, 1))
-        assert len(legal_moves(M)) == 1  # only the pair (1,1)
+        assert legal_moves(M) == [(1, 1)]
         M = Position((2, 1, 1))
-        assert {move_values(M, mv) for mv in legal_moves(M)} == {(2, 1), (1, 1)}
+        assert legal_moves(M) == [(2, 1), (1, 1)]
 
     def test_no_moves_on_small_positions(self):
         assert legal_moves(Position(())) == []
@@ -124,30 +122,29 @@ class TestMoves:
 
     def test_apply_move(self):
         M = Position((2, 1, 1))
-        plus = apply_move(M, Move(0, 1), AssignerChoice.PLUS)
-        minus = apply_move(M, Move(0, 1), AssignerChoice.MINUS)
+        plus = apply_move(M, (2, 1), AssignerChoice.PLUS)
+        minus = apply_move(M, (2, 1), AssignerChoice.MINUS)
         assert plus == Position((3, 1))
         assert minus == Position((1, 1))
 
     def test_apply_move_keeps_zeros(self):
         M = Position((1, 1))
-        assert apply_move(M, Move(0, 1), AssignerChoice.MINUS) == Position((0,))
+        assert apply_move(M, (1, 1), AssignerChoice.MINUS) == Position((0,))
 
     def test_move_validation(self):
         M = Position((2, 1))
-        with pytest.raises(ValueError):
-            move_values(M, Move(0, 0))
-        with pytest.raises(ValueError):
-            move_values(M, Move(0, 2))
-        with pytest.raises(ValueError):
-            move_values(M, Move(1, 0))  # smaller weight listed first
+        with pytest.raises(ValueError, match=r"\[2,1\] holds no pair \(2,2\)"):
+            apply_move(M, (2, 2), AssignerChoice.PLUS)  # one copy of 2, not two
+        with pytest.raises(ValueError, match=r"\[2,1\] holds no pair \(1,1\)"):
+            apply_move(M, (1, 1), AssignerChoice.MINUS)
+        with pytest.raises(ValueError, match=r"\[2,1\] holds no pair \(3,1\)"):
+            apply_move(M, (3, 1), AssignerChoice.PLUS)  # weight absent
 
     @given(positions.filter(lambda M: len(M) >= 2), st.data())
     def test_apply_move_invariants(self, M, data):
-        mv = data.draw(st.sampled_from(legal_moves(M)))
-        w, wp = move_values(M, mv)
+        w, wp = pair = data.draw(st.sampled_from(legal_moves(M)))
         for choice in AssignerChoice:
-            succ = apply_move(M, mv, choice)
+            succ = apply_move(M, pair, choice)
             assert len(succ) == len(M) - 1
             assert succ.total % 2 == M.total % 2
             if choice is AssignerChoice.PLUS:
@@ -155,14 +152,26 @@ class TestMoves:
             else:
                 assert succ.total == M.total - 2 * wp
 
+    @given(positions)
+    def test_legal_moves_are_first_occurrences_of_index_pairs(self, M):
+        elems = M.elements
+        pairs = [(elems[i], elems[j]) for i in range(len(elems)) for j in range(i + 1, len(elems))]
+        assert legal_moves(M) == list(dict.fromkeys(pairs))
+
+    @given(positions.filter(lambda M: len(M) >= 2), st.data())
+    def test_apply_move_takes_either_order(self, M, data):
+        w, wp = data.draw(st.sampled_from(legal_moves(M)))
+        for choice in AssignerChoice:
+            assert apply_move(M, (w, wp), choice) == apply_move(M, (wp, w), choice)
+
 
 class TestMoveForPair:
     def test_either_order(self):
         M = Position((3, 2, 1, 1))
-        assert move_for_pair(M, 3, 1) == move_for_pair(M, 1, 3) == Move(0, 2)
+        assert move_for_pair(M, 3, 1) == move_for_pair(M, 1, 3) == (3, 1)
 
     def test_equal_weights_need_two_copies(self):
-        assert move_for_pair(Position((2, 1, 1)), 1, 1) == Move(1, 2)
+        assert move_for_pair(Position((2, 1, 1)), 1, 1) == (1, 1)
         with pytest.raises(ValueError, match=r"\[2,1\] holds no pair \(1,1\)"):
             move_for_pair(Position((2, 1)), 1, 1)
 
@@ -172,8 +181,8 @@ class TestMoveForPair:
 
     @given(positions.filter(lambda M: len(M) >= 2))
     def test_matches_legal_moves(self, M):
-        for mv in legal_moves(M):
-            assert move_for_pair(M, *move_values(M, mv)) == mv
+        for w, wp in legal_moves(M):
+            assert move_for_pair(M, w, wp) == move_for_pair(M, wp, w) == (w, wp)
 
 
 def test_start_position():

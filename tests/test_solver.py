@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from majoritygame.core import (
     AssignerChoice,
     GameParams,
-    Move,
     Position,
     apply_move,
     is_final,
@@ -30,9 +29,9 @@ from majoritygame.statistics import binary_weight, potential
 
 class TestValues:
     def test_frozen_position_values(self):
-        assert GameSolver(GameParams(3, 2)).value(Position((1, 1, 1))) == 2
-        assert GameSolver(GameParams(5, 3)).value(Position((1,) * 5)) == 2
-        assert GameSolver(GameParams(3, 2)).value(Position((2, 1))) == 2  # final
+        assert GameSolver(1).value(Position((1, 1, 1))) == 2
+        assert GameSolver(1).value(Position((1,) * 5)) == 2
+        assert GameSolver(1).value(Position((2, 1))) == 2  # final
 
     def test_frozen_comparison_counts(self):
         for n, k, expected in [(3, 2, 1), (5, 4, 1), (5, 3, 3), (7, 4, 4), (13, 7, 10)]:
@@ -54,28 +53,34 @@ class TestValues:
         for n in range(1, 8):
             for k in range(n // 2 + 1, n + 1):
                 params = GameParams(n, k)
-                solver = GameSolver(params)
+                solver = GameSolver(params.e)
                 start = start_position(params)
                 assert solver.value(start) == value_nomemo(start, params.e), (n, k)
 
     def test_value_validates_at_the_boundary(self):
         with pytest.raises(ValueError, match="parity"):
-            GameSolver(GameParams(1, 1)).value(Position((2,)))
+            GameSolver(1).value(Position((2,)))
         with pytest.raises(ValueError, match="below"):
-            GameSolver(GameParams(3, 3)).value(Position((1,)))
+            GameSolver(3).value(Position((1,)))
+
+    @pytest.mark.parametrize("e", [0, -1, True, 1.0])
+    def test_excess_must_be_a_positive_int(self, e):
+        with pytest.raises(ValueError, match="excess"):
+            GameSolver(e)
 
     def test_bare_majority_matches_classical_bound(self):
         # K(2m+1, m+1) = 2m - B(m), the n - B(n) bound of Saks & Werman (1991)
         for m in range(1, 17):
             params = GameParams(2 * m + 1, m + 1)
-            assert GameSolver(params).comparisons_needed() == 2 * m - binary_weight(m), m
+            comparisons = params.n - GameSolver(params.e).value(start_position(params))
+            assert comparisons == 2 * m - binary_weight(m), m
 
     def test_solver_agrees_with_formula_midrange(self):
         for n in range(1, 13):
             for k in range(n // 2 + 1, n + 1):
                 params = GameParams(n, k)
-                assert GameSolver(params).comparisons_needed() == formula_comparisons(
-                    params), (n, k)
+                comparisons = n - GameSolver(params.e).value(start_position(params))
+                assert comparisons == formula_comparisons(params), (n, k)
 
 
 def _reachable_weights(e: int):
@@ -90,16 +95,16 @@ class TestValueProperties:
     @given(st.integers(1, 5).flatmap(lambda e: st.tuples(st.just(e), _reachable_weights(e))))
     def test_matches_unmemoized_recursion_on_any_position(self, case):
         e, M = case
-        assert GameSolver(GameParams(e, e)).value(M) == value_nomemo(M, e)
+        assert GameSolver(e).value(M) == value_nomemo(M, e)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5).flatmap(
         lambda e: st.tuples(st.just(e), st.lists(_reachable_weights(e), min_size=2, max_size=8))))
     def test_reused_solver_matches_fresh_solvers(self, case):
         e, positions = case
-        reused = GameSolver(GameParams(e, e))
+        reused = GameSolver(e)
         for M in positions:
-            assert reused.value(M) == GameSolver(GameParams(e, e)).value(M), M
+            assert reused.value(M) == GameSolver(e).value(M), M
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda e: st.tuples(
@@ -110,22 +115,22 @@ class TestValueProperties:
     def test_shared_table_matches_fresh_solvers(self, case):
         # bounds proven from one root stay valid from every other root of the same excess
         e, positions = case
-        shared = GameSolver(GameParams(e, e))
+        shared = GameSolver(e)
         for M in positions:
-            fresh = GameSolver(GameParams(e, e))
+            fresh = GameSolver(e)
             assert shared.value(M) == fresh.value(M), M
             assert shared.optimal_selector_moves(M) == fresh.optimal_selector_moves(M), M
             if not is_final(M, e):
-                for mv in legal_moves(M):
-                    assert (shared.optimal_assigner_choices(M, mv)
-                            == fresh.optimal_assigner_choices(M, mv)), (M, mv)
+                for pair in legal_moves(M):
+                    assert (shared.optimal_assigner_choices(M, pair)
+                            == fresh.optimal_assigner_choices(M, pair)), (M, pair)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda e: st.tuples(st.just(e), _reachable_weights(e))))
     def test_null_window_test_is_fail_soft(self, case):
         # _test(key, g) >= g exactly when value >= g, and the bound lies on that side
         e, M = case
-        solver = GameSolver(GameParams(e, e))
+        solver = GameSolver(e)
         key = tuple(reversed(M.elements))
         true = value_nomemo(M, e)
         for g in range(1, len(M) + 2):
@@ -136,18 +141,19 @@ class TestValueProperties:
 
 class TestStats:
     def test_counts_only_memo_misses(self):
-        solver = GameSolver(GameParams(13, 7))
+        solver = GameSolver(1)
+        start = start_position(GameParams(13, 7))
         assert solver.stats == SolverStats()
-        solver.comparisons_needed()
+        solver.value(start)
         first = solver.stats.entries
         scans = solver.stats.probes - solver.stats.hits
         assert first > 0 and solver.stats.hits > 0
-        solver.comparisons_needed()
+        solver.value(start)
         assert solver.stats.entries == first
         assert solver.stats.probes - solver.stats.hits == scans
 
     def test_final_position_is_one_entry(self):
-        solver = GameSolver(GameParams(3, 2))
+        solver = GameSolver(1)
         solver.value(Position((2, 1)))
         # the first probe stores the exact value, the second reads it back
         assert solver.stats == SolverStats(entries=1, probes=2, hits=1)
@@ -155,29 +161,25 @@ class TestStats:
     def test_cuts_shrink_the_table_below_the_reachable_set(self):
         for n, k in [(9, 5), (11, 6), (12, 7)]:
             params = GameParams(n, k)
-            solver = GameSolver(params)
-            solver.comparisons_needed()
+            solver = GameSolver(params.e)
+            solver.value(start_position(params))
             assert solver.stats.entries < len(reachable_positions(params)), (n, k)
 
 
 class TestStrategies:
     def test_optimal_moves_on_final_position_is_empty(self):
-        solver = GameSolver(GameParams(3, 2))
+        solver = GameSolver(1)
         assert solver.optimal_selector_moves(Position((2, 1))) == []
         with pytest.raises(ValueError):
-            solver.optimal_assigner_choices(Position((2, 1)), Move(0, 1))
+            solver.optimal_assigner_choices(Position((2, 1)), (2, 1))
 
     def test_optimal_moves_achieve_the_value(self):
         params = GameParams(9, 5)
-        solver = GameSolver(params)
+        solver = GameSolver(params.e)
         M = start_position(params)
         val = solver.value(M)
-        for w, wp in solver.optimal_selector_moves(M):
-            idx_w = M.elements.index(w)
-            idx_wp = M.elements.index(wp, idx_w + 1)
-            worst = min(
-                solver.value(apply_move(M, Move(idx_w, idx_wp), c))
-                for c in AssignerChoice)
+        for pair in solver.optimal_selector_moves(M):
+            worst = min(solver.value(apply_move(M, pair, c)) for c in AssignerChoice)
             assert worst == val
 
     def test_principal_variation_length(self):
@@ -194,69 +196,71 @@ class TestStrategies:
         cur = start_position(params)
         for step in result.principal_variation:
             assert step.position == cur
-            cur = apply_move(cur, step.move, step.choice)
+            cur = apply_move(cur, step.pair, step.choice)
         assert cur == result.final_position
 
     def test_potential_guided_choice(self):
         # cancelling the opening pair is strictly better for the potential at m=3
         M = start_position(GameParams(7, 4))
-        assert potential_guided_choice(M, 1, Move(0, 1)) is AssignerChoice.MINUS
+        assert potential_guided_choice(M, 1, (1, 1)) is AssignerChoice.MINUS
         with pytest.raises(ValueError):
-            potential_guided_choice(Position((2, 1)), 1, Move(0, 1))
+            potential_guided_choice(Position((2, 1)), 1, (2, 1))
 
 
 class TestAssignerReply:
     def test_tie_gives_minus(self):
-        solver = GameSolver(GameParams(7, 4))
+        solver = GameSolver(1)
         M = Position((1,) * 7)
         both = (AssignerChoice.PLUS, AssignerChoice.MINUS)
-        assert solver.optimal_assigner_choices(M, Move(0, 1)) == both
-        assert solver.assigner_reply(M, Move(0, 1)) is AssignerChoice.MINUS
+        assert solver.optimal_assigner_choices(M, (1, 1)) == both
+        assert solver.assigner_reply(M, (1, 1)) is AssignerChoice.MINUS
 
     def test_optimal_reply_is_value_minimizing(self):
-        solver = GameSolver(GameParams(9, 5))
+        solver = GameSolver(1)
         for M in reachable_positions(GameParams(9, 5)):
             if is_final(M, 1):
                 continue
-            for mv in legal_moves(M):
-                reply = solver.assigner_reply(M, mv)
-                assert reply in solver.optimal_assigner_choices(M, mv)
+            for pair in legal_moves(M):
+                reply = solver.assigner_reply(M, pair)
+                assert reply in solver.optimal_assigner_choices(M, pair)
 
     def test_potential_mode_is_potential_guided_choice(self):
         params = GameParams(9, 5)
-        solver = GameSolver(params)
+        solver = GameSolver(params.e)
         for M in reachable_positions(params):
             if is_final(M, params.e):
                 continue
-            for mv in legal_moves(M):
-                assert (solver.assigner_reply(M, mv, "potential")
-                        is potential_guided_choice(M, params.e, mv))
+            for pair in legal_moves(M):
+                assert (solver.assigner_reply(M, pair, "potential")
+                        is potential_guided_choice(M, params.e, pair))
 
     def test_unknown_mode_raises(self):
-        solver = GameSolver(GameParams(7, 4))
+        solver = GameSolver(1)
         with pytest.raises(ValueError, match="unknown adversary mode 'greedy'"):
-            solver.assigner_reply(Position((1,) * 7), Move(0, 1), "greedy")
+            solver.assigner_reply(Position((1,) * 7), (1, 1), "greedy")
 
 
 class TestMemoLimit:
+    START_9 = start_position(GameParams(9, 5))
+
     def test_explicit_limit_aborts(self):
         with pytest.raises(MemoLimitExceeded):
-            GameSolver(GameParams(9, 5), memo_limit=3).comparisons_needed()
+            GameSolver(1, memo_limit=3).value(self.START_9)
 
     def test_limit_from_environment(self, monkeypatch):
         monkeypatch.setenv(MEMO_LIMIT_ENV, "2")
         with pytest.raises(MemoLimitExceeded):
-            GameSolver(GameParams(9, 5)).comparisons_needed()
+            GameSolver(1).value(self.START_9)
         monkeypatch.setenv(MEMO_LIMIT_ENV, "100000")
-        assert GameSolver(GameParams(9, 5)).comparisons_needed() == 7
+        assert 9 - GameSolver(1).value(self.START_9) == 7
 
     def test_bad_environment_value_rejected(self, monkeypatch):
         monkeypatch.setenv(MEMO_LIMIT_ENV, "soon")
         with pytest.raises(ValueError):
-            GameSolver(GameParams(5, 3))
+            GameSolver(1)
         monkeypatch.setenv(MEMO_LIMIT_ENV, "0")
         with pytest.raises(ValueError):
-            GameSolver(GameParams(5, 3))
+            GameSolver(1)
 
 
 class TestReachability:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from majoritygame import statistics as statistics_module
-from majoritygame.core import AssignerChoice, Position, apply_move, legal_moves, move_values
+from majoritygame.core import AssignerChoice, Position, apply_move, legal_moves
 from majoritygame.statistics import (
     INFINITE,
     WEIGHT_LIMIT,
@@ -174,14 +174,14 @@ class TestSignedCounts:
             if len(M) < 2:
                 continue
             total = M.total
-            for mv in legal_moves(M):
-                _, wp = move_values(M, mv)
-                plus = apply_move(M, mv, AssignerChoice.PLUS)
-                minus = apply_move(M, mv, AssignerChoice.MINUS)
+            for pair in legal_moves(M):
+                _, wp = pair
+                plus = apply_move(M, pair, AssignerChoice.PLUS)
+                minus = apply_move(M, pair, AssignerChoice.MINUS)
                 sign = -1 if wp % 2 else 1
                 for e in range(total % 2, total + 1, 2):
                     assert signed_count(M, e) == (
-                        signed_count(plus, e) + sign * signed_count(minus, e)), (M, mv, e)
+                        signed_count(plus, e) + sign * signed_count(minus, e)), (M, pair, e)
 
     def test_all_ones_closed_form(self):
         for n in range(1, 13):
