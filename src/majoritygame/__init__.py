@@ -9,120 +9,28 @@ statistics behind the bound, exact minimax solving, and verification
 suites that machine-check every identity involved.
 """
 
-from .ballgame import (
-    AdversarialGameRecord,
-    BallAnswer,
-    Component,
-    InconsistentAnswerError,
-    QuestionGraph,
-    adversarial_answer,
-    consistent_colouring_exists,
-    export_transcript,
-    export_transcript_json,
-    identify_majority,
-    import_transcript,
-    import_transcript_json,
-    induced_move_and_choice,
-    min_comparisons_ball_level,
-    optimal_selector_comparison,
-    run_adversarial_game,
-)
-from .core import (
-    AssignerChoice,
-    GameParams,
-    Position,
-    apply_move,
-    is_final,
-    legal_moves,
-    minority_capacity,
-    move_for_pair,
-    start_position,
-)
-from .laurent import (
-    LaurentPoly,
-    certificate_polynomial,
-    certificate_value,
-    final_position_bound_holds,
-)
-from .report import SuiteReport
-from .solver import (
-    GameSolver,
-    MemoLimitExceeded,
-    SolveResult,
-    TraceStep,
-    formula_comparisons,
-    potential_guided_choice,
-    reachable_positions,
-    solve_game,
-    value_nomemo,
-)
-from .statistics import (
-    INFINITE,
-    binary_weight,
-    binomial,
-    potential,
-    potential_of_order,
-    signed_count,
-    signed_count_bruteforce,
-    signed_count_recursive,
-    subposition_weight_counts,
-    two_adic_valuation,
-)
-from .verify import SUITES, run_all_suites, run_suite
+from .core import GameParams, Position, legal_moves, start_position
+from .laurent import LaurentPoly, certificate_polynomial
+from .solver import GameSolver, MemoLimitExceeded, formula_comparisons, solve_game
+from .statistics import potential, signed_count, subposition_weight_counts
+from .verify import run_all_suites, run_suite
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "AdversarialGameRecord",
-    "AssignerChoice",
-    "BallAnswer",
-    "Component",
     "GameParams",
     "GameSolver",
-    "INFINITE",
-    "InconsistentAnswerError",
     "LaurentPoly",
     "MemoLimitExceeded",
     "Position",
-    "QuestionGraph",
-    "SolveResult",
-    "SUITES",
-    "SuiteReport",
-    "TraceStep",
-    "adversarial_answer",
-    "apply_move",
-    "binary_weight",
-    "binomial",
     "certificate_polynomial",
-    "certificate_value",
-    "consistent_colouring_exists",
-    "export_transcript",
-    "export_transcript_json",
-    "final_position_bound_holds",
     "formula_comparisons",
-    "identify_majority",
-    "import_transcript",
-    "import_transcript_json",
-    "induced_move_and_choice",
-    "is_final",
     "legal_moves",
-    "min_comparisons_ball_level",
-    "minority_capacity",
-    "move_for_pair",
-    "optimal_selector_comparison",
     "potential",
-    "potential_guided_choice",
-    "potential_of_order",
-    "reachable_positions",
-    "run_adversarial_game",
     "run_all_suites",
     "run_suite",
     "signed_count",
-    "signed_count_bruteforce",
-    "signed_count_recursive",
     "solve_game",
     "start_position",
     "subposition_weight_counts",
-    "two_adic_valuation",
-    "value_nomemo",
 ]

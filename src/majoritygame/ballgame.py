@@ -33,7 +33,7 @@ from .solver import GameSolver
 #: Components beyond which the exhaustive colouring oracle refuses to run.
 COLOURING_GUARD = 20
 
-#: Largest n for which the exhaustive ball-level strategy search runs unforced.
+#: Largest n for which the exhaustive ball-level strategy search runs.
 BALL_SEARCH_GUARD_N = 8
 
 
@@ -346,17 +346,13 @@ def adversarial_answer(
     forced = g.forced_answer(i, j)
     if forced is not None:
         return forced
-    _, wi, i_on_larger = _place_ball(g, i)
-    _, wj, j_on_larger = _place_ball(g, j)
-    if min(wi, wj) == 0:
+    pair, same_choice = induced_move_and_choice(g, i, j, BallAnswer.SAME)
+    if pair[1] == 0:
         return BallAnswer.SAME
     if solver is None:
         solver = GameSolver(params.e)
-    choice = solver.assigner_reply(g.weights(), (wi, wj), mode)
-    same_realizes_plus = i_on_larger == j_on_larger
-    if choice is AssignerChoice.PLUS:
-        return BallAnswer.SAME if same_realizes_plus else BallAnswer.DIFFERENT
-    return BallAnswer.DIFFERENT if same_realizes_plus else BallAnswer.SAME
+    choice = solver.assigner_reply(g.weights(), pair, mode)
+    return BallAnswer.SAME if choice is same_choice else BallAnswer.DIFFERENT
 
 
 def optimal_selector_comparison(
@@ -435,18 +431,16 @@ def merged_states(state: frozenset) -> Iterator[tuple[frozenset, frozenset]]:
                    rest | {frozenset((a0 | b1, a1 | b0))})
 
 
-def min_comparisons_ball_level(params: GameParams, force: bool = False) -> int:
+def min_comparisons_ball_level(params: GameParams) -> int:
     """Worst-case-optimal comparison count by exhaustive strategy search.
 
     Searches directly over question strategies on labelled ball states
     (partitions of the balls into two-sided components), never consulting
     the weight-level solver: the questioner minimizes over component
-    pairs, the answers maximize.  Guarded at n = 8 unless forced.
+    pairs, the answers maximize.  Guarded at n = 8.
     """
-    if params.n > BALL_SEARCH_GUARD_N and not force:
-        raise ValueError(
-            f"exhaustive ball-level search is guarded at n={BALL_SEARCH_GUARD_N}; "
-            f"pass force=True to override")
+    if params.n > BALL_SEARCH_GUARD_N:
+        raise ValueError(f"exhaustive ball-level search is guarded at n={BALL_SEARCH_GUARD_N}")
     e = params.e
     memo: dict[frozenset, int] = {}
 

@@ -73,6 +73,8 @@ def _csv_writer():
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    if args.max_n < 1:
+        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     rows = []
     failures = []
     solvers: dict[int, GameSolver] = {}  # one bounds table per excess, shared across games
@@ -342,16 +344,15 @@ def _play_balls(
             try:
                 i, j = int(fields[0]), int(fields[1])
                 forced = g.forced_answer(i, j)
-                if forced is not None:
-                    answer = forced
-                    note = " (already forced)"
-                else:
-                    answer = adversarial_answer(g, i, j, params, mode=adversary,
-                                                solver=solver)
-                    note = ""
             except ValueError as exc:
                 print(f"bad comparison: {exc}", file=out_stream)
                 continue
+            if forced is not None:
+                answer = forced
+                note = " (already forced)"
+            else:  # a solve too deep to finish ends the session with exit 2
+                answer = adversarial_answer(g, i, j, params, mode=adversary, solver=solver)
+                note = ""
             g.add_comparison(i, j, answer)
             comparisons += 1
             print(f"balls {i} and {j}: {answer.value}{note}", file=out_stream)

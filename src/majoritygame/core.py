@@ -113,12 +113,6 @@ class Position:
         """Sum of all weights."""
         return sum(self.elements)
 
-    @property
-    def largest(self) -> int:
-        if not self.elements:
-            raise ValueError("empty position has no largest element")
-        return self.elements[0]
-
 
 class AssignerChoice(Enum):
     """The Assigner's two replies for a selected pair: keep w + w' or w - w'."""

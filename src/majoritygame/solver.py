@@ -30,7 +30,7 @@ from .statistics import binary_weight, potential
 #: Environment variable holding an optional cap on solve-table entries.
 MEMO_LIMIT_ENV = "MAJORITY_ORACLE_MEMO_LIMIT"
 
-#: Largest n for which exhaustive reachability enumeration runs unforced.
+#: Largest n for which exhaustive reachability enumeration runs.
 EXHAUSTIVE_GUARD_N = 12
 
 
@@ -119,16 +119,24 @@ class GameSolver:
 
         MTD(f) from the guess 1, the least value of any position: each
         null-window test at one above the proven lower bound either raises
-        that bound or shows it is the value.
+        that bound or shows it is the value.  The kernel recurses once per
+        merge, so a position too long for Python's recursion limit raises
+        ValueError; the table then still holds only proven bounds, since a
+        position's bounds are stored only after its full scan.
         """
         is_final(M, self.e)  # raises ValueError for totals no game at this excess reaches
         key = tuple(reversed(M.elements))
         lo = 1
-        while True:
-            b = self._test(key, lo + 1)
-            if b <= lo:
-                return lo
-            lo = b
+        try:
+            while True:
+                b = self._test(key, lo + 1)
+                if b <= lo:
+                    return lo
+                lo = b
+        except RecursionError:
+            raise ValueError(
+                f"a position of {len(M)} elements is too deep to solve within "
+                f"the recursion limit") from None
 
     def _test(self, key: tuple[int, ...], g: int) -> int:
         """Fail-soft null-window test of value >= g for a valid position.
@@ -294,9 +302,9 @@ class GameSolver:
         return SolveResult(val, variation, cur)
 
 
-def solve_game(params: GameParams, memo_limit: int | None = None) -> tuple[int, SolveResult]:
+def solve_game(params: GameParams) -> tuple[int, SolveResult]:
     """Solve from the start; returns (comparisons needed, full result)."""
-    result = GameSolver(params.e, memo_limit=memo_limit).solve(start_position(params))
+    result = GameSolver(params.e).solve(start_position(params))
     return params.n - result.value, result
 
 
@@ -325,17 +333,14 @@ def potential_guided_choice(M: Position, e: int, pair: tuple[int, int]) -> Assig
     return AssignerChoice.PLUS if plus < minus else AssignerChoice.MINUS
 
 
-def reachable_positions(params: GameParams, force: bool = False) -> set[Position]:
+def reachable_positions(params: GameParams) -> set[Position]:
     """Every position reachable from the start under arbitrary play.
 
     Final positions end the game and are not expanded.  Guarded at
-    n = 12 unless forced; the enumeration stays exact beyond that but
-    grows quickly.
+    n = 12: the enumeration grows quickly beyond that.
     """
-    if params.n > EXHAUSTIVE_GUARD_N and not force:
-        raise ValueError(
-            f"exhaustive enumeration is guarded at n={EXHAUSTIVE_GUARD_N}; "
-            f"pass force=True to override")
+    if params.n > EXHAUSTIVE_GUARD_N:
+        raise ValueError(f"exhaustive enumeration is guarded at n={EXHAUSTIVE_GUARD_N}")
     e = params.e
     first = start_position(params)
     seen = {first}

@@ -204,11 +204,6 @@ def _signed_count_recursive(elements: tuple[int, ...], e: int, order: int) -> in
     return acc
 
 
-def potential_of_order(M: Position, e: int, order: int) -> Valuation:
-    """e plus the 2-adic valuation of the order-``order`` signed count."""
-    return e + two_adic_valuation(signed_count(M, e, order))
-
-
 def potential(M: Position, e: int) -> Valuation:
     """The adversary potential: the order-e statistic's valuation, shifted by e.
 
@@ -218,4 +213,4 @@ def potential(M: Position, e: int) -> Valuation:
     """
     if e < 1:
         raise ValueError(f"potential needs excess >= 1, got {e}")
-    return potential_of_order(M, e, e)
+    return e + two_adic_valuation(signed_count(M, e, e))

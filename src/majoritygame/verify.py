@@ -67,6 +67,10 @@ _BRUTE_TOTAL_CAP = 14
 #: Largest m for which the first-move-tie check solves the game exactly.
 SOLVER_GUARD_M = 7
 
+#: Largest m the two-one-family suite checks: each m computes the potential
+#: of a position of 2m elements, so the suite's cost grows faster than m^3.
+FAMILY_M_LIMIT = 256
+
 
 # ---------------------------------------------------------------------------
 # enumeration and sampling helpers
@@ -417,9 +421,14 @@ def two_one_family_potential(m: int) -> int | float:
 
 
 def suite_two_one_family(max_m: int = 32) -> SuiteReport:
-    """Closed-form potentials for the {2, 1^(2m-1)} family at excess 1, m = 1..max_m."""
+    """Closed-form potentials for the {2, 1^(2m-1)} family at excess 1, m = 1..max_m.
+
+    max_m may be at most ``FAMILY_M_LIMIT``.
+    """
     if max_m < 1:
         raise ValueError(f"need m >= 1, got m={max_m}")
+    if max_m > FAMILY_M_LIMIT:
+        raise ValueError(f"the two-one family is checked up to m={FAMILY_M_LIMIT}, got m={max_m}")
     report = SuiteReport("two-one-family")
     for m in range(1, max_m + 1):
         M = Position((2,) + (1,) * (2 * m - 1))
@@ -703,7 +712,10 @@ RANDOMIZED_SUITES = frozenset(
 
 
 def run_suite(name: str, seed: int | None = None, trials: int | None = None) -> SuiteReport:
-    """Run one suite by name; seed and trials apply to randomized suites only."""
+    """Run one suite by name; seed and trials apply to randomized suites only.
+
+    A trial count below 1 raises ValueError rather than run a vacuous check.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}")
     kwargs = {}
@@ -711,6 +723,8 @@ def run_suite(name: str, seed: int | None = None, trials: int | None = None) -> 
         if seed is not None:
             kwargs["seed"] = seed
         if trials is not None:
+            if trials < 1:
+                raise ValueError(f"trials must be at least 1, got {trials}")
             kwargs["trials"] = trials
     elif seed is not None or trials is not None:
         raise ValueError(f"suite {name!r} is deterministic; seed and trials do not apply")

@@ -341,7 +341,52 @@ class TestInducedMoves:
                 assert g.weights() == apply_move(before, pair, choice)
 
 
+def _earlier_adversarial_answer(g, i, j, params, mode, solver):
+    """adversarial_answer as first written, with its own copy of the side rule."""
+    forced = g.forced_answer(i, j)
+    if forced is not None:
+        return forced
+    comps = g.components()
+    ci, i_on_larger = locate_ball(comps, i)
+    cj, j_on_larger = locate_ball(comps, j)
+    wi, wj = comps[ci].weight, comps[cj].weight
+    if min(wi, wj) == 0:
+        return BallAnswer.SAME
+    choice = solver.assigner_reply(g.weights(), (wi, wj), mode)
+    same_realizes_plus = i_on_larger == j_on_larger
+    if choice is AssignerChoice.PLUS:
+        return BallAnswer.SAME if same_realizes_plus else BallAnswer.DIFFERENT
+    return BallAnswer.DIFFERENT if same_realizes_plus else BallAnswer.SAME
+
+
+def _answer_or_error(answer, *args):
+    try:
+        return answer(*args)
+    except ValueError:
+        return ValueError
+
+
 class TestAdversary:
+    def test_matches_the_earlier_formula_on_every_small_state(self):
+        checked = 0
+        for n in range(2, 7):
+            solvers = {}
+            for state in _all_ball_states(n):
+                g = _graph_for_state(n, state)
+                pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                         if g.forced_answer(i, j) is None]
+                for k in range(n // 2 + 1, n + 1):
+                    params = GameParams(n, k)
+                    solver = solvers.setdefault(params.e, GameSolver(params.e))
+                    for mode in ("optimal", "potential"):
+                        for i, j in pairs:
+                            args = (g, i, j, params, mode, solver)
+                            assert _answer_or_error(adversarial_answer, *args) is \
+                                _answer_or_error(_earlier_adversarial_answer, *args), \
+                                (g.weights(), i, j, k, mode)
+                            checked += 1
+        assert checked > 0
+
     def test_optimal_adversary_forces_the_formula_count(self):
         for n in range(1, 9):
             for k in range(n // 2 + 1, n + 1):

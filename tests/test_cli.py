@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from majoritygame import verify
 from majoritygame.cli import STATS_TERM_LIMIT, main
 from majoritygame.core import PARSE_ELEMENT_LIMIT
 from majoritygame.statistics import WEIGHT_LIMIT
@@ -44,6 +45,13 @@ class TestTable:
         lines = out.strip().splitlines()
         assert lines[0] == "n,k,d,comparisons,formula,match"
         assert "3,2,1,1,1,yes" in lines
+
+    @pytest.mark.parametrize("max_n", ["0", "-3"])
+    def test_max_n_below_one_exits_2(self, capsys, max_n):
+        # an empty sweep would print the header alone and check nothing
+        code, out, err = run_cli(capsys, "table", "--max-n", max_n)
+        assert (code, out) == (2, "")
+        assert f"got {max_n}" in err
 
 
 class TestValue:
@@ -95,6 +103,19 @@ class TestValue:
         assert (code, out) == plain[:2]
         assert plain[2] == ""
         assert re.fullmatch(r"solver: entries=\d+ probes=\d+ hits=\d+\n", err)
+
+    def test_position_too_deep_to_solve_exits_2(self, capsys):
+        # the kernel recurses once per merge, past Python's recursion limit here
+        code, out, err = run_cli(capsys, "value", "--position", "[1^1100]", "--e", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "1100 elements" in err
+        assert "Traceback" not in err
+
+    def test_many_elements_with_a_shallow_solve_still_succeed(self, capsys):
+        code, out, _ = run_cli(capsys, "value", "--n", "1500", "--k", "1499")
+        assert code == 0
+        assert out == ("position: [1^1500]\ne: 1498\nfinal: no\nvalue: 1499\n"
+                       "comparisons: 1\npotential: 1499\nformula: 1\n")
 
 
 class TestStats:
@@ -214,6 +235,25 @@ class TestVerify:
         assert out == ""
         assert "seed and trials do not apply" in err
 
+    @pytest.mark.parametrize("suite, trials", [("conservation", "0"), ("reformulation", "-1")])
+    def test_trials_below_one_exits_2(self, capsys, suite, trials):
+        # no trials would check nothing and still print PASS
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--trials", trials)
+        assert (code, out) == (2, "")
+        assert f"trials must be at least 1, got {trials}" in err
+
+    def test_family_parameter_past_the_limit_exits_2(self, capsys, monkeypatch):
+        past = verify.FAMILY_M_LIMIT + 1
+        code, out, err = run_cli(capsys, "verify", "--suite", "two-one-family", "--m", str(past))
+        assert (code, out) == (2, "")
+        assert f"got m={past}" in err
+        monkeypatch.setattr(verify, "FAMILY_M_LIMIT", 4)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "two-one-family", "--m", "4")
+        assert (code, out) == (0, "PASS two-one-family (cases=4)\n1/1 suites passed\n")
+        code, out, err = run_cli(capsys, "verify", "--suite", "two-one-family", "--m", "5")
+        assert (code, out) == (2, "")
+        assert "checked up to m=4" in err
+
     def test_trials_without_suite_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--trials", "5")
         assert code == 2
@@ -281,6 +321,13 @@ class TestPlay:
         assert code == 0
         assert "bad comparison" in out
         assert "enter two ball numbers" in out
+
+    def test_selector_against_a_solve_too_deep_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 2\n"))
+        code, out, err = run_cli(capsys, "play", "--n", "1101", "--k", "551")
+        assert code == 2
+        assert "bad comparison" not in out
+        assert "too deep to solve" in err
 
     def test_assigner_role(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("same\nsame\nsame\n"))

@@ -79,11 +79,8 @@ class TestPosition:
     def test_total_and_largest(self):
         M = Position((3, 1, 0))
         assert M.total == 4
-        assert M.largest == 3
         assert len(M) == 3
         assert list(M) == [3, 1, 0]
-        with pytest.raises(ValueError):
-            Position(()).largest
 
 
 class TestCapacityAndFinal:

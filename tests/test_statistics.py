@@ -13,7 +13,6 @@ from majoritygame.statistics import (
     binary_weight,
     binomial,
     potential,
-    potential_of_order,
     signed_count,
     signed_count_bruteforce,
     signed_count_recursive,
@@ -208,12 +207,6 @@ class TestPotential:
         assert potential(Position((2, 1)), 1) == INFINITE
         assert potential(Position((1, 1, 1)), 1) == 2
         assert potential(Position((1, 1, 1, 0)), 3) == 4
-
-    def test_order_defaults_to_excess(self):
-        M = Position((1,) * 5)
-        assert potential(M, 1) == potential_of_order(M, 1, 1)
-        M = Position((3, 1, 1, 1))
-        assert potential(M, 2) == potential_of_order(M, 2, 2)
 
     def test_requires_positive_excess(self):
         with pytest.raises(ValueError):

@@ -79,6 +79,11 @@ class TestDispatch:
         with pytest.raises(ValueError):
             run_suite("two-one-family", trials=5)
 
+    def test_run_suite_rejects_trials_below_one(self):
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match=f"got {trials}"):
+                run_suite("conservation", trials=trials)
+
     def test_seeds_reproduce_and_differ(self):
         first = suite_conservation(seed=7, trials=5)
         second = suite_conservation(seed=7, trials=5)
