@@ -13,7 +13,7 @@ so one table serves every game of that excess.
 from __future__ import annotations
 
 import os
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 
 from .core import (
@@ -104,6 +104,11 @@ class GameSolver:
     an optional cap on table entries from MAJORITY_ORACLE_MEMO_LIMIT;
     reaching the cap raises MemoLimitExceeded and nothing is evicted.
     ``stats`` counts the work the kernel has done.
+
+    The table holds no zero weight, by the game rule value(M + {0}) =
+    value(M) + 1: a zero changes neither the total nor the largest weight,
+    and selecting (w, 0) returns M under either reply at the cost of one
+    element, so no optimal line needs that move and the zero survives.
     """
 
     def __init__(self, e: int, memo_limit: int | None = None):
@@ -147,6 +152,11 @@ class GameSolver:
         final position stores its exact value; any other starts from the
         free bounds 1 <= value <= len(key) - 1.
 
+        The z leading zeros are stripped first and the test answered as
+        z + test(key[z:], g - z), inline so that the kernel keeps one frame
+        per merge: a zero adds one to the value (see GameSolver).  A valid
+        position's total is at least e, so some weight is nonzero.
+
         A child drops the selected pair and gets the merged weight
         inserted in order, so it is never re-sorted or re-validated;
         moves are deduplicated by value pair, as in legal_moves.  A move
@@ -155,6 +165,11 @@ class GameSolver:
         whose two children both reach g; when none does, the largest
         upper bound the moves failed with bounds the value.
         """
+        z = 0
+        if not key[0]:
+            z = bisect_right(key, 0)
+            key = key[z:]
+            g -= z
         bounds = self._bounds
         stats = self.stats
         entry = bounds.get(key)
@@ -164,16 +179,16 @@ class GameSolver:
             if lo >= g or hi < g:
                 stats.probes += 1
                 stats.hits += 1
-                return lo if lo >= g else hi
+                return z + (lo if lo >= g else hi)
         elif 2 * key[-1] >= sum(key) - self.e + 2:
             stats.probes += 1
             self._store(key, c, c)
-            return c
+            return z + c
         else:
             lo, hi = 1, c - 1
             if g <= lo or hi < g:
                 stats.probes += 1
-                return lo if g <= lo else hi
+                return z + (lo if g <= lo else hi)
         probes = 1
         hits = 0
         fail = 0
@@ -233,9 +248,9 @@ class GameSolver:
         stats.hits += hits
         if result:
             self._store(key, result, hi)
-            return result
+            return z + result
         self._store(key, lo, fail)
-        return fail
+        return z + fail
 
     def _store(self, key: tuple[int, ...], lo: int, hi: int) -> None:
         """Record bounds for key; a new key past the cap aborts the solve."""

@@ -117,6 +117,12 @@ class TestValue:
         assert out == ("position: [1^1500]\ne: 1498\nfinal: no\nvalue: 1499\n"
                        "comparisons: 1\npotential: 1499\nformula: 1\n")
 
+    def test_zeros_do_not_deepen_the_solve(self, capsys):
+        # the kernel strips zeros before it recurses, so only [1^3] is searched
+        code, out, _ = run_cli(capsys, "value", "--position", "[0^1000,1^3]", "--e", "1")
+        assert code == 0
+        assert "value: 1002\n" in out and "comparisons: 1\n" in out
+
 
 class TestStats:
     def test_text(self, capsys):

@@ -90,12 +90,40 @@ def _reachable_weights(e: int):
         lambda ws: Position(tuple(ws)))
 
 
+def _zero_heavy_weights(e: int):
+    """Reachable positions of at most 7 weights, two to four of them zero."""
+    return st.tuples(st.integers(2, 4), st.lists(st.integers(1, 4), min_size=1, max_size=3)).filter(
+        lambda zw: sum(zw[1]) >= e and (sum(zw[1]) - e) % 2 == 0).map(
+        lambda zw: Position((0,) * zw[0] + tuple(zw[1])))
+
+
+def _any_weights(e: int):
+    return st.one_of(_reachable_weights(e), _zero_heavy_weights(e))
+
+
 class TestValueProperties:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 5).flatmap(lambda e: st.tuples(st.just(e), _reachable_weights(e))))
+    @given(st.integers(1, 5).flatmap(lambda e: st.tuples(st.just(e), _any_weights(e))))
     def test_matches_unmemoized_recursion_on_any_position(self, case):
         e, M = case
         assert GameSolver(e).value(M) == value_nomemo(M, e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda e: st.tuples(st.just(e), _reachable_weights(e), st.integers(1, 3))))
+    def test_each_zero_adds_one_and_no_entry(self, case):
+        # value(M + 0^z) = value(M) + z, and the table never keys on a zero
+        e, M, z = case
+        padded = Position(M.elements + (0,) * z)
+        plain, zeros = GameSolver(e), GameSolver(e)
+        true = value_nomemo(M, e)
+        assert zeros.value(padded) == true + z
+        assert plain.value(M) == true
+        assert zeros.stats.entries == plain.stats.entries
+        assert all(0 not in key for key in zeros._bounds)
+        # a table warmed on M answers the padded position from its stored bounds
+        assert plain.value(padded) == true + z
+        assert plain.stats.entries == zeros.stats.entries
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5).flatmap(
@@ -126,7 +154,7 @@ class TestValueProperties:
                             == fresh.optimal_assigner_choices(M, pair)), (M, pair)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 5).flatmap(lambda e: st.tuples(st.just(e), _reachable_weights(e))))
+    @given(st.integers(1, 5).flatmap(lambda e: st.tuples(st.just(e), _any_weights(e))))
     def test_null_window_test_is_fail_soft(self, case):
         # _test(key, g) >= g exactly when value >= g, and the bound lies on that side
         e, M = case
