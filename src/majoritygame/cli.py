@@ -39,13 +39,7 @@ from .statistics import (
     subposition_weight_counts,
     two_adic_valuation,
 )
-from .verify import (
-    SUITES,
-    iter_suites,
-    run_suite,
-    suite_two_one_family,
-    verify_first_move_tie,
-)
+from .verify import SUITES, iter_suites, run_suite
 
 
 def _valuation_text(v) -> str:
@@ -244,18 +238,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.m is not None:
-        families = {"two-one-family": suite_two_one_family, "assigner-tie": verify_first_move_tie}
-        if args.suite not in families:
-            raise ValueError("--m applies to the two-one-family and assigner-tie suites")
-        if args.seed is not None or args.trials is not None:
-            raise ValueError(f"suite {args.suite!r} is deterministic; seed and trials do not apply")
-        reports = [families[args.suite](args.m)]
-    elif args.suite is not None:
-        reports = [run_suite(args.suite, seed=args.seed, trials=args.trials)]
+    if args.suite is not None:
+        reports = [run_suite(args.suite, args.seed, args.trials, args.m)]
+    elif args.trials is not None or args.m is not None:
+        raise ValueError("--trials and --m need --suite; full runs use each suite's default")
     else:
-        if args.trials is not None:
-            raise ValueError("--trials needs --suite; full runs use each suite's default")
         reports = iter_suites(args.seed)
     if args.format == "text":
         passed = total = 0

@@ -111,13 +111,13 @@ class GameSolver:
     element, so no optimal line needs that move and the zero survives.
     """
 
-    def __init__(self, e: int, memo_limit: int | None = None):
+    def __init__(self, e: int):
         if type(e) is not int or e < 1:  # bool is an int subclass
             raise ValueError(f"the excess must be an integer of at least 1, got {e!r}")
         self.e = e
         self._bounds: dict[tuple[int, ...], tuple[int, int]] = {}
         self.stats = SolverStats()
-        self._memo_limit = memo_limit if memo_limit is not None else _env_memo_limit()
+        self._memo_limit = _env_memo_limit()
 
     def value(self, M: Position) -> int:
         """Element count of the final position reached under optimal play.

@@ -4,8 +4,10 @@ Each suite checks one family of facts — conservation of signed counts
 under moves, closed forms against independent enumeration, certificate
 evaluations, domination of game values by potentials, the comparison
 formula itself, and agreement between the ball-level and weight-level
-games — and returns a SuiteReport.  Randomized suites take a seed and a
-trial count; the rest are exhaustive over bounded ranges.
+games — and returns a SuiteReport.  Each suite runs at one fixed scale,
+stated in its docstring.  Randomized suites take a seed and a trial
+count, the two family suites take m through ``run_suite``, and the rest
+are exhaustive over their ranges.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def _valid_thresholds(n: int) -> range:
     return range(n // 2 + 1, n + 1)
 
 
-def _random_position(rng: random.Random, max_total: int = 24) -> Position:
+def _random_position(rng: random.Random, max_total: int) -> Position:
     """A random position with at least two elements, zeros included."""
     while True:
         size = rng.randint(2, 6)
@@ -143,61 +145,26 @@ def _random_laurent(
 # signed-count suites
 
 
-def suite_conservation(
-    seed: int = DEFAULT_SEED, trials: int = 1000, max_total: int = 24
+def _split_law(
+    name: str, seed: int, trials: int, max_total: int, orders: range, beyond: int, oracle
 ) -> SuiteReport:
     """Signed counts split across a move: count(M) = count(M+) ± count(M-).
 
     The sign is minus exactly when the smaller selected weight is odd.
-    Checked for every admissible excess (and two vacuous ones past the
-    total) on random position/move pairs, with a brute-force
-    enumeration cross-check on small totals.
+    Each random position/move pair is checked at every order and
+    admissible excess, plus ``beyond`` vacuous excesses past the total;
+    small totals also check the closed form against ``oracle(M, e, order)``.
     """
-    report = SuiteReport("conservation")
+    report = SuiteReport(name)
     rng = random.Random(seed)
     for _ in range(trials):
-        M = _random_position(rng, max_total=max_total)
+        M = _random_position(rng, max_total)
         w, wp = pair = _random_move(rng, M)
         plus = apply_move(M, pair, AssignerChoice.PLUS)
         minus = apply_move(M, pair, AssignerChoice.MINUS)
         sign = -1 if wp % 2 else 1
-        for e in _valid_excesses(M, beyond=1):
-            report.cases += 1
-            lhs = signed_count(M, e)
-            rhs = signed_count(plus, e) + sign * signed_count(minus, e)
-            if lhs != rhs:
-                report.add_failure(
-                    f"{M} pair ({w},{wp}) e={e}: {lhs} != {signed_count(plus, e)} "
-                    f"{'+' if sign > 0 else '-'} {signed_count(minus, e)}")
-        if M.total <= _BRUTE_TOTAL_CAP:
-            for e in _valid_excesses(M):
-                report.cases += 1
-                closed = signed_count(M, e)
-                brute = signed_count_bruteforce(M, e)
-                if closed != brute:
-                    report.add_failure(f"{M} e={e}: closed {closed} != enumerated {brute}")
-    report.details["pairs"] = trials
-    return report
-
-
-def suite_conservation_iterated(
-    seed: int = DEFAULT_SEED, trials: int = 250, max_total: int = 20, max_order: int = 4
-) -> SuiteReport:
-    """The same splitting law for iterated signed counts of orders 1..4.
-
-    Small positions are additionally cross-checked against the recursive
-    definition, which bottoms out in plain enumeration.
-    """
-    report = SuiteReport("conservation-iterated")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        M = _random_position(rng, max_total=max_total)
-        w, wp = pair = _random_move(rng, M)
-        plus = apply_move(M, pair, AssignerChoice.PLUS)
-        minus = apply_move(M, pair, AssignerChoice.MINUS)
-        sign = -1 if wp % 2 else 1
-        for order in range(1, max_order + 1):
-            for e in _valid_excesses(M):
+        for order in orders:
+            for e in _valid_excesses(M, beyond=beyond):
                 report.cases += 1
                 lhs = signed_count(M, e, order)
                 rhs = signed_count(plus, e, order) + sign * signed_count(minus, e, order)
@@ -208,23 +175,45 @@ def suite_conservation_iterated(
                 for e in _valid_excesses(M):
                     report.cases += 1
                     closed = signed_count(M, e, order)
-                    rec = signed_count_recursive(M, e, order)
-                    if closed != rec:
+                    reference = oracle(M, e, order)
+                    if closed != reference:
                         report.add_failure(
-                            f"{M} e={e} order={order}: closed {closed} != recursive {rec}")
+                            f"{M} e={e} order={order}: closed {closed} != reference {reference}")
     report.details["pairs"] = trials
     return report
 
 
-def suite_start_position(max_n: int = 24, central_max: int = 10_000) -> SuiteReport:
+def suite_conservation(seed: int = DEFAULT_SEED, trials: int = 1000) -> SuiteReport:
+    """The splitting law for plain signed counts, totals up to 24.
+
+    Two vacuous excesses past the total are checked too, and small
+    totals are cross-checked against brute-force enumeration.
+    """
+    return _split_law("conservation", seed, trials, max_total=24,
+                      orders=range(1, 2), beyond=1,
+                      oracle=lambda M, e, _order: signed_count_bruteforce(M, e))
+
+
+def suite_conservation_iterated(seed: int = DEFAULT_SEED, trials: int = 250) -> SuiteReport:
+    """The same splitting law for iterated signed counts of orders 1..4, totals up to 20.
+
+    Small positions are additionally cross-checked against the recursive
+    definition, which bottoms out in plain enumeration.
+    """
+    return _split_law("conservation-iterated", seed, trials, max_total=20,
+                      orders=range(1, 5), beyond=0, oracle=signed_count_recursive)
+
+
+def suite_start_position() -> SuiteReport:
     """Exact values on all-ones positions, and the central binomial law.
 
-    For n ones, excess e, and s = (n - e) / 2, the order-b signed count
-    is (-1)^s C(n-b, s) and the potential is e + binary_weight(s).  The
-    potential value rests on the 2-adic valuation of C(2t, t) equalling
-    binary_weight(t), checked here directly for t up to central_max via
-    an incremental recurrence.
+    For n ones (n up to 24), excess e, and s = (n - e) / 2, the order-b
+    signed count is (-1)^s C(n-b, s) and the potential is
+    e + binary_weight(s).  The potential value rests on the 2-adic
+    valuation of C(2t, t) equalling binary_weight(t), checked here
+    directly for t up to 10,000 via an incremental recurrence.
     """
+    max_n, central_max = 24, 10_000
     report = SuiteReport("start-position")
     for n in range(1, max_n + 1):
         M = Position((1,) * n)
@@ -256,27 +245,26 @@ def suite_start_position(max_n: int = 24, central_max: int = 10_000) -> SuiteRep
     return report
 
 
-def suite_closed_form(
-    max_total: int = 14, max_order: int = 6, extra_zeros: int = 2
-) -> SuiteReport:
+def suite_closed_form() -> SuiteReport:
     """Closed-form signed counts against the recursive definition.
 
-    Exhaustive over all positions up to the total (padded with up to two
-    zeros) for every admissible excess and order.  The recursion's base
-    case is plain subposition enumeration, so agreement here certifies
-    the binomial-weighted closed form end to end.
+    Exhaustive over all positions of total at most 14 (padded with up to
+    two zeros) for every admissible excess and orders 1..6.  The
+    recursion's base case is plain subposition enumeration, so agreement
+    here certifies the binomial-weighted closed form end to end.
     """
     report = SuiteReport("closed-form")
-    for M in _positions_up_to(max_total, extra_zeros):
+    positions = _positions_up_to(14, extra_zeros=2)
+    for M in positions:
         for e in _valid_excesses(M):
-            for order in range(1, max_order + 1):
+            for order in range(1, 7):
                 report.cases += 1
                 closed = signed_count(M, e, order)
                 rec = signed_count_recursive(M, e, order)
                 if closed != rec:
                     report.add_failure(
                         f"{M} e={e} order={order}: closed {closed} != recursive {rec}")
-    report.details["positions"] = len(_positions_up_to(max_total, extra_zeros))
+    report.details["positions"] = len(positions)
     return report
 
 
@@ -284,13 +272,14 @@ def suite_closed_form(
 # Laurent-polynomial suites
 
 
-def suite_leibniz(seed: int = DEFAULT_SEED, trials: int = 500, max_r: int = 5) -> SuiteReport:
+def suite_leibniz(seed: int = DEFAULT_SEED, trials: int = 500) -> SuiteReport:
     """Product rule for hyperderivatives on random Laurent polynomials.
 
-    D_r(fg) must equal the sum of D_i(f) D_{r-i}(g); unlike repeated
-    ordinary differentiation this form is binomial-free, which is what
-    makes certificate evaluation at -1 well-behaved.
+    D_r(fg) must equal the sum of D_i(f) D_{r-i}(g) for r up to 5; unlike
+    repeated ordinary differentiation this form is binomial-free, which is
+    what makes certificate evaluation at -1 well-behaved.
     """
+    max_r = 5
     report = SuiteReport("leibniz")
     rng = random.Random(seed)
     for _ in range(trials):
@@ -311,48 +300,51 @@ def suite_leibniz(seed: int = DEFAULT_SEED, trials: int = 500, max_r: int = 5) -
     return report
 
 
-def suite_certificate(max_total: int = 16, extra_zeros: int = 2) -> SuiteReport:
+def _final_positions() -> Iterator[tuple[Position, int]]:
+    """Every final (M, e), e >= 1, over totals up to 16 padded with up to two zeros."""
+    for M in _positions_up_to(16, extra_zeros=2):
+        for e in _valid_excesses(M, minimum=1):
+            if is_final(M, e):
+                yield M, e
+
+
+def suite_certificate() -> SuiteReport:
     """Certificate evaluations against signed counts on final positions.
 
     For each final position the (e-1)-th hyperderivative of the witness
     polynomial, evaluated at -1, must equal (-1)^s times the order-e
     signed count, and the potential must equal e plus its valuation.
+    ``potential(M, e)`` computes the order-e count a second time on
+    purpose: that is this suite's independent check of
+    ``statistics.potential`` against the certificate.
     """
     report = SuiteReport("certificate")
-    finals = 0
-    for M in _positions_up_to(max_total, extra_zeros):
-        for e in _valid_excesses(M, minimum=1):
-            if not is_final(M, e):
-                continue
-            finals += 1
-            s = minority_capacity(M, e)
-            sign = -1 if s % 2 else 1
-            value = certificate_value(M, e)
-            expected = sign * signed_count(M, e, order=e)
-            report.cases += 1
-            if value != expected:
-                report.add_failure(f"{M} e={e}: certificate {value} != {expected}")
-            report.cases += 1
-            pot = potential(M, e)
-            want = e + two_adic_valuation(value)
-            if pot != want:
-                report.add_failure(
-                    f"{M} e={e}: potential {pot} != e + valuation {want}")
-    report.details["final_positions"] = finals
+    for M, e in _final_positions():
+        s = minority_capacity(M, e)
+        sign = -1 if s % 2 else 1
+        value = certificate_value(M, e)
+        expected = sign * signed_count(M, e, order=e)
+        report.cases += 1
+        if value != expected:
+            report.add_failure(f"{M} e={e}: certificate {value} != {expected}")
+        report.cases += 1
+        pot = potential(M, e)
+        want = e + two_adic_valuation(value)
+        if pot != want:
+            report.add_failure(
+                f"{M} e={e}: potential {pot} != e + valuation {want}")
+    report.details["final_positions"] = report.cases // 2
     return report
 
 
-def suite_final_bound(max_total: int = 16, extra_zeros: int = 2) -> SuiteReport:
+def suite_final_bound() -> SuiteReport:
     """Potential at least the element count on every final position."""
     report = SuiteReport("final-bound")
-    for M in _positions_up_to(max_total, extra_zeros):
-        for e in _valid_excesses(M, minimum=1):
-            if not is_final(M, e):
-                continue
-            report.cases += 1
-            if not final_position_bound_holds(M, e):
-                report.add_failure(
-                    f"{M} e={e}: potential {potential(M, e)} below size {len(M)}")
+    for M, e in _final_positions():
+        report.cases += 1
+        if not final_position_bound_holds(M, e):
+            report.add_failure(
+                f"{M} e={e}: potential {potential(M, e)} below size {len(M)}")
     return report
 
 
@@ -381,17 +373,18 @@ def verify_potential_dominates(params: GameParams) -> SuiteReport:
     return report
 
 
-def suite_potential_dominates(max_n: int = 10) -> SuiteReport:
-    """Potential >= game value on all reachable positions, all games up to n."""
+def suite_potential_dominates() -> SuiteReport:
+    """Potential >= game value on all reachable positions, all games up to n = 10."""
     report = SuiteReport("potential-dominates")
-    for n in range(1, max_n + 1):
+    for n in range(1, 11):
         for k in _valid_thresholds(n):
             report.merge(verify_potential_dominates(GameParams(n, k)))
     return report
 
 
-def suite_formula(max_n: int = 12) -> SuiteReport:
-    """Exact minimax comparison counts against 2(n-k) - binary_weight(n-k)."""
+def suite_formula() -> SuiteReport:
+    """Exact minimax comparison counts against 2(n-k) - binary_weight(n-k), n up to 12."""
+    max_n = 12
     report = SuiteReport("formula")
     for n in range(1, max_n + 1):
         for k in _valid_thresholds(n):
@@ -485,15 +478,16 @@ def verify_first_move_tie(m: int) -> SuiteReport:
     return report
 
 
-def suite_assigner_tie(ms: tuple[int, ...] = (3, 7)) -> SuiteReport:
+def suite_assigner_tie() -> SuiteReport:
     """Positions where the potential ranks replies the game value ties.
 
     For m = 3 (mod 4) both replies to the opening move have equal game
     value even though the cancelling reply has strictly lower potential:
     the potential guides a sound Assigner but does not predict values.
+    Checked at m = 3 and m = 7.
     """
     report = SuiteReport("assigner-tie")
-    for m in ms:
+    for m in (3, 7):
         report.merge(verify_first_move_tie(m))
     return report
 
@@ -535,20 +529,19 @@ def _graph_for_state(n: int, state: frozenset) -> QuestionGraph:
     return g
 
 
-def suite_reformulation(
-    seed: int = DEFAULT_SEED, trials: int = 10_000, max_n: int = 10, oracle_n: int = 7
-) -> SuiteReport:
+def suite_reformulation(seed: int = DEFAULT_SEED, trials: int = 10_000) -> SuiteReport:
     """Agreement between the ball game and its weight-level abstraction.
 
-    Random transcripts check that each cross-component answer transforms
-    the weight position exactly as the induced move and reply would, that
-    within-component answers are correctly forced, and that transcripts
-    round-trip bit-exactly through both serializations.  Exhaustively up
-    to oracle_n balls, the identification rule is compared against a
-    colouring oracle that enumerates every admissible two-colouring: a
-    ball is announced if and only if no admissible colouring puts it in
-    the minority.
+    Random transcripts on up to 10 balls check that each cross-component
+    answer transforms the weight position exactly as the induced move and
+    reply would, that within-component answers are correctly forced, and
+    that transcripts round-trip bit-exactly through both serializations.
+    Exhaustively up to 7 balls, the identification rule is compared
+    against a colouring oracle that enumerates every admissible
+    two-colouring: a ball is announced if and only if no admissible
+    colouring puts it in the minority.
     """
+    max_n, oracle_n = 10, 7
     report = SuiteReport("reformulation")
     rng = random.Random(seed)
     for _ in range(trials):
@@ -643,15 +636,17 @@ def suite_reformulation(
     return report
 
 
-def suite_adversarial(max_n: int = 9, oracle_n: int = 7) -> SuiteReport:
+def suite_adversarial() -> SuiteReport:
     """Played-out games and exhaustive strategy search hit the exact counts.
 
     An optimal Selector against either adversary — exact minimax or the
     potential heuristic — must finish in exactly the formula's number of
-    comparisons, announcing a ball no admissible colouring can make
-    minority.  Up to oracle_n balls the ball-level strategy search,
-    which never consults the weight-level solver, must agree too.
+    comparisons on every game up to n = 9, announcing a ball no
+    admissible colouring can make minority.  Up to 7 balls the
+    ball-level strategy search, which never consults the weight-level
+    solver, must agree too.
     """
+    max_n, oracle_n = 9, 7
     report = SuiteReport("adversarial")
     for n in range(1, max_n + 1):
         for k in _valid_thresholds(n):
@@ -710,29 +705,36 @@ SUITES = {
 RANDOMIZED_SUITES = frozenset(
     {"conservation", "conservation-iterated", "leibniz", "reformulation"})
 
+#: The check each family suite runs for one m.
+_FAMILY_CHECKS = {"two-one-family": suite_two_one_family, "assigner-tie": verify_first_move_tie}
 
-def run_suite(name: str, seed: int | None = None, trials: int | None = None) -> SuiteReport:
-    """Run one suite by name; seed and trials apply to randomized suites only.
 
-    A trial count below 1 raises ValueError rather than run a vacuous check.
+def run_suite(
+    name: str, seed: int | None = None, trials: int | None = None, m: int | None = None
+) -> SuiteReport:
+    """Run one suite by name.
+
+    Seed and trials apply to randomized suites only.  m applies to the
+    family suites only: two-one-family checks m' = 1..m, and assigner-tie
+    checks the single m.  A trial count below 1 raises ValueError rather
+    than run a vacuous check.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}")
-    kwargs = {}
-    if name in RANDOMIZED_SUITES:
-        if seed is not None:
-            kwargs["seed"] = seed
-        if trials is not None:
-            if trials < 1:
-                raise ValueError(f"trials must be at least 1, got {trials}")
-            kwargs["trials"] = trials
-    elif seed is not None or trials is not None:
-        raise ValueError(f"suite {name!r} is deterministic; seed and trials do not apply")
+    if m is not None and name not in _FAMILY_CHECKS:
+        raise ValueError("m applies to the two-one-family and assigner-tie suites")
+    if name not in RANDOMIZED_SUITES:
+        if seed is not None or trials is not None:
+            raise ValueError(f"suite {name!r} is deterministic; seed and trials do not apply")
+        return SUITES[name]() if m is None else _FAMILY_CHECKS[name](m)
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    kwargs = {key: v for key, v in (("seed", seed), ("trials", trials)) if v is not None}
     return SUITES[name](**kwargs)
 
 
 def iter_suites(seed: int | None = None) -> Iterator[SuiteReport]:
-    """Run every suite in registry order with default sizes, yielding each report.
+    """Run every suite in registry order at its fixed scale, yielding each report.
 
     The seed reaches the randomized suites only.
     """
@@ -741,5 +743,5 @@ def iter_suites(seed: int | None = None) -> Iterator[SuiteReport]:
 
 
 def run_all_suites(seed: int | None = None) -> list[SuiteReport]:
-    """Every suite's report, in registry order, with default sizes."""
+    """Every suite's report, in registry order, at its fixed scale."""
     return list(iter_suites(seed))

@@ -264,6 +264,11 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--trials", "5")
         assert code == 2
 
+    def test_m_without_suite_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--m", "3")
+        assert (code, out) == (2, "")
+        assert "need --suite" in err
+
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--suite", "nonsense"])

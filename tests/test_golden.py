@@ -4,8 +4,9 @@ Each file under ``tests/golden/`` holds the stdout of one command,
 captured before the code it exercises was last rewritten (the
 ball-level state, the Laurent arithmetic, the smallest-ball roots and
 the JSON transcript writer, then the single move lookup, Assigner reply
-and suite runner, then the once-per-tuple submultiset enumeration); a
-refactor must reproduce it exactly.
+and suite runner, then the once-per-tuple submultiset enumeration, then
+the fixed suite scales and the single suite entry point); a refactor
+must reproduce it exactly.
 To regenerate a file after an intended output change, run the command
 from the repository root, for example::
 
@@ -57,6 +58,13 @@ CASES = {
     "trace_n9_k5_position.txt": ("trace", "--n", "9", "--k", "5", "--position", "[2,1^5,0]"),
     "table_max_n12.txt": ("table", "--max-n", "12"),
     "verify_assigner_tie_m11.txt": ("verify", "--suite", "assigner-tie", "--m", "11"),
+    "verify_start_position.json": ("verify", "--suite", "start-position", "--format", "json"),
+    "verify_final_bound.json": ("verify", "--suite", "final-bound", "--format", "json"),
+    "verify_potential_dominates.json": (
+        "verify", "--suite", "potential-dominates", "--format", "json"),
+    "verify_formula.json": ("verify", "--suite", "formula", "--format", "json"),
+    "verify_two_one_family.json": ("verify", "--suite", "two-one-family", "--format", "json"),
+    "verify_assigner_tie.json": ("verify", "--suite", "assigner-tie", "--format", "json"),
     "play_weights_n9_k5_selector.out": ("play", "--n", "9", "--k", "5", "--level", "weights"),
     "play_weights_n9_k5_potential.out": (
         "play", "--n", "9", "--k", "5", "--level", "weights", "--adversary", "potential"),

@@ -271,9 +271,10 @@ class TestAssignerReply:
 class TestMemoLimit:
     START_9 = start_position(GameParams(9, 5))
 
-    def test_explicit_limit_aborts(self):
+    def test_explicit_limit_aborts(self, monkeypatch):
+        monkeypatch.setenv(MEMO_LIMIT_ENV, "3")
         with pytest.raises(MemoLimitExceeded):
-            GameSolver(1, memo_limit=3).value(self.START_9)
+            GameSolver(1).value(self.START_9)
 
     def test_limit_from_environment(self, monkeypatch):
         monkeypatch.setenv(MEMO_LIMIT_ENV, "2")

@@ -79,6 +79,19 @@ class TestDispatch:
         with pytest.raises(ValueError):
             run_suite("two-one-family", trials=5)
 
+    def test_run_suite_m_runs_the_family_check(self):
+        assert run_suite("assigner-tie", m=3) == verify_first_move_tie(3)
+        assert run_suite("two-one-family", m=4) == suite_two_one_family(4)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"name": "leibniz", "m": 3},
+        {"name": "assigner-tie", "m": 3, "seed": 1},
+        {"name": "two-one-family", "m": 4, "trials": 5},
+    ])
+    def test_run_suite_rejects_misplaced_m(self, kwargs):
+        with pytest.raises(ValueError):
+            run_suite(**kwargs)
+
     def test_run_suite_rejects_trials_below_one(self):
         for trials in (0, -1):
             with pytest.raises(ValueError, match=f"got {trials}"):
