@@ -99,14 +99,6 @@ class QuestionGraph:
     def n(self) -> int:
         return self._n
 
-    def copy(self) -> "QuestionGraph":
-        dup = QuestionGraph(self._n)
-        dup._root = self._root[:]
-        dup._side = self._side[:]
-        dup._sides = dict(self._sides)  # side tuples are never mutated
-        dup.history = self.history[:]
-        return dup
-
     def _check_ball(self, ball: int) -> None:
         if type(ball) is not int:  # bool is an int subclass, so compare types
             raise ValueError(f"ball must be an integer, got {ball!r}")

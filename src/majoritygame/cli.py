@@ -280,10 +280,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _read_line(prompt: str, in_stream: IO[str], out_stream: IO[str]) -> str | None:
+    """One stripped input line, or None after reporting the abort at end of input."""
     print(prompt, end="", file=out_stream, flush=True)
     line = in_stream.readline()
     if line == "":
-        print(file=out_stream)
+        print("\naborted", file=out_stream)
         return None
     return line.strip()
 
@@ -322,7 +323,6 @@ def _play_balls(
         if role == "selector":
             line = _read_line("compare i j> ", in_stream, out_stream)
             if line is None:
-                print("aborted", file=out_stream)
                 return 1, g, comparisons
             fields = line.split()
             if len(fields) != 2:
@@ -348,7 +348,6 @@ def _play_balls(
             line = _read_line(f"are balls {i} and {j} the same colour? [same/different] ",
                               in_stream, out_stream)
             if line is None:
-                print("aborted", file=out_stream)
                 return 1, g, comparisons
             word = line.lower()
             if word in ("same", "s"):
@@ -381,7 +380,6 @@ def _play_weights(
         if role == "selector":
             line = _read_line("select w w'> ", in_stream, out_stream)
             if line is None:
-                print("aborted", file=out_stream)
                 return 1, comparisons
             fields = line.split()
             if len(fields) != 2:
@@ -398,7 +396,6 @@ def _play_weights(
             pair = solver.optimal_selector_moves(M)[0]
             line = _read_line(f"selected pair {pair}; reply [+/-] ", in_stream, out_stream)
             if line is None:
-                print("aborted", file=out_stream)
                 return 1, comparisons
             if line == "+":
                 choice = AssignerChoice.PLUS
@@ -427,11 +424,17 @@ def cmd_play(args: argparse.Namespace) -> int:
             raise ValueError("--out records ball-level transcripts; use --level balls")
         code, _ = _play_weights(params, args.role, adversary, sys.stdin, sys.stdout)
         return code
-    code, g, _ = _play_balls(params, args.role, adversary, sys.stdin, sys.stdout)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(export_transcript(g, params))
-        print(f"transcript written to {args.out}")
+    if args.out is None:
+        code, _, _ = _play_balls(params, args.role, adversary, sys.stdin, sys.stdout)
+        return code
+    try:  # before the first prompt, so an unwritable path costs no game
+        handle = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write the transcript to {args.out}: {exc.strerror}") from None
+    with handle:
+        code, g, _ = _play_balls(params, args.role, adversary, sys.stdin, sys.stdout)
+        handle.write(export_transcript(g, params))
+    print(f"transcript written to {args.out}")
     return code
 
 

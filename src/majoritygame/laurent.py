@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from .core import Position, is_final, minority_capacity
-from .statistics import binomial, potential
+from .statistics import binomial
 
 
 class LaurentPoly:
@@ -162,10 +162,3 @@ def certificate_value(M: Position, e: int) -> int:
     share one 2-adic valuation.
     """
     return certificate_polynomial(M, e).hyperderivative(e - 1).eval_at_minus_one()
-
-
-def final_position_bound_holds(M: Position, e: int) -> bool:
-    """Check potential(M, e) >= len(M) for a final position; INFINITE passes."""
-    if not is_final(M, e):
-        raise ValueError(f"{M} is not final for excess {e}")
-    return potential(M, e) >= len(M)

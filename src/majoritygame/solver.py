@@ -27,8 +27,12 @@ from .core import (
 )
 from .statistics import binary_weight, potential
 
-#: Environment variable holding an optional cap on solve-table entries.
+#: Environment variable overriding the cap on solve-table entries.
 MEMO_LIMIT_ENV = "MAJORITY_ORACLE_MEMO_LIMIT"
+
+#: Cap on one solver's table entries when MEMO_LIMIT_ENV is unset; a fresh
+#: bare-majority solve at n = 61 needs 226,794.
+DEFAULT_MEMO_LIMIT = 262_144
 
 #: Largest n for which exhaustive reachability enumeration runs.
 EXHAUSTIVE_GUARD_N = 12
@@ -43,10 +47,10 @@ class MemoLimitExceeded(RuntimeError):
     """
 
 
-def _env_memo_limit() -> int | None:
+def _env_memo_limit() -> int:
     raw = os.environ.get(MEMO_LIMIT_ENV)
     if raw is None or raw == "":
-        return None
+        return DEFAULT_MEMO_LIMIT
     try:
         limit = int(raw)
     except ValueError:
@@ -100,9 +104,10 @@ class GameSolver:
     under optimal play.  The solver keeps one table mapping each position
     it has searched to the (lower, upper) bounds proven for its value;
     the bounds hold whatever root proved them, so any position of the
-    same excess may be valued on the same solver.  A fresh solver reads
-    an optional cap on table entries from MAJORITY_ORACLE_MEMO_LIMIT;
-    reaching the cap raises MemoLimitExceeded and nothing is evicted.
+    same excess may be valued on the same solver.  A fresh solver caps
+    its table at DEFAULT_MEMO_LIMIT entries, or at MAJORITY_ORACLE_MEMO_LIMIT
+    when that is set; reaching the cap raises MemoLimitExceeded and
+    nothing is evicted.
     ``stats`` counts the work the kernel has done.
 
     The table holds no zero weight, by the game rule value(M + {0}) =
@@ -189,8 +194,7 @@ class GameSolver:
             if g <= lo or hi < g:
                 stats.probes += 1
                 return z + (lo if g <= lo else hi)
-        probes = 1
-        hits = 0
+        cut = 0  # moves failed by a stored upper bound: each is a probe and a hit
         fail = 0
         result = 0
         top = c - 1
@@ -215,37 +219,24 @@ class GameSolver:
                 # a stored upper bound below g fails the move unsearched
                 if em is not None and em[1] < g:
                     v = em[1]
+                    cut += 1
                 elif ep is not None and ep[1] < g:
                     v = ep[1]
+                    cut += 1
                 else:
-                    if em is not None and em[0] >= g:
-                        probes += 1
-                        hits += 1
-                        v = em[0]
-                    else:
-                        v = self._test(minus, g)
+                    v = self._test(minus, g)
                     if v >= g:
-                        if ep is not None and ep[0] >= g:
-                            probes += 1
-                            hits += 1
-                            vp = ep[0]
-                        else:
-                            vp = self._test(plus, g)
+                        vp = self._test(plus, g)
                         if vp >= g:
                             result = v if v < vp else vp
                             break
                         v = vp
-                    if v > fail:
-                        fail = v
-                    continue
-                probes += 1
-                hits += 1
                 if v > fail:
                     fail = v
             if result:
                 break
-        stats.probes += probes
-        stats.hits += hits
+        stats.probes += 1 + cut
+        stats.hits += cut
         if result:
             self._store(key, result, hi)
             return z + result
@@ -256,9 +247,10 @@ class GameSolver:
         """Record bounds for key; a new key past the cap aborts the solve."""
         if key not in self._bounds:
             limit = self._memo_limit
-            if limit is not None and len(self._bounds) >= limit:
+            if len(self._bounds) >= limit:
                 raise MemoLimitExceeded(
-                    f"solve table would exceed {limit} entries; raise or unset {MEMO_LIMIT_ENV}")
+                    f"solve table would exceed {limit} entries; "
+                    f"set {MEMO_LIMIT_ENV} to a larger cap")
             self.stats.entries += 1
         self._bounds[key] = (lo, hi)
 

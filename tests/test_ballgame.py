@@ -108,14 +108,6 @@ class TestQuestionGraph:
         merged = comps[1]
         assert merged.larger == (2, 6) and merged.smaller == ()
 
-    def test_copy_is_independent(self):
-        g = QuestionGraph(4)
-        g.add_comparison(1, 2, BallAnswer.SAME)
-        dup = g.copy()
-        dup.add_comparison(3, 4, BallAnswer.SAME)
-        assert g.weights() == Position((2, 1, 1))
-        assert dup.weights() == Position((2, 2))
-
     def test_component_properties(self):
         comp = Component((2, 6), (4,))
         assert comp.weight == 1
@@ -208,21 +200,6 @@ class TestQuestionGraphProperties:
         g = QuestionGraph(n)
         _assert_matches_history(g)
         _play(g, first + second + third)
-
-    @settings(max_examples=60, deadline=None)
-    @given(_games())
-    def test_copy_and_original_stay_independent(self, game):
-        n, shared, ours, theirs = game
-        g = QuestionGraph(n)
-        _play(g, shared)
-        dup = g.copy()
-        assert dup.history == g.history
-        history = list(g.history)
-        _play(g, ours)
-        _assert_matches_history(dup)
-        _play(dup, theirs)
-        _assert_matches_history(g)
-        assert g.history[:len(history)] == dup.history[:len(history)] == history
 
 
 class TestIdentification:

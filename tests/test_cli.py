@@ -3,10 +3,11 @@
 import io
 import json
 import re
+import sys
 
 import pytest
 
-from majoritygame import verify
+from majoritygame import solver, verify
 from majoritygame.cli import STATS_TERM_LIMIT, main
 from majoritygame.core import PARSE_ELEMENT_LIMIT
 from majoritygame.statistics import WEIGHT_LIMIT
@@ -116,6 +117,18 @@ class TestValue:
         assert code == 0
         assert out == ("position: [1^1500]\ne: 1498\nfinal: no\nvalue: 1499\n"
                        "comparisons: 1\npotential: 1499\nformula: 1\n")
+
+    def test_table_past_the_default_cap_exits_2(self, capsys, monkeypatch):
+        # (13, 7) needs 59 entries; the cap is lowered instead of running a large n
+        monkeypatch.delenv(solver.MEMO_LIMIT_ENV, raising=False)
+        monkeypatch.setattr(solver, "DEFAULT_MEMO_LIMIT", 50)
+        code, out, err = run_cli(capsys, "value", "--n", "13", "--k", "7")
+        assert (code, out) == (2, "")
+        assert err == (f"error: solve table would exceed 50 entries; "
+                       f"set {solver.MEMO_LIMIT_ENV} to a larger cap\n")
+        monkeypatch.setenv(solver.MEMO_LIMIT_ENV, "59")
+        code, out, _ = run_cli(capsys, "value", "--n", "13", "--k", "7")
+        assert code == 0 and "comparisons: 10\n" in out
 
     def test_zeros_do_not_deepen_the_solve(self, capsys):
         # the kernel strips zeros before it recurses, so only [1^3] is searched
@@ -320,11 +333,24 @@ class TestPlay:
         assert "majority ball: 3 after 1 comparisons" in out
         assert out_file.read_text() == "5 4\n1 2 different\n"
 
-    def test_selector_eof_aborts(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("level", ["balls", "weights"])
+    @pytest.mark.parametrize("role", ["selector", "assigner"])
+    def test_eof_aborts(self, capsys, monkeypatch, level, role):
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
-        code, out, _ = run_cli(capsys, "play", "--n", "5", "--k", "3")
+        code, out, _ = run_cli(capsys, "play", "--n", "5", "--k", "3",
+                               "--level", level, "--role", role)
         assert code == 1
-        assert "aborted" in out
+        assert out.endswith(" \naborted\n")  # the prompt, a newline, then the abort
+
+    def test_unwritable_transcript_exits_2_before_the_first_prompt(
+            self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 2\n"))
+        path = tmp_path / "missing" / "t.txt"
+        code, out, err = run_cli(capsys, "play", "--n", "5", "--k", "4", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write the transcript to {path}: ")
+        assert "Traceback" not in err
+        assert sys.stdin.read() == "1 2\n"  # no move was read
 
     def test_selector_recovers_from_bad_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("7 9\nnope\n1 2\n"))

@@ -5,8 +5,10 @@ captured before the code it exercises was last rewritten (the
 ball-level state, the Laurent arithmetic, the smallest-ball roots and
 the JSON transcript writer, then the single move lookup, Assigner reply
 and suite runner, then the once-per-tuple submultiset enumeration, then
-the fixed suite scales and the single suite entry point); a refactor
-must reproduce it exactly.
+the fixed suite scales and the single suite entry point, then the
+deletion of the paths that repeated another: the kernel's second
+stored-bound read, the wrapped final-bound check and the in-game abort
+lines); a refactor must reproduce it exactly.
 To regenerate a file after an intended output change, run the command
 from the repository root, for example::
 

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from majoritygame import solver as solver_module
 from majoritygame.core import (
     AssignerChoice,
     GameParams,
@@ -180,6 +181,18 @@ class TestStats:
         assert solver.stats.entries == first
         assert solver.stats.probes - solver.stats.hits == scans
 
+    @pytest.mark.parametrize("n, k, expected", [
+        (25, 13, SolverStats(entries=1351, probes=7824, hits=5711)),
+        (29, 15, SolverStats(entries=1463, probes=8761, hits=6352)),
+        (28, 15, SolverStats(entries=1606, probes=9703, hits=6815)),
+    ])
+    def test_exact_counters_of_a_deep_solve(self, n, k, expected):
+        # pins the kernel's work: a rewrite of _test must leave these unchanged
+        params = GameParams(n, k)
+        solver = GameSolver(params.e)
+        solver.value(start_position(params))
+        assert solver.stats == expected
+
     def test_final_position_is_one_entry(self):
         solver = GameSolver(1)
         solver.value(Position((2, 1)))
@@ -281,6 +294,14 @@ class TestMemoLimit:
         with pytest.raises(MemoLimitExceeded):
             GameSolver(1).value(self.START_9)
         monkeypatch.setenv(MEMO_LIMIT_ENV, "100000")
+        assert 9 - GameSolver(1).value(self.START_9) == 7
+
+    def test_default_cap_applies_when_environment_unset(self, monkeypatch):
+        monkeypatch.delenv(MEMO_LIMIT_ENV, raising=False)
+        monkeypatch.setattr(solver_module, "DEFAULT_MEMO_LIMIT", 3)
+        with pytest.raises(MemoLimitExceeded, match=f"exceed 3 entries; set {MEMO_LIMIT_ENV}"):
+            GameSolver(1).value(self.START_9)
+        monkeypatch.setenv(MEMO_LIMIT_ENV, "100000")  # the variable overrides the default
         assert 9 - GameSolver(1).value(self.START_9) == 7
 
     def test_bad_environment_value_rejected(self, monkeypatch):
