@@ -61,7 +61,7 @@ class Position:
     def __post_init__(self) -> None:
         elems = tuple(sorted(self.elements, reverse=True))
         for w in elems:
-            if not isinstance(w, int) or w < 0:
+            if type(w) is not int or w < 0:  # bool is an int subclass
                 raise ValueError(f"weights must be non-negative integers, got {w!r}")
         object.__setattr__(self, "elements", elems)
 

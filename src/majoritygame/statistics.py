@@ -14,7 +14,10 @@ which orders above every finite valuation and absorbs finite addends.
 Weight counts are computed for totals up to ``WEIGHT_LIMIT``.  The
 brute-force oracle enumerates each element tuple's submultisets once and
 keeps only their tally by weight, so every excess is then read off that
-tally.  Every cache here is a bounded ``lru_cache``.
+tally.  The recursive oracle keeps one column of counts per element tuple
+and order, over every excess of the total's parity; each column is the
+suffix sum over e, e+2, ... of the column one order below.  Every cache
+here is a bounded ``lru_cache``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
 
 from .core import Position
 
@@ -104,14 +108,21 @@ def _weight_counts(elements: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _check_excess(M: Position, e: int) -> None:
+def _check_excess(M: Position, e: int) -> int:
+    """Validate e against M and return M's total weight."""
+    if type(e) is not int:  # bool is an int subclass
+        raise ValueError(f"excess must be an integer, got {e!r}")
     if e < 0:
         raise ValueError(f"excess must be non-negative, got {e}")
-    if (M.total - e) % 2 != 0:
-        raise ValueError(f"excess {e} has the wrong parity for total weight {M.total}")
+    total = M.total
+    if (total - e) % 2 != 0:
+        raise ValueError(f"excess {e} has the wrong parity for total weight {total}")
+    return total
 
 
 def _check_order(order: int) -> None:
+    if type(order) is not int:
+        raise ValueError(f"order must be an integer, got {order!r}")
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
 
@@ -131,17 +142,7 @@ def signed_count_bruteforce(M: Position, e: int) -> int:
     if len(M.elements) > _ENUMERATION_LIMIT:
         raise ValueError(
             f"enumeration is limited to {_ENUMERATION_LIMIT} elements, got {len(M.elements)}")
-    return _signed_count_enumerated(M.elements, e)
-
-
-def _signed_count_enumerated(elements: tuple[int, ...], e: int) -> int:
-    # Include a submultiset of weight wt iff (total - wt) - wt >= e.
-    bound = sum(elements) - e
-    acc = 0
-    for wt, count in enumerate(_enumerated_weight_counts(elements)):
-        if 2 * wt <= bound:
-            acc += (1 - 2 * (wt & 1)) * count
-    return acc
+    return _column_entry(M.elements, e, 1)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -163,9 +164,9 @@ def signed_count(M: Position, e: int, order: int = 1) -> int:
     a_r counts submultisets of weight r and 2s + e is the total weight.
     When e exceeds the total weight the sum is empty and the count is 0.
     """
-    _check_excess(M, e)
+    total = _check_excess(M, e)
     _check_order(order)
-    s = (M.total - e) // 2
+    s = (total - e) // 2
     if s < 0:
         return 0
     counts = _weight_counts(M.elements)
@@ -177,13 +178,19 @@ def signed_count(M: Position, e: int, order: int = 1) -> int:
 
 
 def signed_count_recursive(M: Position, e: int, order: int) -> int:
-    """The same statistic by literally evaluating the defining recursion.
+    """The same statistic by literally evaluating the defining sums.
 
-    Orders above 1 expand into sums of lower-order counts at higher
-    excesses, truncated once the excess passes the total weight; order 1
-    falls back to the brute-force enumeration.  This route shares no
-    arithmetic with the closed form, so their agreement cross-checks
-    both.
+    The counts are built one column per element tuple and order, holding
+    the count at every excess of the total weight's parity, entry e // 2
+    for excess e.  The order-1 column comes from the brute-force
+    enumeration; each higher column is the suffix sum of the column one
+    order below, so its entry for e adds the lower-order counts at
+    e, e+2, ... up to the total weight.  An excess past the total weight
+    reads 0.  This route shares no arithmetic with the closed form, so
+    their agreement cross-checks both.
+
+    Only the 64 most recent columns are kept: each suite walks one
+    position's excesses and orders before moving to the next.
     """
     _check_excess(M, e)
     _check_order(order)
@@ -191,17 +198,27 @@ def signed_count_recursive(M: Position, e: int, order: int) -> int:
         raise ValueError(
             f"recursion bottoms out in enumeration, which is limited to "
             f"{_ENUMERATION_LIMIT} elements; got {len(M.elements)}")
-    return _signed_count_recursive(M.elements, e, order)
+    return _column_entry(M.elements, e, order)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _signed_count_recursive(elements: tuple[int, ...], e: int, order: int) -> int:
-    if order == 1:
-        return _signed_count_enumerated(elements, e)
-    acc = 0
-    for ee in range(e, sum(elements) + 1, 2):
-        acc += _signed_count_recursive(elements, ee, order - 1)
-    return acc
+def _column_entry(elements: tuple[int, ...], e: int, order: int) -> int:
+    column = _order_column(elements, order)
+    i = e // 2
+    return column[i] if i < len(column) else 0
+
+
+@lru_cache(maxsize=64)
+def _order_column(elements: tuple[int, ...], order: int) -> tuple[int, ...]:
+    """Entry i: the order-``order`` signed count at excess 2i + (total mod 2)."""
+    if order > 1:
+        below = _order_column(elements, order - 1)
+        return tuple(accumulate(reversed(below)))[::-1]
+    # A submultiset of weight wt counts at excess e iff wt <= (total - e) / 2,
+    # so entry i adds the signed tally up to weight total // 2 - i.
+    tally = _enumerated_weight_counts(elements)
+    half = tally[:(len(tally) + 1) // 2]
+    signed = [-c if wt & 1 else c for wt, c in enumerate(half)]
+    return tuple(accumulate(signed))[::-1]
 
 
 def potential(M: Position, e: int) -> Valuation:
@@ -211,6 +228,6 @@ def potential(M: Position, e: int) -> Valuation:
     Selector can force from M; INFINITE when the underlying count
     vanishes.
     """
-    if e < 1:
-        raise ValueError(f"potential needs excess >= 1, got {e}")
+    if type(e) is not int or e < 1:
+        raise ValueError(f"potential needs an integer excess >= 1, got {e!r}")
     return e + two_adic_valuation(signed_count(M, e, e))

@@ -55,6 +55,13 @@ class TestPosition:
         with pytest.raises(ValueError):
             Position((1.5, 2))
 
+    def test_rejects_bool_weights(self):
+        # bool is an int subclass: (True, 1) would print as "[True^2]",
+        # a literal that Position.parse rejects.
+        for weights in ((True, 1), (2, False), (True,)):
+            with pytest.raises(ValueError, match="weights must be non-negative integers"):
+                Position(weights)
+
     def test_parse_forms(self):
         assert Position.parse("[2,1^5]") == Position((2, 1, 1, 1, 1, 1))
         assert Position.parse("[2,1,1,1,1,1]") == Position((2, 1, 1, 1, 1, 1))

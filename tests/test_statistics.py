@@ -111,6 +111,7 @@ class TestSignedCounts:
     def test_vacuous_excess_gives_zero(self):
         assert signed_count(Position((1, 1)), 4) == 0
         assert signed_count(Position((2, 1)), 5, order=3) == 0
+        assert signed_count_recursive(Position((2, 1)), 5, 3) == 0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -121,6 +122,20 @@ class TestSignedCounts:
             signed_count(Position((1, 1)), 0, order=0)
         with pytest.raises(ValueError):
             signed_count_recursive(Position((1, 1)), 0, order=0)
+        M = Position((2, 1))
+        with pytest.raises(ValueError, match="order must be an integer"):
+            signed_count_recursive(M, 1, 2.5)
+        with pytest.raises(ValueError, match="order must be an integer"):
+            signed_count(M, 1, True)
+        with pytest.raises(ValueError, match="excess must be an integer"):
+            signed_count(M, 1.0)
+        with pytest.raises(ValueError, match="excess must be an integer"):
+            signed_count_bruteforce(M, True)
+        with pytest.raises(ValueError, match="excess must be an integer"):
+            signed_count_recursive(M, "1", 1)
+        for e in (True, 1.0, "1"):
+            with pytest.raises(ValueError, match="potential needs an integer excess"):
+                potential(M, e)
 
     def test_bruteforce_guard(self):
         with pytest.raises(ValueError):
@@ -153,6 +168,37 @@ class TestSignedCounts:
         M = Position((6, 4, 4, 2, 1, 1, 0))
         assert signed_count_bruteforce(M, 0) == _per_subset_signed_count(
             _subset_weights(M.elements), M.total, 0)
+
+    def test_recursive_never_reads_the_closed_form_weight_counts(self, monkeypatch):
+        def closed_form_weight_counts(elements):
+            raise AssertionError("the oracle must enumerate, not use the weight-count DP")
+
+        statistics_module._enumerated_weight_counts.cache_clear()
+        statistics_module._order_column.cache_clear()
+        monkeypatch.setattr(statistics_module, "_weight_counts", closed_form_weight_counts)
+        M = Position((6, 4, 4, 2, 1, 1, 0))
+        weights = _subset_weights(M.elements)
+        for order in range(1, 5):
+            for e in range(0, M.total + 3, 2):
+                assert signed_count_recursive(M, e, order) == _per_subset_iterated(
+                    weights, M.total, e, order), (e, order)
+
+    def test_recursive_builds_one_column_per_order(self):
+        elements = (6, 5, 3, 3, 1, 0, 0)
+        columns = statistics_module._order_column
+        columns.cache_clear()
+        total = sum(elements)
+        for order in range(1, 5):
+            for e in range(total % 2, total + 3, 2):
+                signed_count_recursive(Position(elements), e, order)
+            assert columns.cache_info().misses == order
+
+    def test_recursive_matches_closed_form_at_large_totals(self):
+        for M in (Position((2400,)), Position((1200, 1200))):
+            for e in (0, 2, M.total, M.total + 2):
+                for order in range(1, 4):
+                    assert signed_count_recursive(M, e, order) == signed_count(
+                        M, e, order), (M, e, order)
 
     def test_closed_form_matches_enumeration_exhaustively(self):
         for M in _positions_up_to(9):
@@ -245,6 +291,14 @@ def _subset_weights(elements):
     for w in elements:
         weights.extend([wt + w for wt in weights])
     return weights
+
+
+def _per_subset_iterated(weights, total, e, order):
+    """The order-``order`` signed count by summing the order below over e, e+2, ..."""
+    if order == 1:
+        return _per_subset_signed_count(weights, total, e)
+    return sum(_per_subset_iterated(weights, total, ee, order - 1)
+               for ee in range(e, total + 1, 2))
 
 
 def _per_subset_signed_count(weights, total, e):
