@@ -36,6 +36,9 @@ COLOURING_GUARD = 20
 #: Largest n for which the exhaustive ball-level strategy search runs.
 BALL_SEARCH_GUARD_N = 8
 
+#: A labelled ball state for the exhaustive phases (see ``start_state``).
+BallState = tuple[tuple[int, int], ...]
+
 
 class BallAnswer(Enum):
     SAME = "same"
@@ -398,49 +401,53 @@ def run_adversarial_game(params: GameParams, mode: str = "optimal") -> Adversari
         comparisons += 1
 
 
-def start_state(n: int) -> frozenset:
+def start_state(n: int) -> BallState:
     """The ball state before any comparison: n singleton components.
 
-    A ball state is a frozenset of components, each an unordered pair
-    of disjoint ball sets (one possibly empty) given as a frozenset.
+    A ball state is a sorted tuple of components.  A component is a pair
+    of disjoint side bitmasks, bit b set for ball b, with the numerically
+    larger mask first; an empty side is the mask 0.
     """
-    return frozenset(frozenset((frozenset((ball,)), frozenset())) for ball in range(1, n + 1))
+    return tuple((1 << ball, 0) for ball in range(1, n + 1))
 
 
-def merged_states(state: frozenset) -> Iterator[tuple[frozenset, frozenset]]:
+def merged_states(state: BallState) -> Iterator[tuple[BallState, BallState]]:
     """For each pair of components, the two states their merge can give.
 
-    The pair's sides are joined aligned in the first child and crossed
-    in the second: the two possible answers to comparing them.
+    Components (a0, a1) and (b0, b1) join as (a0|b0, a1|b1) in the
+    aligned first child and as (a0|b1, a1|b0) in the crossed second: the
+    two possible answers to comparing them.  Each joined pair is put
+    larger mask first and sorted back into the other components.
     """
-    comps = tuple(state)
-    for x in range(len(comps)):
-        a0, a1 = tuple(comps[x])
-        for y in range(x + 1, len(comps)):
-            b0, b1 = tuple(comps[y])
-            rest = state - {comps[x], comps[y]}
-            yield (rest | {frozenset((a0 | b0, a1 | b1))},
-                   rest | {frozenset((a0 | b1, a1 | b0))})
+    for x, (a0, a1) in enumerate(state):
+        for y in range(x + 1, len(state)):
+            b0, b1 = state[y]
+            rest = state[:x] + state[x + 1:y] + state[y + 1:]
+            hi, lo = a0 | b0, a1 | b1
+            aligned = (hi, lo) if hi > lo else (lo, hi)
+            hi, lo = a0 | b1, a1 | b0
+            crossed = (hi, lo) if hi > lo else (lo, hi)
+            yield tuple(sorted(rest + (aligned,))), tuple(sorted(rest + (crossed,)))
 
 
 def min_comparisons_ball_level(params: GameParams) -> int:
     """Worst-case-optimal comparison count by exhaustive strategy search.
 
     Searches directly over question strategies on labelled ball states
-    (partitions of the balls into two-sided components), never consulting
-    the weight-level solver: the questioner minimizes over component
-    pairs, the answers maximize.  Guarded at n = 8.
+    (see ``start_state``), never consulting the weight-level solver: the
+    questioner minimizes over component pairs, the answers maximize.
+    Guarded at n = 8.
     """
     if params.n > BALL_SEARCH_GUARD_N:
         raise ValueError(f"exhaustive ball-level search is guarded at n={BALL_SEARCH_GUARD_N}")
     e = params.e
-    memo: dict[frozenset, int] = {}
+    memo: dict[BallState, int] = {}
 
-    def search(state: frozenset) -> int:
+    def search(state: BallState) -> int:
         cached = memo.get(state)
         if cached is not None:
             return cached
-        pos = Position(tuple(abs(len(a) - len(b)) for a, b in (tuple(c) for c in state)))
+        pos = Position(tuple(abs(a.bit_count() - b.bit_count()) for a, b in state))
         if is_final(pos, e):
             memo[state] = 0
             return 0

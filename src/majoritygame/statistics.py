@@ -136,7 +136,7 @@ def signed_count_bruteforce(M: Position, e: int) -> int:
     The walk runs once per element tuple and is kept as a tally of
     submultisets by weight, from which every excess is read; it never
     uses the weight-count recursion of the closed form.  Guarded at 24
-    elements to keep the walk bounded.
+    elements and at total weight ``WEIGHT_LIMIT`` to keep the walk bounded.
     """
     _check_excess(M, e)
     if len(M.elements) > _ENUMERATION_LIMIT:
@@ -147,12 +147,19 @@ def signed_count_bruteforce(M: Position, e: int) -> int:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _enumerated_weight_counts(elements: tuple[int, ...]) -> tuple[int, ...]:
-    """Entry r: how many of the 2^len(elements) listed submultisets weigh r."""
+    """Entry r: how many of the 2^len(elements) listed submultisets weigh r.
+
+    Both enumeration oracles start here, so the ``total + 1`` tally is
+    refused above ``WEIGHT_LIMIT`` before any submultiset is listed.
+    """
+    total = sum(elements)
+    if total > WEIGHT_LIMIT:
+        raise ValueError(f"enumeration is limited to total weight {WEIGHT_LIMIT}, got {total}")
     weights = [0]
     for w in elements:
         weights.extend([wt + w for wt in weights])
     tally = Counter(weights)
-    return tuple(tally[r] for r in range(sum(elements) + 1))
+    return tuple(tally[r] for r in range(total + 1))
 
 
 def signed_count(M: Position, e: int, order: int = 1) -> int:
@@ -190,7 +197,10 @@ def signed_count_recursive(M: Position, e: int, order: int) -> int:
     their agreement cross-checks both.
 
     Only the 64 most recent columns are kept: each suite walks one
-    position's excesses and orders before moving to the next.
+    position's excesses and orders before moving to the next.  Missing
+    orders are built lowest first, at most 64 per nested descent, so a
+    cold call at a high order stays far from the recursion limit.  The
+    total weight is capped at ``WEIGHT_LIMIT``.
     """
     _check_excess(M, e)
     _check_order(order)
@@ -202,9 +212,20 @@ def signed_count_recursive(M: Position, e: int, order: int) -> int:
 
 
 def _column_entry(elements: tuple[int, ...], e: int, order: int) -> int:
+    if order > _ORDER_STEP:
+        # A missing column recurses to the one below it; warming every
+        # _ORDER_STEP-th order first bounds that recursion's depth.
+        for lower in range(1 + (order - 1) % _ORDER_STEP, order, _ORDER_STEP):
+            _order_column(elements, lower)
     column = _order_column(elements, order)
     i = e // 2
     return column[i] if i < len(column) else 0
+
+
+#: Orders built by one recursive descent through the column cache: deep
+#: enough that a walk over a few orders calls nothing extra, shallow
+#: enough to stay far from the recursion limit.
+_ORDER_STEP = 64
 
 
 @lru_cache(maxsize=64)

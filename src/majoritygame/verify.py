@@ -18,6 +18,7 @@ from typing import Iterator
 
 from .ballgame import (
     BallAnswer,
+    BallState,
     QuestionGraph,
     consistent_colouring_exists,
     export_transcript,
@@ -483,11 +484,13 @@ def suite_assigner_tie() -> SuiteReport:
 # ball-level suites
 
 
-def _all_ball_states(n: int) -> set[frozenset]:
+def _all_ball_states(n: int) -> set[BallState]:
     """Every ball state (see ``start_state``) reachable on n balls.
 
-    All merges are expanded regardless of finality, which makes the
-    enumeration independent of any threshold k.
+    A state is a sorted tuple of side bitmask pairs, bit b for ball b,
+    the numerically larger mask first.  All merges are expanded regardless
+    of finality, which makes the enumeration independent of any
+    threshold k.
     """
     start = start_state(n)
     seen = {start}
@@ -501,17 +504,30 @@ def _all_ball_states(n: int) -> set[frozenset]:
     return seen
 
 
-def _graph_for_state(n: int, state: frozenset) -> QuestionGraph:
-    """Reconstruct a question graph realizing the given component structure."""
+def _mask_balls(mask: int) -> list[int]:
+    """The balls of a side bitmask in ascending order: ball b is bit b."""
+    return [ball for ball in range(mask.bit_length()) if mask >> ball & 1]
+
+
+def _side_mask(balls: tuple[int, ...]) -> int:
+    """The bitmask of a side's balls: bit b for ball b."""
+    return sum(1 << ball for ball in balls)
+
+
+def _graph_for_state(n: int, state: BallState) -> QuestionGraph:
+    """Reconstruct a question graph realizing the given component structure.
+
+    Each component's side bitmasks are decoded to balls (bit b is ball
+    b).  The smallest ball of the numerically larger mask is compared
+    SAME with the rest of its side and DIFFERENT with every ball of the
+    other side.
+    """
     g = QuestionGraph(n)
-    for comp in state:
-        side_a, side_b = (sorted(side) for side in comp)
-        if not side_a:
-            side_a, side_b = side_b, side_a
-        anchor = side_a[0]
-        for ball in side_a[1:]:
+    for high, low in state:
+        anchor, *same = _mask_balls(high)
+        for ball in same:
             g.add_comparison(anchor, ball, BallAnswer.SAME)
-        for ball in side_b:
+        for ball in _mask_balls(low):
             g.add_comparison(anchor, ball, BallAnswer.DIFFERENT)
     return g
 
@@ -589,10 +605,10 @@ def suite_reformulation(seed: int = DEFAULT_SEED, trials: int = 10_000) -> Suite
             g = _graph_for_state(n, state)
             comps = g.components()
             report.cases += 1
-            rebuilt = {
-                frozenset((frozenset(comp.larger), frozenset(comp.smaller)))
-                for comp in comps
-            }
+            rebuilt = tuple(sorted(
+                (max(masks), min(masks))
+                for masks in ((_side_mask(comp.larger), _side_mask(comp.smaller))
+                              for comp in comps)))
             if rebuilt != state:
                 report.add_failure(f"n={n}: graph reconstruction lost structure")
                 continue

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,10 +23,12 @@ from majoritygame.ballgame import (
     import_transcript_json,
     induced_move_and_choice,
     locate_ball,
+    merged_states,
     min_comparisons_ball_level,
     optimal_selector_comparison,
     run_adversarial_game,
     side_status_table,
+    start_state,
 )
 from majoritygame.core import AssignerChoice, GameParams, Position, apply_move
 from majoritygame.solver import GameSolver, formula_comparisons
@@ -414,9 +417,104 @@ class TestAdversary:
             optimal_selector_comparison(g, params, GameSolver(params.e))
 
 
-class TestExhaustiveSearch:
-    def test_matches_formula_up_to_six(self):
+def _reference_start_state(n):
+    """The ball state as first written: a frozenset of components, each an
+    unordered pair of disjoint ball sets (one possibly empty) given as a frozenset.
+    """
+    return frozenset(frozenset((frozenset((ball,)), frozenset())) for ball in range(1, n + 1))
+
+
+def _reference_merged_states(state):
+    """The merges as first written: sides aligned in the first child, crossed in the second."""
+    comps = tuple(state)
+    for x in range(len(comps)):
+        a0, a1 = tuple(comps[x])
+        for y in range(x + 1, len(comps)):
+            b0, b1 = tuple(comps[y])
+            rest = state - {comps[x], comps[y]}
+            yield (rest | {frozenset((a0 | b0, a1 | b1))},
+                   rest | {frozenset((a0 | b1, a1 | b0))})
+
+
+def _encoded_sides(comp):
+    """A reference component's sides as bitmasks, in the reference's own reading order."""
+    return tuple(sum(1 << ball for ball in side) for side in comp)
+
+
+def _encoded_component(comp):
+    return tuple(sorted(_encoded_sides(comp), reverse=True))
+
+
+def _encoded(state):
+    """A reference state in the bitmask encoding of ``start_state``."""
+    return tuple(sorted(map(_encoded_component, state)))
+
+
+def _reference_states(n):
+    start = _reference_start_state(n)
+    seen, frontier = {start}, [start]
+    while frontier:
+        for pair in _reference_merged_states(frontier.pop()):
+            for child in pair:
+                if child not in seen:
+                    seen.add(child)
+                    frontier.append(child)
+    return seen
+
+
+def _traced_peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestBallStates:
+    def test_state_counts(self):
+        assert [len(_all_ball_states(n)) for n in range(1, 8)] == [
+            1, 3, 11, 49, 257, 1539, 10299]
+
+    def test_matches_the_frozenset_states(self):
         for n in range(1, 7):
+            assert start_state(n) == _encoded(_reference_start_state(n))
+            assert {_encoded(state) for state in _reference_states(n)} == _all_ball_states(n)
+
+    def test_children_match_the_frozenset_merges_in_order(self):
+        for n in range(1, 6):
+            for state in _reference_states(n):
+                comps = tuple(state)  # the order the reference merges in
+                expected = {}
+                pairs = [(x, y) for x in range(len(comps)) for y in range(x + 1, len(comps))]
+                for (x, y), (aligned, crossed) in zip(pairs, _reference_merged_states(state)):
+                    sides_x, sides_y = _encoded_sides(comps[x]), _encoded_sides(comps[y])
+                    children = (_encoded(aligned), _encoded(crossed))
+                    # The encoding aligns the larger masks; the reference its first-read sides.
+                    if (sides_x[0] > sides_x[1]) != (sides_y[0] > sides_y[1]):
+                        children = children[::-1]
+                    key = tuple(sorted((_encoded_component(comps[x]),
+                                        _encoded_component(comps[y]))))
+                    expected[key] = children
+                encoded = _encoded(state)
+                assert list(merged_states(encoded)) == [
+                    expected[encoded[x], encoded[y]]
+                    for x in range(len(encoded)) for y in range(x + 1, len(encoded))]
+
+    def test_merge_aligns_the_larger_masks(self):
+        # Balls 1 and 2 against ball 3, and ball 4 alone; bit b is ball b.
+        state = ((0b01000, 0b00110), (0b10000, 0))
+        assert list(merged_states(state)) == [
+            (((0b11000, 0b00110),), ((0b10110, 0b01000),))]
+
+    def test_traced_footprint(self):
+        assert _traced_peak_mib(_all_ball_states, 7) < 3
+        assert _traced_peak_mib(min_comparisons_ball_level, GameParams(8, 5)) < 8
+
+
+class TestExhaustiveSearch:
+    def test_matches_formula_up_to_the_guard(self):
+        for n in range(1, BALL_SEARCH_GUARD_N + 1):
             for k in range(n // 2 + 1, n + 1):
                 params = GameParams(n, k)
                 assert min_comparisons_ball_level(params) == formula_comparisons(

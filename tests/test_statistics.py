@@ -141,6 +141,16 @@ class TestSignedCounts:
         with pytest.raises(ValueError):
             signed_count_bruteforce(Position((1,) * 25), 1)
 
+    def test_enumeration_total_weight_limit(self):
+        at_limit = Position((WEIGHT_LIMIT,))
+        assert signed_count_bruteforce(at_limit, 0) == signed_count(at_limit, 0)
+        assert signed_count_recursive(at_limit, 0, 2) == signed_count(at_limit, 0, 2)
+        past_limit = Position((WEIGHT_LIMIT + 1,))
+        with pytest.raises(ValueError, match="limited to total weight"):
+            signed_count_bruteforce(past_limit, 1)
+        with pytest.raises(ValueError, match="limited to total weight"):
+            signed_count_recursive(past_limit, 1, 1)
+
     @given(st.lists(st.integers(0, 6), max_size=12))
     def test_bruteforce_matches_per_subset_reference(self, ws):
         M = Position(tuple(ws))
@@ -192,6 +202,11 @@ class TestSignedCounts:
             for e in range(total % 2, total + 3, 2):
                 signed_count_recursive(Position(elements), e, order)
             assert columns.cache_info().misses == order
+
+    def test_recursive_reaches_high_orders_from_a_cold_cache(self):
+        statistics_module._order_column.cache_clear()
+        M = Position((1, 1))
+        assert signed_count_recursive(M, 0, 3000) == signed_count(M, 0, 3000) == 2998
 
     def test_recursive_matches_closed_form_at_large_totals(self):
         for M in (Position((2400,)), Position((1200, 1200))):

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from majoritygame import verify
+from majoritygame.ballgame import QuestionGraph
 from majoritygame.cli import main
 from majoritygame.core import GameParams, Position
 from majoritygame.report import WITNESS_CAP, SuiteReport
@@ -18,6 +19,7 @@ from majoritygame.verify import (
     run_suite,
     suite_conservation,
     suite_leibniz,
+    suite_reformulation,
     suite_two_one_family,
     two_one_family_potential,
     verify_first_move_tie,
@@ -102,6 +104,17 @@ class TestDispatch:
         second = suite_conservation(seed=7, trials=5)
         assert first.cases == second.cases
         assert first.passed and second.passed
+
+
+class TestBallSuites:
+    def test_reformulation_reports_lost_structure(self, monkeypatch):
+        # A graph with no comparisons rebuilds only each n's start state.
+        monkeypatch.setattr(verify, "_graph_for_state", lambda n, state: QuestionGraph(n))
+        report = suite_reformulation(trials=1)
+        states = report.details["states"]
+        assert states == {1: 1, 2: 3, 3: 11, 4: 49, 5: 257, 6: 1539, 7: 10299}
+        assert report.failure_count == sum(states.values()) - len(states)
+        assert report.failures[0] == "n=2: graph reconstruction lost structure"
 
 
 class TestPotentialAgainstValues:
