@@ -31,7 +31,7 @@ from .core import (
     move_for_pair,
     start_position,
 )
-from .solver import GameSolver, MemoLimitExceeded, formula_comparisons
+from .solver import GameSolver, MemoLimitExceeded, formula_comparisons, solved_starts
 from .statistics import (
     INFINITE,
     potential,
@@ -67,26 +67,18 @@ def _csv_writer():
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.max_n < 1:
-        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     rows = []
     failures = []
-    solvers: dict[int, GameSolver] = {}  # one bounds table per excess, shared across games
-    for n in range(1, args.max_n + 1):
-        for k in range(n // 2 + 1, n + 1):
-            params = GameParams(n, k)
-            solver = solvers.get(params.e)
-            if solver is None:
-                solver = solvers[params.e] = GameSolver(params.e)
-            comparisons = n - solver.value(start_position(params))
-            expected = formula_comparisons(params)
-            match = comparisons == expected
-            rows.append({
-                "n": n, "k": k, "d": n - k,
-                "comparisons": comparisons, "formula": expected, "match": match,
-            })
-            if not match:
-                failures.append(f"n={n} k={k}: solved {comparisons} != formula {expected}")
+    for params, comparisons in solved_starts(args.max_n):
+        n, k = params.n, params.k
+        expected = formula_comparisons(params)
+        match = comparisons == expected
+        rows.append({
+            "n": n, "k": k, "d": n - k,
+            "comparisons": comparisons, "formula": expected, "match": match,
+        })
+        if not match:
+            failures.append(f"n={n} k={k}: solved {comparisons} != formula {expected}")
     if args.format == "json":
         _emit_json("table", {"max_n": args.max_n}, rows, failures)
     elif args.format == "csv":

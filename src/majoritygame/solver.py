@@ -12,7 +12,6 @@ so one table serves every game of that excess.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 
@@ -27,37 +26,25 @@ from .core import (
 )
 from .statistics import binary_weight, potential
 
-#: Environment variable overriding the cap on solve-table entries.
-MEMO_LIMIT_ENV = "MAJORITY_ORACLE_MEMO_LIMIT"
+#: Cap on one solver's table entries; a fresh bare-majority solve at n = 61
+#: needs 226,794.
+MEMO_LIMIT = 262_144
 
-#: Cap on one solver's table entries when MEMO_LIMIT_ENV is unset; a fresh
-#: bare-majority solve at n = 61 needs 226,794.
-DEFAULT_MEMO_LIMIT = 262_144
+#: Largest max_n that solved_starts sweeps, for a budget of 40 s: on 2 cores
+#: under Python 3.11, ``table --max-n 48`` takes 30-38 s and 49 takes 45 s.
+TABLE_MAX_N = 48
 
 #: Largest n for which exhaustive reachability enumeration runs.
 EXHAUSTIVE_GUARD_N = 12
 
 
 class MemoLimitExceeded(RuntimeError):
-    """The solve table would outgrow the configured cap.
+    """The solve table would outgrow MEMO_LIMIT.
 
     Exceeding the cap aborts the computation outright: evicting entries
     instead would silently turn exact verification runs into exponential
     ones.
     """
-
-
-def _env_memo_limit() -> int:
-    raw = os.environ.get(MEMO_LIMIT_ENV)
-    if raw is None or raw == "":
-        return DEFAULT_MEMO_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise ValueError(f"{MEMO_LIMIT_ENV} must be an integer, got {raw!r}") from None
-    if limit < 1:
-        raise ValueError(f"{MEMO_LIMIT_ENV} must be positive, got {raw!r}")
-    return limit
 
 
 @dataclass
@@ -104,9 +91,8 @@ class GameSolver:
     under optimal play.  The solver keeps one table mapping each position
     it has searched to the (lower, upper) bounds proven for its value;
     the bounds hold whatever root proved them, so any position of the
-    same excess may be valued on the same solver.  A fresh solver caps
-    its table at DEFAULT_MEMO_LIMIT entries, or at MAJORITY_ORACLE_MEMO_LIMIT
-    when that is set; reaching the cap raises MemoLimitExceeded and
+    same excess may be valued on the same solver.  The table holds at most
+    MEMO_LIMIT entries; reaching the cap raises MemoLimitExceeded and
     nothing is evicted.
     ``stats`` counts the work the kernel has done.
 
@@ -122,7 +108,6 @@ class GameSolver:
         self.e = e
         self._bounds: dict[tuple[int, ...], tuple[int, int]] = {}
         self.stats = SolverStats()
-        self._memo_limit = _env_memo_limit()
 
     def value(self, M: Position) -> int:
         """Element count of the final position reached under optimal play.
@@ -246,11 +231,8 @@ class GameSolver:
     def _store(self, key: tuple[int, ...], lo: int, hi: int) -> None:
         """Record bounds for key; a new key past the cap aborts the solve."""
         if key not in self._bounds:
-            limit = self._memo_limit
-            if len(self._bounds) >= limit:
-                raise MemoLimitExceeded(
-                    f"solve table would exceed {limit} entries; "
-                    f"set {MEMO_LIMIT_ENV} to a larger cap")
+            if len(self._bounds) >= MEMO_LIMIT:
+                raise MemoLimitExceeded(f"solve table would exceed {MEMO_LIMIT} entries")
             self.stats.entries += 1
         self._bounds[key] = (lo, hi)
 
@@ -313,6 +295,27 @@ def solve_game(params: GameParams) -> tuple[int, SolveResult]:
     """Solve from the start; returns (comparisons needed, full result)."""
     result = GameSolver(params.e).solve(start_position(params))
     return params.n - result.value, result
+
+
+def solved_starts(max_n: int) -> list[tuple[GameParams, int]]:
+    """Comparisons needed from the start of every game with n <= max_n, in (n, k) order.
+
+    The sweep runs one excess at a time: every game of excess e is valued
+    on one GameSolver(e), which is dropped before the next excess, so at
+    most one table is alive and MEMO_LIMIT bounds the whole sweep.
+    max_n must lie in 1..TABLE_MAX_N.
+    """
+    if not 1 <= max_n <= TABLE_MAX_N:
+        raise ValueError(f"max_n must be from 1 to {TABLE_MAX_N}, got {max_n}")
+    solved = []
+    for e in range(1, max_n + 1):
+        solver = GameSolver(e)
+        for n in range(e, max_n + 1, 2):
+            params = GameParams(n, (n + e) // 2)
+            solved.append((params, n - solver.value(start_position(params))))
+        del solver  # free this table before the next excess builds its own
+    solved.sort(key=lambda item: (item[0].n, item[0].k))
+    return solved
 
 
 def formula_comparisons(params: GameParams) -> int:

@@ -47,12 +47,13 @@ class TestTable:
         assert lines[0] == "n,k,d,comparisons,formula,match"
         assert "3,2,1,1,1,yes" in lines
 
-    @pytest.mark.parametrize("max_n", ["0", "-3"])
-    def test_max_n_below_one_exits_2(self, capsys, max_n):
-        # an empty sweep would print the header alone and check nothing
+    @pytest.mark.parametrize("max_n", ["0", "-3", str(solver.TABLE_MAX_N + 1)])
+    def test_max_n_outside_the_sweep_limits_exits_2(self, capsys, max_n):
+        # an empty sweep would print the header alone and check nothing; past
+        # the limit the sweep would outrun its time budget
         code, out, err = run_cli(capsys, "table", "--max-n", max_n)
         assert (code, out) == (2, "")
-        assert f"got {max_n}" in err
+        assert f"from 1 to {solver.TABLE_MAX_N}, got {max_n}" in err
 
 
 class TestValue:
@@ -118,15 +119,13 @@ class TestValue:
         assert out == ("position: [1^1500]\ne: 1498\nfinal: no\nvalue: 1499\n"
                        "comparisons: 1\npotential: 1499\nformula: 1\n")
 
-    def test_table_past_the_default_cap_exits_2(self, capsys, monkeypatch):
+    def test_solve_past_the_cap_exits_2(self, capsys, monkeypatch):
         # (13, 7) needs 59 entries; the cap is lowered instead of running a large n
-        monkeypatch.delenv(solver.MEMO_LIMIT_ENV, raising=False)
-        monkeypatch.setattr(solver, "DEFAULT_MEMO_LIMIT", 50)
+        monkeypatch.setattr(solver, "MEMO_LIMIT", 50)
         code, out, err = run_cli(capsys, "value", "--n", "13", "--k", "7")
         assert (code, out) == (2, "")
-        assert err == (f"error: solve table would exceed 50 entries; "
-                       f"set {solver.MEMO_LIMIT_ENV} to a larger cap\n")
-        monkeypatch.setenv(solver.MEMO_LIMIT_ENV, "59")
+        assert err == "error: solve table would exceed 50 entries\n"
+        monkeypatch.setattr(solver, "MEMO_LIMIT", 59)
         code, out, _ = run_cli(capsys, "value", "--n", "13", "--k", "7")
         assert code == 0 and "comparisons: 10\n" in out
 
@@ -254,12 +253,14 @@ class TestVerify:
         assert out == ""
         assert "seed and trials do not apply" in err
 
-    @pytest.mark.parametrize("suite, trials", [("conservation", "0"), ("reformulation", "-1")])
-    def test_trials_below_one_exits_2(self, capsys, suite, trials):
-        # no trials would check nothing and still print PASS
+    @pytest.mark.parametrize("suite, trials", [
+        ("conservation", "0"), ("reformulation", "-1"), ("reformulation", "100001")])
+    def test_trials_outside_the_limits_exits_2(self, capsys, suite, trials):
+        # no trials would check nothing and still print PASS; the limit keeps
+        # a run within about 31 s
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--trials", trials)
         assert (code, out) == (2, "")
-        assert f"trials must be at least 1, got {trials}" in err
+        assert f"trials must be from 1 to {verify.TRIALS_LIMIT}, got {trials}" in err
 
     def test_family_parameter_past_the_limit_exits_2(self, capsys, monkeypatch):
         past = verify.FAMILY_M_LIMIT + 1

@@ -8,7 +8,8 @@ and suite runner, then the once-per-tuple submultiset enumeration, then
 the fixed suite scales and the single suite entry point, then the
 deletion of the paths that repeated another: the kernel's second
 stored-bound read, the wrapped final-bound check and the in-game abort
-lines); a refactor must reproduce it exactly.
+lines, then the one-excess-at-a-time game sweep behind ``table`` and the
+formula suite); a refactor must reproduce it exactly.
 To regenerate a file after an intended output change, run the command
 from the repository root, for example::
 
@@ -42,6 +43,7 @@ CASES = {
     "verify_conservation_iterated_seed7.json": (
         "verify", "--suite", "conservation-iterated", "--seed", "7", "--format", "json"),
     "table_max_n12.csv": ("table", "--max-n", "12", "--format", "csv"),
+    "table_max_n20.json": ("table", "--max-n", "20", "--format", "json"),
     "play_balls_n7_k4_selector.out": (
         "play", "--n", "7", "--k", "4", "--level", "balls", "--role", "selector"),
     "play_balls_n7_k4_potential.out": (

@@ -1,9 +1,11 @@
 """Minimax solving, strategy extraction, and the potential's guarantees."""
 
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from majoritygame import solver as solver_module
+from majoritygame import cli as cli_module, solver as solver_module
 from majoritygame.core import (
     AssignerChoice,
     GameParams,
@@ -15,7 +17,6 @@ from majoritygame.core import (
 )
 from majoritygame.solver import (
     EXHAUSTIVE_GUARD_N,
-    MEMO_LIMIT_ENV,
     GameSolver,
     MemoLimitExceeded,
     SolverStats,
@@ -26,6 +27,7 @@ from majoritygame.solver import (
     value_nomemo,
 )
 from majoritygame.statistics import binary_weight, potential
+from majoritygame.verify import suite_formula
 
 
 class TestValues:
@@ -282,35 +284,42 @@ class TestAssignerReply:
 
 
 class TestMemoLimit:
-    START_9 = start_position(GameParams(9, 5))
+    def test_cap_aborts_and_evicts_nothing(self, monkeypatch):
+        start = start_position(GameParams(9, 5))
+        monkeypatch.setattr(solver_module, "MEMO_LIMIT", 3)
+        capped = GameSolver(1)
+        with pytest.raises(MemoLimitExceeded, match="exceed 3 entries"):
+            capped.value(start)
+        assert capped.stats.entries == 3
+        monkeypatch.undo()
+        assert 9 - GameSolver(1).value(start) == 7
 
-    def test_explicit_limit_aborts(self, monkeypatch):
-        monkeypatch.setenv(MEMO_LIMIT_ENV, "3")
-        with pytest.raises(MemoLimitExceeded):
-            GameSolver(1).value(self.START_9)
 
-    def test_limit_from_environment(self, monkeypatch):
-        monkeypatch.setenv(MEMO_LIMIT_ENV, "2")
-        with pytest.raises(MemoLimitExceeded):
-            GameSolver(1).value(self.START_9)
-        monkeypatch.setenv(MEMO_LIMIT_ENV, "100000")
-        assert 9 - GameSolver(1).value(self.START_9) == 7
+class TestSolvedStarts:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Excesses of the solvers built, checking that no other table is alive."""
+        live = weakref.WeakSet()
+        excesses = []
 
-    def test_default_cap_applies_when_environment_unset(self, monkeypatch):
-        monkeypatch.delenv(MEMO_LIMIT_ENV, raising=False)
-        monkeypatch.setattr(solver_module, "DEFAULT_MEMO_LIMIT", 3)
-        with pytest.raises(MemoLimitExceeded, match=f"exceed 3 entries; set {MEMO_LIMIT_ENV}"):
-            GameSolver(1).value(self.START_9)
-        monkeypatch.setenv(MEMO_LIMIT_ENV, "100000")  # the variable overrides the default
-        assert 9 - GameSolver(1).value(self.START_9) == 7
+        class Tracked(GameSolver):
+            def __init__(self, e):
+                assert not [s.e for s in live if s._bounds], "another table is alive"
+                super().__init__(e)
+                live.add(self)
+                excesses.append(e)
 
-    def test_bad_environment_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(MEMO_LIMIT_ENV, "soon")
-        with pytest.raises(ValueError):
-            GameSolver(1)
-        monkeypatch.setenv(MEMO_LIMIT_ENV, "0")
-        with pytest.raises(ValueError):
-            GameSolver(1)
+        for module in (solver_module, cli_module):
+            monkeypatch.setattr(module, "GameSolver", Tracked)
+        return excesses
+
+    def test_table_keeps_one_table_alive(self, built, capsys):
+        assert cli_module.main(["table", "--max-n", "16"]) == 0
+        assert built == list(range(1, 17))
+
+    def test_formula_suite_keeps_one_table_alive(self, built):
+        assert suite_formula().passed
+        assert built == list(range(1, 13))
 
 
 class TestReachability:
