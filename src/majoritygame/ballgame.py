@@ -325,15 +325,15 @@ def adversarial_answer(
     i: int,
     j: int,
     params: GameParams,
+    solver: GameSolver,
     mode: str = "optimal",
-    solver: GameSolver | None = None,
 ) -> BallAnswer:
     """An answer that keeps identification as expensive as possible.
 
     Within a component the answer is forced.  Across components the
-    weight-level Assigner picks a reply — exact minimax for mode
-    'optimal', the potential heuristic for mode 'potential' — and the
-    reply is translated back through the balls' sides.  A comparison
+    caller's solver picks the weight-level Assigner reply — exact minimax
+    for mode 'optimal', the potential heuristic for mode 'potential' —
+    and the reply is translated back through the balls' sides.  A comparison
     touching a weight-0 component yields the same position either way
     and is answered 'same'.
     """
@@ -344,8 +344,6 @@ def adversarial_answer(
     pair, same_choice = induced_move_and_choice(g, i, j, BallAnswer.SAME)
     if pair[1] == 0:
         return BallAnswer.SAME
-    if solver is None:
-        solver = GameSolver(params.e)
     choice = solver.assigner_reply(g.weights(), pair, mode)
     return BallAnswer.SAME if choice is same_choice else BallAnswer.DIFFERENT
 
@@ -361,11 +359,7 @@ def optimal_selector_comparison(
     controls the outcome through its answer either way.
     """
     _check_params(g, params)
-    M = g.weights()
-    pairs = solver.optimal_selector_moves(M)
-    if not pairs:
-        raise ValueError(f"{M} is already final; no comparison is needed")
-    w, wp = pairs[0]
+    w, wp = solver.selector_move(g.weights())
     comps = g.components()
     first = next(idx for idx, comp in enumerate(comps) if comp.weight == w)
     second = next(
@@ -396,7 +390,7 @@ def run_adversarial_game(params: GameParams, mode: str = "optimal") -> Adversari
         if ball is not None:
             return AdversarialGameRecord(comparisons, ball, g)
         i, j = optimal_selector_comparison(g, params, solver)
-        answer = adversarial_answer(g, i, j, params, mode=mode, solver=solver)
+        answer = adversarial_answer(g, i, j, params, solver, mode)
         g.add_comparison(i, j, answer)
         comparisons += 1
 

@@ -101,17 +101,16 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def _position_and_excess(args: argparse.Namespace) -> tuple[Position, int, GameParams | None]:
-    """Resolve --position/--e against --n/--k; the latter imply the start."""
+    """Resolve --position with --e, or --n with --k for the game's start."""
     usage = "give either --position with --e, or --n with --k"
     if args.e is not None:
         if args.position is None or args.n is not None or args.k is not None:
             raise ValueError(usage)
         return Position.parse(args.position), args.e, None
-    if args.n is None or args.k is None:
+    if args.n is None or args.k is None or args.position is not None:
         raise ValueError(usage)
     params = GameParams(args.n, args.k)
-    M = start_position(params) if args.position is None else Position.parse(args.position)
-    return M, params.e, params
+    return start_position(params), params.e, params
 
 
 def cmd_value(args: argparse.Namespace) -> int:
@@ -330,7 +329,7 @@ def _play_balls(
                 answer = forced
                 note = " (already forced)"
             else:  # a solve too deep to finish ends the session with exit 2
-                answer = adversarial_answer(g, i, j, params, mode=adversary, solver=solver)
+                answer = adversarial_answer(g, i, j, params, solver, adversary)
                 note = ""
             g.add_comparison(i, j, answer)
             comparisons += 1
@@ -385,7 +384,7 @@ def _play_weights(
             choice = solver.assigner_reply(M, pair, adversary)
             print(f"assigner replies {choice.value} on ({pair[0]},{pair[1]})", file=out_stream)
         else:
-            pair = solver.optimal_selector_moves(M)[0]
+            pair = solver.selector_move(M)
             line = _read_line(f"selected pair {pair}; reply [+/-] ", in_stream, out_stream)
             if line is None:
                 return 1, comparisons

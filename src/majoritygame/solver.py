@@ -7,7 +7,9 @@ null-window test (Knuth & Moore's alpha-beta with a zero-width window)
 over a table of proven (lower, upper) bounds per canonical position,
 driven to the exact value MTD(f)-style (Plaat, Schaeffer, Pijls & de
 Bruin 1996).  Values are exact integers and depend only on the excess,
-so one table serves every game of that excess.
+so one table serves every game of that excess.  Each strategy question
+has one answer: selector_move gives the smallest optimal value pair and
+assigner_reply the lower-scoring reply, MINUS on a tie.
 """
 
 from __future__ import annotations
@@ -74,9 +76,9 @@ class TraceStep:
 class SolveResult:
     """Value and one optimal line of play for one position.
 
-    The principal variation is deterministic: lexicographically smallest
-    optimal value pair, ties between Assigner replies broken towards
-    MINUS.
+    The principal variation is deterministic: each step plays
+    GameSolver.selector_move, the lexicographically smallest optimal value
+    pair, and GameSolver.assigner_reply, which breaks ties towards MINUS.
     """
 
     value: int
@@ -236,44 +238,40 @@ class GameSolver:
             self.stats.entries += 1
         self._bounds[key] = (lo, hi)
 
-    def optimal_selector_moves(self, M: Position) -> list[tuple[int, int]]:
-        """Sorted value pairs achieving the position's value; empty when final.
+    def selector_move(self, M: Position) -> tuple[int, int]:
+        """The smallest value pair achieving the position's value.
 
         No child is worth more than M, so a move is optimal exactly when
-        both of its children pass the null-window test at M's value.
+        both of its children pass the null-window test at M's value; the
+        scan stops at the first such pair.  A final position raises
+        ValueError.
         """
         if is_final(M, self.e):
-            return []
+            raise ValueError(f"{M} is already final for excess {self.e}")
         best = self.value(M)
-        return sorted(
-            pair for pair in legal_moves(M)
+        return next(
+            pair for pair in sorted(legal_moves(M))
             if all(self._test(tuple(reversed(apply_move(M, pair, c).elements)), best) >= best
                    for c in AssignerChoice))
-
-    def optimal_assigner_choices(
-        self, M: Position, pair: tuple[int, int]
-    ) -> tuple[AssignerChoice, ...]:
-        """The argmin set over the successors of selecting pair."""
-        if is_final(M, self.e):
-            raise ValueError(f"{M} is already final for excess {self.e}")
-        vals = {c: self.value(apply_move(M, pair, c)) for c in AssignerChoice}
-        best = min(vals.values())
-        return tuple(c for c in (AssignerChoice.PLUS, AssignerChoice.MINUS) if vals[c] == best)
 
     def assigner_reply(
         self, M: Position, pair: tuple[int, int], mode: str = "optimal"
     ) -> AssignerChoice:
-        """The Assigner's one reply to selecting pair for an adversary mode.
+        """The Assigner's one reply to selecting pair: the lower-scoring child, MINUS on a tie.
 
-        Mode 'optimal' takes a value-minimizing reply, MINUS when both
-        replies tie; mode 'potential' takes potential_guided_choice.
+        Mode 'optimal' scores a child by its value, mode 'potential' by its
+        potential.  An unknown mode or a final position raises ValueError.
         """
         if mode == "optimal":
-            choices = self.optimal_assigner_choices(M, pair)
-            return AssignerChoice.MINUS if AssignerChoice.MINUS in choices else AssignerChoice.PLUS
-        if mode == "potential":
-            return potential_guided_choice(M, self.e, pair)
-        raise ValueError(f"unknown adversary mode {mode!r}")
+            score = self.value
+        elif mode == "potential":
+            score = lambda child: potential(child, self.e)
+        else:
+            raise ValueError(f"unknown adversary mode {mode!r}")
+        if is_final(M, self.e):
+            raise ValueError(f"{M} is already final for excess {self.e}")
+        plus, minus = (apply_move(M, pair, c) for c in AssignerChoice)
+        return AssignerChoice.PLUS if score(plus) < score(minus) else AssignerChoice.MINUS
 
     def solve(self, M: Position) -> SolveResult:
         """Value and the principal variation for M.
@@ -284,7 +282,7 @@ class GameSolver:
         variation: list[TraceStep] = []
         cur = M
         while not is_final(cur, self.e):
-            pair = self.optimal_selector_moves(cur)[0]
+            pair = self.selector_move(cur)
             choice = self.assigner_reply(cur, pair)
             variation.append(TraceStep(cur, pair, choice))
             cur = apply_move(cur, pair, choice)
@@ -322,25 +320,6 @@ def formula_comparisons(params: GameParams) -> int:
     """The closed-form comparison count 2(n-k) - binary_weight(n-k)."""
     d = params.n - params.k
     return 2 * d - binary_weight(d)
-
-
-def value_nomemo(M: Position, e: int) -> int:
-    """Plain recursion without a table; the reference oracle for GameSolver."""
-    if is_final(M, e):
-        return len(M)
-    return max(
-        min(value_nomemo(apply_move(M, pair, c), e) for c in AssignerChoice)
-        for pair in legal_moves(M)
-    )
-
-
-def potential_guided_choice(M: Position, e: int, pair: tuple[int, int]) -> AssignerChoice:
-    """Assigner reply minimizing the successor potential; ties pick MINUS."""
-    if is_final(M, e):
-        raise ValueError(f"{M} is already final for excess {e}")
-    plus = potential(apply_move(M, pair, AssignerChoice.PLUS), e)
-    minus = potential(apply_move(M, pair, AssignerChoice.MINUS), e)
-    return AssignerChoice.PLUS if plus < minus else AssignerChoice.MINUS
 
 
 def reachable_positions(params: GameParams) -> set[Position]:

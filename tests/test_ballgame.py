@@ -321,7 +321,7 @@ class TestInducedMoves:
                 assert g.weights() == apply_move(before, pair, choice)
 
 
-def _earlier_adversarial_answer(g, i, j, params, mode, solver):
+def _earlier_adversarial_answer(g, i, j, params, solver, mode):
     """adversarial_answer as first written, with its own copy of the side rule."""
     forced = g.forced_answer(i, j)
     if forced is not None:
@@ -360,7 +360,7 @@ class TestAdversary:
                     solver = solvers.setdefault(params.e, GameSolver(params.e))
                     for mode in ("optimal", "potential"):
                         for i, j in pairs:
-                            args = (g, i, j, params, mode, solver)
+                            args = (g, i, j, params, solver, mode)
                             assert _answer_or_error(adversarial_answer, *args) is \
                                 _answer_or_error(_earlier_adversarial_answer, *args), \
                                 (g.weights(), i, j, k, mode)
@@ -387,18 +387,18 @@ class TestAdversary:
         g = QuestionGraph(4)
         g.add_comparison(1, 2, BallAnswer.SAME)
         params = GameParams(4, 3)
-        assert adversarial_answer(g, 1, 2, params) is BallAnswer.SAME
+        assert adversarial_answer(g, 1, 2, params, GameSolver(params.e)) is BallAnswer.SAME
 
     def test_zero_weight_comparison_answers_same(self):
         g = QuestionGraph(5)
         g.add_comparison(1, 2, BallAnswer.DIFFERENT)
         params = GameParams(5, 3)
-        assert adversarial_answer(g, 1, 3, params) is BallAnswer.SAME
+        assert adversarial_answer(g, 1, 3, params, GameSolver(params.e)) is BallAnswer.SAME
 
     def test_unknown_mode_rejected(self):
         g = QuestionGraph(3)
         with pytest.raises(ValueError):
-            adversarial_answer(g, 1, 2, GameParams(3, 2), mode="random")
+            adversarial_answer(g, 1, 2, GameParams(3, 2), GameSolver(1), mode="random")
 
     def test_selector_comparison_is_minimal_and_optimal(self):
         params = GameParams(5, 3)

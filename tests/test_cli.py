@@ -92,6 +92,13 @@ class TestValue:
         code, out, _ = run_cli(capsys, "value", "--e", "3")
         assert (code, out) == (2, "")
 
+    def test_position_with_n_and_k_exits_2(self, capsys):
+        # the start's formula used to be printed next to the position's comparisons
+        code, out, err = run_cli(capsys, "value", "--n", "3", "--k", "2", "--position", "[1^5]")
+        assert code == 2
+        assert out == ""
+        assert "give either --position with --e, or --n with --k" in err
+
     def test_invalid_threshold_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "value", "--n", "6", "--k", "3")
         assert code == 2

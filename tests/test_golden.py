@@ -9,7 +9,9 @@ the fixed suite scales and the single suite entry point, then the
 deletion of the paths that repeated another: the kernel's second
 stored-bound read, the wrapped final-bound check and the in-game abort
 lines, then the one-excess-at-a-time game sweep behind ``table`` and the
-formula suite); a refactor must reproduce it exactly.
+formula suite, then the single Selector move and Assigner reply, with
+``trace_n24_k14.json`` added to pin both choices at excess 4); a refactor
+must reproduce it exactly.
 To regenerate a file after an intended output change, run the command
 from the repository root, for example::
 
@@ -60,6 +62,7 @@ CASES = {
     "trace_n13_k7.txt": ("trace", "--n", "13", "--k", "7"),
     "trace_n13_k7.json": ("trace", "--n", "13", "--k", "7", "--format", "json"),
     "trace_n9_k5_position.txt": ("trace", "--n", "9", "--k", "5", "--position", "[2,1^5,0]"),
+    "trace_n24_k14.json": ("trace", "--n", "24", "--k", "14", "--format", "json"),
     "table_max_n12.txt": ("table", "--max-n", "12"),
     "verify_assigner_tie_m11.txt": ("verify", "--suite", "assigner-tie", "--m", "11"),
     "verify_start_position.json": ("verify", "--suite", "start-position", "--format", "json"),

@@ -1,6 +1,7 @@
 """Minimax solving, strategy extraction, and the potential's guarantees."""
 
 import weakref
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,13 +22,68 @@ from majoritygame.solver import (
     MemoLimitExceeded,
     SolverStats,
     formula_comparisons,
-    potential_guided_choice,
     reachable_positions,
     solve_game,
-    value_nomemo,
 )
 from majoritygame.statistics import binary_weight, potential
 from majoritygame.verify import suite_formula
+
+
+@cache
+def _replies(M):
+    """(pair, plus child, minus child) for every legal move of M."""
+    return tuple((pair, *(apply_move(M, pair, c) for c in AssignerChoice))
+                 for pair in legal_moves(M))
+
+
+def _reference_values(e, roots):
+    """Values of the roots and of every position below them, bottom-up.
+
+    The kernel's reference: no table, no null window.  Positions are
+    valued by element count, fewest first, zeros kept.  A final position
+    is worth its element count; any other is worth its best pair's worse
+    reply, read off children of one element fewer, already valued.
+    """
+    below = {}
+    stack = list(roots)
+    while stack:
+        M = stack.pop()
+        if M not in below:
+            below[M] = () if is_final(M, e) else _replies(M)
+            stack.extend(child for _, *children in below[M] for child in children)
+    values = {}
+    for M in sorted(below, key=len):
+        values[M] = max((min(values[plus], values[minus]) for _, plus, minus in below[M]),
+                        default=len(M))  # no moves: the position is final
+    return values
+
+
+def _reference_value(M, e):
+    return _reference_values(e, [M])[M]
+
+
+def _partitions(total, count, cap):
+    """Weakly decreasing tuples of count weights, each at most cap, summing to total."""
+    if count == 0:
+        if total == 0:
+            yield ()
+        return
+    for w in range(min(total, cap), -(-total // count) - 1, -1):
+        for rest in _partitions(total - w, count - 1, w):
+            yield (w,) + rest
+
+
+def _reachable_by_excess(max_n):
+    """Yield (e, positions, values) for each excess e up to max_n.
+
+    The positions are the non-final ones reachable in some game with
+    n <= max_n at excess e; the values are their reference values.
+    """
+    for e in range(1, max_n + 1):
+        reached = set().union(*(reachable_positions(GameParams(n, (n + e) // 2))
+                                for n in range(e, max_n + 1, 2)))
+        live = sorted((M for M in reached if not is_final(M, e)), key=lambda M: M.elements)
+        yield e, live, _reference_values(e, reached)
 
 
 class TestValues:
@@ -52,13 +108,17 @@ class TestValues:
         assert formula_comparisons(GameParams(7, 4)) == 4
         assert formula_comparisons(GameParams(100, 67)) == 2 * 33 - 2
 
-    def test_matches_unmemoized_recursion(self):
-        for n in range(1, 8):
-            for k in range(n // 2 + 1, n + 1):
-                params = GameParams(n, k)
-                solver = GameSolver(params.e)
-                start = start_position(params)
-                assert solver.value(start) == value_nomemo(start, params.e), (n, k)
+    def test_matches_reference_on_every_small_position(self):
+        # every position of total <= 16 with at most 16 elements, at every
+        # valid excess: 70,870 cases, 16,120 of them not final
+        positions = [Position(ws) for total in range(17) for count in range(1, 17)
+                     for ws in _partitions(total, count, total)]
+        for e in range(1, 17):
+            valid = [M for M in positions if M.total >= e and (M.total - e) % 2 == 0]
+            reference = _reference_values(e, valid)
+            solver = GameSolver(e)
+            for M in valid:
+                assert solver.value(M) == reference[M], (M, e)
 
     def test_value_validates_at_the_boundary(self):
         with pytest.raises(ValueError, match="parity"):
@@ -107,9 +167,9 @@ def _any_weights(e: int):
 class TestValueProperties:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda e: st.tuples(st.just(e), _any_weights(e))))
-    def test_matches_unmemoized_recursion_on_any_position(self, case):
+    def test_matches_reference_on_any_position(self, case):
         e, M = case
-        assert GameSolver(e).value(M) == value_nomemo(M, e)
+        assert GameSolver(e).value(M) == _reference_value(M, e)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5).flatmap(
@@ -119,7 +179,7 @@ class TestValueProperties:
         e, M, z = case
         padded = Position(M.elements + (0,) * z)
         plain, zeros = GameSolver(e), GameSolver(e)
-        true = value_nomemo(M, e)
+        true = _reference_value(M, e)
         assert zeros.value(padded) == true + z
         assert plain.value(M) == true
         assert zeros.stats.entries == plain.stats.entries
@@ -150,11 +210,11 @@ class TestValueProperties:
         for M in positions:
             fresh = GameSolver(e)
             assert shared.value(M) == fresh.value(M), M
-            assert shared.optimal_selector_moves(M) == fresh.optimal_selector_moves(M), M
             if not is_final(M, e):
+                assert shared.selector_move(M) == fresh.selector_move(M), M
                 for pair in legal_moves(M):
-                    assert (shared.optimal_assigner_choices(M, pair)
-                            == fresh.optimal_assigner_choices(M, pair)), (M, pair)
+                    assert (shared.assigner_reply(M, pair)
+                            is fresh.assigner_reply(M, pair)), (M, pair)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda e: st.tuples(st.just(e), _any_weights(e))))
@@ -163,7 +223,7 @@ class TestValueProperties:
         e, M = case
         solver = GameSolver(e)
         key = tuple(reversed(M.elements))
-        true = value_nomemo(M, e)
+        true = _reference_value(M, e)
         for g in range(1, len(M) + 2):
             b = solver._test(key, g)
             assert (b >= g) == (true >= g), (g, b, true)
@@ -210,20 +270,22 @@ class TestStats:
 
 
 class TestStrategies:
-    def test_optimal_moves_on_final_position_is_empty(self):
+    def test_final_position_raises(self):
         solver = GameSolver(1)
-        assert solver.optimal_selector_moves(Position((2, 1))) == []
-        with pytest.raises(ValueError):
-            solver.optimal_assigner_choices(Position((2, 1)), (2, 1))
+        with pytest.raises(ValueError, match="already final"):
+            solver.selector_move(Position((2, 1)))
+        for mode in ("optimal", "potential"):
+            with pytest.raises(ValueError, match="already final"):
+                solver.assigner_reply(Position((2, 1)), (2, 1), mode)
 
-    def test_optimal_moves_achieve_the_value(self):
-        params = GameParams(9, 5)
-        solver = GameSolver(params.e)
-        M = start_position(params)
-        val = solver.value(M)
-        for pair in solver.optimal_selector_moves(M):
-            worst = min(solver.value(apply_move(M, pair, c)) for c in AssignerChoice)
-            assert worst == val
+    def test_selector_move_is_the_smallest_optimal_pair(self):
+        # every reachable non-final position of every game with n <= 9
+        for e, positions, reference in _reachable_by_excess(9):
+            solver = GameSolver(e)
+            for M in positions:
+                optimal = [pair for pair, plus, minus in _replies(M)
+                           if min(reference[plus], reference[minus]) >= reference[M]]
+                assert solver.selector_move(M) == min(optimal), (M, e)
 
     def test_principal_variation_length(self):
         for n, k in [(5, 3), (7, 4), (9, 5), (6, 4), (11, 6)]:
@@ -242,40 +304,31 @@ class TestStrategies:
             cur = apply_move(cur, step.pair, step.choice)
         assert cur == result.final_position
 
-    def test_potential_guided_choice(self):
+    def test_potential_reply_cancels_the_opening_pair(self):
         # cancelling the opening pair is strictly better for the potential at m=3
         M = start_position(GameParams(7, 4))
-        assert potential_guided_choice(M, 1, (1, 1)) is AssignerChoice.MINUS
-        with pytest.raises(ValueError):
-            potential_guided_choice(Position((2, 1)), 1, (2, 1))
+        assert GameSolver(1).assigner_reply(M, (1, 1), "potential") is AssignerChoice.MINUS
 
 
 class TestAssignerReply:
     def test_tie_gives_minus(self):
         solver = GameSolver(1)
         M = Position((1,) * 7)
-        both = (AssignerChoice.PLUS, AssignerChoice.MINUS)
-        assert solver.optimal_assigner_choices(M, (1, 1)) == both
+        assert len({solver.value(apply_move(M, (1, 1), c)) for c in AssignerChoice}) == 1
         assert solver.assigner_reply(M, (1, 1)) is AssignerChoice.MINUS
 
-    def test_optimal_reply_is_value_minimizing(self):
-        solver = GameSolver(1)
-        for M in reachable_positions(GameParams(9, 5)):
-            if is_final(M, 1):
-                continue
-            for pair in legal_moves(M):
-                reply = solver.assigner_reply(M, pair)
-                assert reply in solver.optimal_assigner_choices(M, pair)
-
-    def test_potential_mode_is_potential_guided_choice(self):
-        params = GameParams(9, 5)
-        solver = GameSolver(params.e)
-        for M in reachable_positions(params):
-            if is_final(M, params.e):
-                continue
-            for pair in legal_moves(M):
-                assert (solver.assigner_reply(M, pair, "potential")
-                        is potential_guided_choice(M, params.e, pair))
+    def test_reply_minimizes_value_or_potential(self):
+        # every move from every reachable non-final position of every game with n <= 9
+        for e, positions, reference in _reachable_by_excess(9):
+            solver = GameSolver(e)
+            scores = {"optimal": reference.__getitem__,
+                      "potential": lambda M: potential(M, e)}
+            for M in positions:
+                for pair, plus, minus in _replies(M):
+                    for mode, score in scores.items():
+                        expected = (AssignerChoice.MINUS if score(minus) <= score(plus)
+                                    else AssignerChoice.PLUS)
+                        assert solver.assigner_reply(M, pair, mode) is expected, (M, pair, mode)
 
     def test_unknown_mode_raises(self):
         solver = GameSolver(1)
