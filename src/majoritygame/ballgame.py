@@ -33,11 +33,13 @@ from .solver import GameSolver
 #: Components beyond which the exhaustive colouring oracle refuses to run.
 COLOURING_GUARD = 20
 
-#: Largest n for which the exhaustive ball-level strategy search runs.
-BALL_SEARCH_GUARD_N = 8
+#: Largest n for which the exhaustive ball-level strategy search runs, on a
+#: budget of 3 s for every k at every n up to it (2 cores, Python 3.11):
+#: n <= 24 takes 2.8 s, its slowest call 0.25 s; n <= 25 takes 4.2 s.
+BALL_SEARCH_GUARD_N = 24
 
-#: A labelled ball state for the exhaustive phases (see ``start_state``).
-BallState = tuple[tuple[int, int], ...]
+#: A ball state up to relabelling: sorted (larger, smaller) side sizes.
+SideSizes = tuple[tuple[int, int], ...]
 
 
 class BallAnswer(Enum):
@@ -66,9 +68,7 @@ class Component:
 
     @property
     def min_ball(self) -> int:
-        if self.smaller:
-            return min(self.larger[0], self.smaller[0])
-        return self.larger[0]
+        return min(self.larger[:1] + self.smaller[:1])
 
     @property
     def balls(self) -> tuple[int, ...]:
@@ -88,6 +88,8 @@ class QuestionGraph:
     """
 
     def __init__(self, n: int):
+        if type(n) is not int:  # bool is an int subclass, so compare types
+            raise ValueError(f"n must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"need at least one ball, got n={n}")
         self._n = n
@@ -123,6 +125,10 @@ class QuestionGraph:
         """
         self._check_ball(ball)
         return self._root[ball], self._side[ball]
+
+    def sides(self, root: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """A root's two sides as sorted ball tuples, the root's side first."""
+        return self._sides[root]
 
     def forced_answer(self, i: int, j: int) -> BallAnswer | None:
         """The answer already implied for (i, j), or None across components."""
@@ -210,16 +216,6 @@ def _place_ball(g: QuestionGraph, ball: int) -> tuple[int, int, bool]:
     return root, abs(len(zero) - len(one)), _zero_is_larger(zero, one) == (side == 0)
 
 
-def locate_ball(comps: list[Component], ball: int) -> tuple[int, bool]:
-    """Index of the ball's component and whether it sits on the larger side."""
-    for idx, comp in enumerate(comps):
-        if ball in comp.larger:
-            return idx, True
-        if ball in comp.smaller:
-            return idx, False
-    raise ValueError(f"ball {ball} not found in any component")
-
-
 def _check_params(g: QuestionGraph, params: GameParams) -> None:
     if g.n != params.n:
         raise ValueError(f"graph holds {g.n} balls but the game has n={params.n}")
@@ -293,9 +289,9 @@ def consistent_colouring_exists(
     if colour not in ("minority", "majority"):
         raise ValueError(f"colour must be 'minority' or 'majority', got {colour!r}")
     _check_params(g, params)
-    g._check_ball(ball)
+    root, _, on_larger = _place_ball(g, ball)
     comps = g.components()
-    idx, on_larger = locate_ball(comps, ball)
+    idx = [comp.min_ball for comp in comps].index(root)
     table = side_status_table(comps, params.n, params.k)
     minority_ok, majority_ok = table[idx][0 if on_larger else 1]
     return minority_ok if colour == "minority" else majority_ok
@@ -395,65 +391,65 @@ def run_adversarial_game(params: GameParams, mode: str = "optimal") -> Adversari
         comparisons += 1
 
 
-def start_state(n: int) -> BallState:
-    """The ball state before any comparison: n singleton components.
-
-    A ball state is a sorted tuple of components.  A component is a pair
-    of disjoint side bitmasks, bit b set for ball b, with the numerically
-    larger mask first; an empty side is the mask 0.
+def announced(sizes: SideSizes, k: int) -> bool:
+    """Whether some component's larger side is surely majority: its smaller
+    side plus every other larger side, the most the other colour can hold, is
+    below k.  Some component passes exactly when the larger sides' total minus
+    the largest side difference is below k.  No game reaches a state with no
+    admissible colouring, which passes too.
     """
-    return tuple((1 << ball, 0) for ball in range(1, n + 1))
+    return sum(a for a, _ in sizes) - max(a - b for a, b in sizes) < k
 
 
-def merged_states(state: BallState) -> Iterator[tuple[BallState, BallState]]:
-    """For each pair of components, the two states their merge can give.
-
-    Components (a0, a1) and (b0, b1) join as (a0|b0, a1|b1) in the
-    aligned first child and as (a0|b1, a1|b0) in the crossed second: the
-    two possible answers to comparing them.  Each joined pair is put
-    larger mask first and sorted back into the other components.
+def merged_sizes(sizes: SideSizes) -> Iterator[tuple[SideSizes, SideSizes]]:
+    """For each pair of components (a, b) and (c, d), the aligned merge
+    (a + c, b + d) and the crossed merge (a + d, b + c), larger side first:
+    the two answers to comparing them.  Equal pairs of sizes merge once.
     """
-    for x, (a0, a1) in enumerate(state):
-        for y in range(x + 1, len(state)):
-            b0, b1 = state[y]
-            rest = state[:x] + state[x + 1:y] + state[y + 1:]
-            hi, lo = a0 | b0, a1 | b1
-            aligned = (hi, lo) if hi > lo else (lo, hi)
-            hi, lo = a0 | b1, a1 | b0
-            crossed = (hi, lo) if hi > lo else (lo, hi)
-            yield tuple(sorted(rest + (aligned,))), tuple(sorted(rest + (crossed,)))
+    for x, (a, b) in enumerate(sizes):
+        if x and sizes[x - 1] == (a, b):
+            continue
+        for y in range(x + 1, len(sizes)):
+            if y > x + 1 and sizes[y - 1] == sizes[y]:
+                continue
+            c, d = sizes[y]
+            rest = sizes[:x] + sizes[x + 1:y] + sizes[y + 1:]
+            crossed = (a + d, b + c) if a + d >= b + c else (b + c, a + d)
+            yield (tuple(sorted(rest + ((a + c, b + d),))),
+                   tuple(sorted(rest + (crossed,))))
 
 
 def min_comparisons_ball_level(params: GameParams) -> int:
     """Worst-case-optimal comparison count by exhaustive strategy search.
 
-    Searches directly over question strategies on labelled ball states
-    (see ``start_state``), never consulting the weight-level solver: the
-    questioner minimizes over component pairs, the answers maximize.
-    Guarded at n = 8.
+    Searches question strategies on ball states up to relabelling, with
+    finality from ``announced``, never consulting the weight-level game.
+    Asks whether d comparisons suffice for d = 0, 1, ..., keeping the
+    bounds each state has proved.  Guarded at ``BALL_SEARCH_GUARD_N``.
     """
     if params.n > BALL_SEARCH_GUARD_N:
         raise ValueError(f"exhaustive ball-level search is guarded at n={BALL_SEARCH_GUARD_N}")
-    e = params.e
-    memo: dict[BallState, int] = {}
+    k = params.k
+    at_least: dict[SideSizes, int] = {}
+    at_most: dict[SideSizes, int] = {}
 
-    def search(state: BallState) -> int:
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-        pos = Position(tuple(abs(a.bit_count() - b.bit_count()) for a, b in state))
-        if is_final(pos, e):
-            memo[state] = 0
-            return 0
-        best = len(state)  # above any worst case: one component is always final
-        for aligned, crossed in merged_states(state):
-            worst = search(aligned)
-            if worst < best:  # otherwise the pair's maximum cannot beat best
-                best = min(best, max(worst, search(crossed)))
-        memo[state] = best + 1
-        return best + 1
+    def within(sizes: SideSizes, d: int) -> bool:
+        if at_most.get(sizes, d + 1) <= d:
+            return True
+        if at_least.get(sizes, 0) > d:
+            return False
+        if announced(sizes, k):
+            at_most[sizes] = 0
+            return True
+        if d and any(within(aligned, d - 1) and within(crossed, d - 1)
+                     for aligned, crossed in merged_sizes(sizes)):
+            at_most[sizes] = d
+            return True
+        at_least[sizes] = d + 1
+        return False
 
-    return search(start_state(params.n))
+    start = ((1, 0),) * params.n
+    return next(d for d in range(params.n) if within(start, d))
 
 
 def export_transcript(g: QuestionGraph, params: GameParams) -> str:

@@ -23,6 +23,7 @@ from .ballgame import (
     optimal_selector_comparison,
 )
 from .core import (
+    PARSE_ELEMENT_LIMIT,
     AssignerChoice,
     GameParams,
     Position,
@@ -100,6 +101,15 @@ def cmd_table(args: argparse.Namespace) -> int:
 # value
 
 
+def _game(args: argparse.Namespace) -> GameParams:
+    """--n and --k, refused before anything is built past a --position literal's limit."""
+    if args.n is None or args.k is None:
+        raise ValueError(f"{args.command} needs --n and --k")
+    if args.n > PARSE_ELEMENT_LIMIT:
+        raise ValueError(f"--n is limited to {PARSE_ELEMENT_LIMIT} balls, got {args.n}")
+    return GameParams(args.n, args.k)
+
+
 def _position_and_excess(args: argparse.Namespace) -> tuple[Position, int, GameParams | None]:
     """Resolve --position with --e, or --n with --k for the game's start."""
     usage = "give either --position with --e, or --n with --k"
@@ -109,7 +119,7 @@ def _position_and_excess(args: argparse.Namespace) -> tuple[Position, int, GameP
         return Position.parse(args.position), args.e, None
     if args.n is None or args.k is None or args.position is not None:
         raise ValueError(usage)
-    params = GameParams(args.n, args.k)
+    params = _game(args)
     return start_position(params), params.e, params
 
 
@@ -403,9 +413,7 @@ def _play_weights(
 
 
 def cmd_play(args: argparse.Namespace) -> int:
-    if args.n is None or args.k is None:
-        raise ValueError("play needs --n and --k")
-    params = GameParams(args.n, args.k)
+    params = _game(args)
     if args.adversary is not None and args.role == "assigner":
         raise ValueError("--adversary sets the engine's answers to a selector; "
                          "with --role assigner the engine selects")
@@ -434,9 +442,7 @@ def cmd_play(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    if args.n is None or args.k is None:
-        raise ValueError("trace needs --n and --k")
-    params = GameParams(args.n, args.k)
+    params = _game(args)
     from_start = args.position is None
     origin = start_position(params) if from_start else Position.parse(args.position)
     e = params.e

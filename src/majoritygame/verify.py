@@ -18,7 +18,6 @@ from typing import Iterator
 
 from .ballgame import (
     BallAnswer,
-    BallState,
     QuestionGraph,
     consistent_colouring_exists,
     export_transcript,
@@ -27,12 +26,9 @@ from .ballgame import (
     import_transcript,
     import_transcript_json,
     induced_move_and_choice,
-    locate_ball,
-    merged_states,
     min_comparisons_ball_level,
     run_adversarial_game,
     side_status_table,
-    start_state,
 )
 from .core import (
     AssignerChoice,
@@ -485,34 +481,35 @@ def suite_assigner_tie() -> SuiteReport:
 # ball-level suites
 
 
-def _all_ball_states(n: int) -> set[BallState]:
-    """Every ball state (see ``start_state``) reachable on n balls.
+#: A labelled ball state: sorted pairs of disjoint side bitmasks, bit b for
+#: ball b, the numerically larger mask first and an empty side 0.
+BallState = tuple[tuple[int, int], ...]
 
-    A state is a sorted tuple of side bitmask pairs, bit b for ball b,
-    the numerically larger mask first.  All merges are expanded regardless
-    of finality, which makes the enumeration independent of any
-    threshold k.
+
+def _all_ball_states(n: int) -> Iterator[BallState]:
+    """Every labelled ball state on n balls, each yielded once.
+
+    Ball b opens a component or joins one on either side; its bit is the
+    highest yet, so that component goes last and the tuple stays sorted.
+    These are the signed set partitions, all reachable by merges.
     """
-    start = start_state(n)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        for pair in merged_states(frontier.pop()):
-            for child in pair:
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-    return seen
+    def extend(state: BallState, ball: int) -> Iterator[BallState]:
+        if ball > n:
+            yield state
+            return
+        bit = 1 << ball
+        yield from extend(state + ((bit, 0),), ball + 1)
+        for x, (high, low) in enumerate(state):
+            rest = state[:x] + state[x + 1:]
+            yield from extend(rest + ((high | bit, low),), ball + 1)
+            yield from extend(rest + ((low | bit, high),), ball + 1)
+
+    return extend((), 1)
 
 
 def _mask_balls(mask: int) -> list[int]:
     """The balls of a side bitmask in ascending order: ball b is bit b."""
     return [ball for ball in range(mask.bit_length()) if mask >> ball & 1]
-
-
-def _side_mask(balls: tuple[int, ...]) -> int:
-    """The bitmask of a side's balls: bit b for ball b."""
-    return sum(1 << ball for ball in balls)
 
 
 def _graph_for_state(n: int, state: BallState) -> QuestionGraph:
@@ -568,15 +565,14 @@ def suite_reformulation(seed: int = DEFAULT_SEED, trials: int = 10_000) -> Suite
                 report.add_failure(
                     f"n={n}: answer {answer.value} on ({i},{j}) disagrees with "
                     f"pair {pair} choice {choice.value} from {before}")
-            merged = g.components()
-            idx, _ = locate_ball(merged, i)
-            comp = merged[idx]
-            x = rng.choice(comp.balls)
-            y = rng.choice(comp.balls)
+            zero, one = g.sides(g.find(i)[0])
+            balls = tuple(sorted(zero + one))
+            x = rng.choice(balls)
+            y = rng.choice(balls)
             if x != y:
                 report.cases += 1
                 forced = g.forced_answer(x, y)
-                same_side = (x in comp.larger) == (y in comp.larger)
+                same_side = (x in zero) == (y in zero)
                 if (forced is BallAnswer.SAME) != same_side:
                     report.add_failure(
                         f"n={n}: forced answer for ({x},{y}) disagrees with sides")
@@ -597,45 +593,43 @@ def suite_reformulation(seed: int = DEFAULT_SEED, trials: int = 10_000) -> Suite
     report.details["transcripts"] = trials
 
     state_counts = {}
+    # The colouring table depends only on k and the components' side sizes, and
+    # components of equal sizes share a row: cache each size pair's larger side.
+    larger_status = {}
     for n in range(1, oracle_n + 1):
-        states = _all_ball_states(n)
-        state_counts[n] = len(states)
-        # The colouring table depends only on k and each component's side sizes.
-        tables = {}
-        for state in states:
+        for count, state in enumerate(_all_ball_states(n), 1):
             g = _graph_for_state(n, state)
             comps = g.components()
             report.cases += 1
             rebuilt = tuple(sorted(
-                (max(masks), min(masks))
-                for masks in ((_side_mask(comp.larger), _side_mask(comp.smaller))
-                              for comp in comps)))
+                (max(masks), min(masks)) for masks in (
+                    [sum(1 << ball for ball in side) for side in (comp.larger, comp.smaller)]
+                    for comp in comps)))
             if rebuilt != state:
                 report.add_failure(f"n={n}: graph reconstruction lost structure")
                 continue
             total = sum(comp.weight for comp in comps)
-            sizes = tuple((len(comp.larger), len(comp.smaller)) for comp in comps)
+            sizes = [(len(comp.larger), len(comp.smaller)) for comp in comps]
+            shape = tuple(sorted(sizes))
             for k in _valid_thresholds(n):
                 params = GameParams(n, k)
                 if total < params.e:
                     continue  # no admissible colouring: outside every game
-                table = tables.get((k, sizes))
-                if table is None:
-                    table = tables[k, sizes] = side_status_table(comps, n, k)
-                determined = None
-                for idx, comp in enumerate(comps):
-                    minority_ok, majority_ok = table[idx][0]
-                    if majority_ok and not minority_ok:
-                        ball = comp.larger[0]
-                        if determined is None or ball < determined:
-                            determined = ball
+                status = larger_status.get((k, shape))
+                if status is None:
+                    table = side_status_table(comps, n, k)
+                    status = larger_status[k, shape] = {
+                        size: sides[0] for size, sides in zip(sizes, table)}
+                # the smallest ball on a larger side that can be majority but never minority
+                determined = min((comp.larger[0] for size, comp in zip(sizes, comps)
+                                  if status[size] == (False, True)), default=None)
                 report.cases += 1
                 announced = identify_majority(g, params)
                 if announced != determined:
                     report.add_failure(
                         f"n={n} k={k} state {g.weights()}: announced {announced}, "
                         f"colouring oracle says {determined}")
-        del states, tables  # free this n's states before the next, larger set is built
+        state_counts[n] = count
     report.details["states"] = state_counts
     return report
 

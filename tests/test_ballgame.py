@@ -15,6 +15,7 @@ from majoritygame.ballgame import (
     InconsistentAnswerError,
     QuestionGraph,
     adversarial_answer,
+    announced,
     consistent_colouring_exists,
     export_transcript,
     export_transcript_json,
@@ -22,17 +23,15 @@ from majoritygame.ballgame import (
     import_transcript,
     import_transcript_json,
     induced_move_and_choice,
-    locate_ball,
-    merged_states,
+    merged_sizes,
     min_comparisons_ball_level,
     optimal_selector_comparison,
     run_adversarial_game,
     side_status_table,
-    start_state,
 )
 from majoritygame.core import AssignerChoice, GameParams, Position, apply_move
 from majoritygame.solver import GameSolver, formula_comparisons
-from majoritygame.verify import _all_ball_states, _graph_for_state
+from majoritygame.verify import _all_ball_states, _graph_for_state, suite_reformulation
 
 
 class TestQuestionGraph:
@@ -98,6 +97,18 @@ class TestQuestionGraph:
                 g.forced_answer(3, bad)
         assert g.history == []
         assert g.weights() == Position((1, 1, 1))
+
+    def test_rejects_ball_counts_that_are_not_ints(self):
+        for bad in (True, 2.0, "3", None):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                QuestionGraph(bad)
+
+    def test_sides_of_a_root(self):
+        g = QuestionGraph(4)
+        g.add_comparison(3, 1, BallAnswer.DIFFERENT)
+        g.add_comparison(4, 3, BallAnswer.SAME)
+        assert g.sides(1) == ((1,), (3, 4))
+        assert g.sides(2) == ((2,), ())
 
     def test_components_ordering_and_tie_break(self):
         g = QuestionGraph(6)
@@ -248,6 +259,24 @@ class TestIdentification:
         assert consistent_colouring_exists(g, params, 1, "majority")
         with pytest.raises(ValueError):
             consistent_colouring_exists(g, params, 1, "either")
+        with pytest.raises(ValueError, match="out of range"):
+            consistent_colouring_exists(g, params, 6, "minority")
+
+    def test_colouring_oracle_reads_the_ball_s_own_row(self):
+        for n in range(1, 6):
+            for state in _all_ball_states(n):
+                g = _graph_for_state(n, state)
+                comps = g.components()
+                for k in range(n // 2 + 1, n + 1):
+                    table = side_status_table(comps, n, k)
+                    for ball in range(1, n + 1):
+                        idx, on_larger = _locate_ball(comps, ball)
+                        minority_ok, majority_ok = table[idx][0 if on_larger else 1]
+                        params = GameParams(n, k)
+                        assert consistent_colouring_exists(g, params, ball, "minority") == \
+                            minority_ok
+                        assert consistent_colouring_exists(g, params, ball, "majority") == \
+                            majority_ok
 
     def test_identification_agrees_with_colouring_oracle(self):
         rng = random.Random(5)
@@ -321,14 +350,24 @@ class TestInducedMoves:
                 assert g.weights() == apply_move(before, pair, choice)
 
 
+def _locate_ball(comps, ball):
+    """Index of the ball's component and whether it sits on the larger side."""
+    for idx, comp in enumerate(comps):
+        if ball in comp.larger:
+            return idx, True
+        if ball in comp.smaller:
+            return idx, False
+    raise ValueError(f"ball {ball} not found in any component")
+
+
 def _earlier_adversarial_answer(g, i, j, params, solver, mode):
     """adversarial_answer as first written, with its own copy of the side rule."""
     forced = g.forced_answer(i, j)
     if forced is not None:
         return forced
     comps = g.components()
-    ci, i_on_larger = locate_ball(comps, i)
-    cj, j_on_larger = locate_ball(comps, j)
+    ci, i_on_larger = _locate_ball(comps, i)
+    cj, j_on_larger = _locate_ball(comps, j)
     wi, wj = comps[ci].weight, comps[cj].weight
     if min(wi, wj) == 0:
         return BallAnswer.SAME
@@ -436,17 +475,12 @@ def _reference_merged_states(state):
                    rest | {frozenset((a0 | b1, a1 | b0))})
 
 
-def _encoded_sides(comp):
-    """A reference component's sides as bitmasks, in the reference's own reading order."""
-    return tuple(sum(1 << ball for ball in side) for side in comp)
-
-
 def _encoded_component(comp):
-    return tuple(sorted(_encoded_sides(comp), reverse=True))
+    return tuple(sorted((sum(1 << ball for ball in side) for side in comp), reverse=True))
 
 
 def _encoded(state):
-    """A reference state in the bitmask encoding of ``start_state``."""
+    """A reference state in the bitmask encoding of ``_all_ball_states``."""
     return tuple(sorted(map(_encoded_component, state)))
 
 
@@ -462,6 +496,11 @@ def _reference_states(n):
     return seen
 
 
+def _sizes(state):
+    """A reference state up to relabelling: sorted (larger, smaller) side sizes."""
+    return tuple(sorted(tuple(sorted(map(len, comp), reverse=True)) for comp in state))
+
+
 def _traced_peak_mib(fn, *args):
     tracemalloc.start()
     try:
@@ -471,48 +510,72 @@ def _traced_peak_mib(fn, *args):
         tracemalloc.stop()
 
 
+def _count(states):
+    return sum(1 for _ in states)
+
+
 class TestBallStates:
     def test_state_counts(self):
-        assert [len(_all_ball_states(n)) for n in range(1, 8)] == [
-            1, 3, 11, 49, 257, 1539, 10299]
+        assert [_count(_all_ball_states(n)) for n in range(1, 9)] == [
+            1, 3, 11, 49, 257, 1539, 10299, 75905]
+
+    def test_no_state_is_yielded_twice(self):
+        for n in range(1, 8):
+            states = list(_all_ball_states(n))
+            assert len(set(states)) == len(states)
 
     def test_matches_the_frozenset_states(self):
+        # so every generated state is reachable by merges from the start
         for n in range(1, 7):
-            assert start_state(n) == _encoded(_reference_start_state(n))
-            assert {_encoded(state) for state in _reference_states(n)} == _all_ball_states(n)
-
-    def test_children_match_the_frozenset_merges_in_order(self):
-        for n in range(1, 6):
-            for state in _reference_states(n):
-                comps = tuple(state)  # the order the reference merges in
-                expected = {}
-                pairs = [(x, y) for x in range(len(comps)) for y in range(x + 1, len(comps))]
-                for (x, y), (aligned, crossed) in zip(pairs, _reference_merged_states(state)):
-                    sides_x, sides_y = _encoded_sides(comps[x]), _encoded_sides(comps[y])
-                    children = (_encoded(aligned), _encoded(crossed))
-                    # The encoding aligns the larger masks; the reference its first-read sides.
-                    if (sides_x[0] > sides_x[1]) != (sides_y[0] > sides_y[1]):
-                        children = children[::-1]
-                    key = tuple(sorted((_encoded_component(comps[x]),
-                                        _encoded_component(comps[y]))))
-                    expected[key] = children
-                encoded = _encoded(state)
-                assert list(merged_states(encoded)) == [
-                    expected[encoded[x], encoded[y]]
-                    for x in range(len(encoded)) for y in range(x + 1, len(encoded))]
-
-    def test_merge_aligns_the_larger_masks(self):
-        # Balls 1 and 2 against ball 3, and ball 4 alone; bit b is ball b.
-        state = ((0b01000, 0b00110), (0b10000, 0))
-        assert list(merged_states(state)) == [
-            (((0b11000, 0b00110),), ((0b10110, 0b01000),))]
+            assert {_encoded(state) for state in _reference_states(n)} == set(
+                _all_ball_states(n))
 
     def test_traced_footprint(self):
-        assert _traced_peak_mib(_all_ball_states, 7) < 3
-        assert _traced_peak_mib(min_comparisons_ball_level, GameParams(8, 5)) < 8
+        # One state per ball is alive at a time: 0.003 MiB at n = 7, where the
+        # set of all 10,299 states took 1.7 MiB.
+        assert _traced_peak_mib(_count, _all_ball_states(7)) < 0.01
+        # Up to relabelling the search keeps 0.003 MiB at n = 8 and 2 MiB at the guard.
+        assert _traced_peak_mib(min_comparisons_ball_level, GameParams(8, 5)) < 0.01
+        n = BALL_SEARCH_GUARD_N
+        assert _traced_peak_mib(min_comparisons_ball_level, GameParams(n, n // 2 + 2)) < 4
+
+    def test_reformulation_traced_footprint(self):
+        # The exhaustive phase peaks at 0.6 MiB; it took 2.7 MiB with each n's states in a set.
+        assert _traced_peak_mib(lambda: suite_reformulation(trials=1)) < 1
 
 
 class TestExhaustiveSearch:
+    def test_size_merges_match_the_frozenset_merges(self):
+        for n in range(1, 7):
+            for state in _reference_states(n):
+                labelled = {frozenset((_sizes(aligned), _sizes(crossed)))
+                            for aligned, crossed in _reference_merged_states(state)}
+                assert {frozenset(pair) for pair in merged_sizes(_sizes(state))} == labelled
+
+    def test_merge_aligns_the_larger_sides(self):
+        # Two balls against one, and a ball alone.
+        assert list(merged_sizes(((1, 0), (2, 1)))) == [(((3, 1),), ((2, 2),))]
+        # Equal components merge once.
+        assert list(merged_sizes(((1, 0),) * 3)) == [
+            (((1, 0), (2, 0)), ((1, 0), (1, 1)))]
+
+    def test_finality_matches_the_colouring_oracle(self):
+        checked = 0
+        for n in range(1, 8):
+            for state in _all_ball_states(n):
+                comps = _graph_for_state(n, state).components()
+                sizes = tuple(sorted((len(comp.larger), len(comp.smaller)) for comp in comps))
+                for k in range(n // 2 + 1, n + 1):
+                    if sum(comp.weight for comp in comps) < 2 * k - n:
+                        assert announced(sizes, k)  # no admissible colouring
+                        continue
+                    table = side_status_table(comps, n, k)
+                    assert announced(sizes, k) == any(
+                        majority_ok and not minority_ok
+                        for (minority_ok, majority_ok), _ in table), (state, k)
+                    checked += 1
+        assert checked == 27_742
+
     def test_matches_formula_up_to_the_guard(self):
         for n in range(1, BALL_SEARCH_GUARD_N + 1):
             for k in range(n // 2 + 1, n + 1):
@@ -521,8 +584,8 @@ class TestExhaustiveSearch:
                     params), (n, k)
 
     def test_guard(self):
-        big = GameParams(BALL_SEARCH_GUARD_N + 3, BALL_SEARCH_GUARD_N)
-        with pytest.raises(ValueError):
+        big = GameParams(BALL_SEARCH_GUARD_N + 1, BALL_SEARCH_GUARD_N)
+        with pytest.raises(ValueError, match=f"guarded at n={BALL_SEARCH_GUARD_N}"):
             min_comparisons_ball_level(big)
 
 
@@ -594,14 +657,6 @@ class TestSideStatusTable:
         comps = [Component((b,), ()) for b in range(1, 23)]
         with pytest.raises(ValueError):
             side_status_table(comps, 22, 12)
-
-    def test_locate_ball(self):
-        comps = [Component((1, 3), (2,)), Component((4,), ())]
-        assert locate_ball(comps, 3) == (0, True)
-        assert locate_ball(comps, 2) == (0, False)
-        assert locate_ball(comps, 4) == (1, True)
-        with pytest.raises(ValueError):
-            locate_ball(comps, 9)
 
 
 class TestTranscripts:

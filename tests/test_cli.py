@@ -403,6 +403,24 @@ class TestPlay:
         assert code == 2
 
 
+class TestBallCountLimit:
+    @pytest.mark.parametrize("command", [
+        ["value"], ["trace"], ["play", "--level", "balls"], ["play", "--level", "weights"]])
+    @pytest.mark.parametrize("n", [PARSE_ELEMENT_LIMIT + 1, 10 ** 12])
+    def test_n_past_the_element_limit_exits_2_before_building(self, capsys, command, n):
+        # n = 10^12 would exhaust memory if a position or graph were built first
+        code, out, err = run_cli(capsys, *command, "--n", str(n), "--k", str(n // 2 + 1))
+        assert (code, out) == (2, "")
+        assert f"--n is limited to {PARSE_ELEMENT_LIMIT} balls, got {n}" in err
+
+    def test_n_at_the_element_limit_is_played(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        n = str(PARSE_ELEMENT_LIMIT)
+        code, out, _ = run_cli(capsys, "play", "--n", n, "--k", n)
+        assert code == 0
+        assert f"n={n} balls, majority threshold k={n}" in out
+
+
 class TestCommonFlags:
     def test_threads_accepted_and_ignored(self, capsys):
         base = run_cli(capsys, "table", "--max-n", "4")
