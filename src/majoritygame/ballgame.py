@@ -24,7 +24,6 @@ from .core import (
     AssignerChoice,
     GameParams,
     Position,
-    is_final,
     minority_capacity,
     move_for_pair,
 )
@@ -45,6 +44,13 @@ SideSizes = tuple[tuple[int, int], ...]
 class BallAnswer(Enum):
     SAME = "same"
     DIFFERENT = "different"
+
+
+#: Each answer by its transcript word.
+_ANSWERS = {answer.value: answer for answer in BallAnswer}
+
+# Hot paths read these: reading a member off an Enum class is several times slower.
+_SAME, _DIFFERENT = BallAnswer.SAME, BallAnswer.DIFFERENT
 
 
 class InconsistentAnswerError(ValueError):
@@ -114,8 +120,11 @@ class QuestionGraph:
         """Both balls' roots and 1 when they sit on opposite sides, else 0."""
         if i == j:
             raise ValueError("cannot compare a ball with itself")
-        self._check_ball(i)
-        self._check_ball(j)
+        n = self._n
+        if type(i) is not int or not 0 < i <= n:  # checked inline: the hot path
+            self._check_ball(i)
+        if type(j) is not int or not 0 < j <= n:
+            self._check_ball(j)
         return self._root[i], self._root[j], self._side[i] ^ self._side[j]
 
     def find(self, ball: int) -> tuple[int, int]:
@@ -123,7 +132,8 @@ class QuestionGraph:
 
         The root is the component's smallest ball and always on side 0.
         """
-        self._check_ball(ball)
+        if type(ball) is not int or not 0 < ball <= self._n:
+            self._check_ball(ball)
         return self._root[ball], self._side[ball]
 
     def sides(self, root: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -135,7 +145,7 @@ class QuestionGraph:
         ri, rj, apart = self._pair(i, j)
         if ri != rj:
             return None
-        return BallAnswer.DIFFERENT if apart else BallAnswer.SAME
+        return _DIFFERENT if apart else _SAME
 
     def add_comparison(self, i: int, j: int, answer: BallAnswer) -> None:
         """Record the answer to comparing balls i and j.
@@ -149,7 +159,7 @@ class QuestionGraph:
         if not isinstance(answer, BallAnswer):
             raise ValueError(f"answer must be a BallAnswer, got {answer!r}")
         keep, gone, apart = self._pair(i, j)
-        flip = apart ^ (answer is BallAnswer.DIFFERENT)
+        flip = apart ^ (answer is _DIFFERENT)
         if keep == gone:
             if flip:
                 forced = BallAnswer.DIFFERENT if apart else BallAnswer.SAME
@@ -168,7 +178,8 @@ class QuestionGraph:
             side[ball] ^= flip
         if flip:
             gone0, gone1 = gone1, gone0
-        sides[keep] = (tuple(sorted(keep0 + gone0)), tuple(sorted(keep1 + gone1)))
+        sides[keep] = (tuple(sorted(keep0 + gone0)) if gone0 else keep0,
+                       tuple(sorted(keep1 + gone1)) if gone1 else keep1)
         self._comps.pop(keep, None)
         self._comps.pop(gone, None)
         self._weights = None
@@ -185,10 +196,9 @@ class QuestionGraph:
         for root, (zero, one) in self._sides.items():
             comp = cache.get(root)
             if comp is None:
-                if _zero_is_larger(zero, one):
-                    comp = cache[root] = Component(zero, one)
-                else:
-                    comp = cache[root] = Component(one, zero)
+                # on a weight-0 tie side 0 wins: it holds the root, the smallest ball
+                larger, smaller = (zero, one) if len(zero) >= len(one) else (one, zero)
+                comp = cache[root] = Component(larger, smaller)
             comps.append(comp)
         return comps
 
@@ -196,24 +206,8 @@ class QuestionGraph:
         """The weight-level position induced by the current components."""
         if self._weights is None:
             self._weights = Position(
-                tuple(abs(len(zero) - len(one)) for zero, one in self._sides.values()))
+                tuple([abs(len(zero) - len(one)) for zero, one in self._sides.values()]))
         return self._weights
-
-
-def _zero_is_larger(zero: tuple[int, ...], one: tuple[int, ...]) -> bool:
-    """Whether a root's side 0 is its component's nominal larger side.
-
-    On a weight-0 tie the side holding the smaller ball wins, and that is
-    side 0, which holds the root: the component's smallest ball.
-    """
-    return len(zero) >= len(one)
-
-
-def _place_ball(g: QuestionGraph, ball: int) -> tuple[int, int, bool]:
-    """The ball's root, its component's weight, and whether it sits on the larger side."""
-    root, side = g.find(ball)
-    zero, one = g._sides[root]
-    return root, abs(len(zero) - len(one)), _zero_is_larger(zero, one) == (side == 0)
 
 
 def _check_params(g: QuestionGraph, params: GameParams) -> None:
@@ -224,19 +218,21 @@ def _check_params(g: QuestionGraph, params: GameParams) -> None:
 def identify_majority(g: QuestionGraph, params: GameParams) -> int | None:
     """Smallest ball certain to be of the majority colour, or None.
 
-    A ball qualifies once the weight position is final and it sits on
-    the larger side of a component whose weight exceeds the minority
-    capacity.
+    A ball qualifies when it sits on the larger side of a component whose
+    weight exceeds the minority capacity, which holds for some ball exactly
+    when the weight position is final.
     """
     _check_params(g, params)
     M = g.weights()
-    if not is_final(M, params.e):
-        return None
     s = minority_capacity(M, params.e)
+    if M.elements[0] <= s:
+        return None  # not final: no component outweighs the minority capacity
     best = None
-    for comp in g.components():
-        if comp.weight >= s + 1 and (best is None or comp.larger[0] < best):
-            best = comp.larger[0]
+    for zero, one in g._sides.values():
+        if abs(len(zero) - len(one)) > s:
+            ball = zero[0] if len(zero) > len(one) else one[0]
+            if best is None or ball < best:
+                best = ball
     return best
 
 
@@ -289,11 +285,11 @@ def consistent_colouring_exists(
     if colour not in ("minority", "majority"):
         raise ValueError(f"colour must be 'minority' or 'majority', got {colour!r}")
     _check_params(g, params)
-    root, _, on_larger = _place_ball(g, ball)
+    root, _ = g.find(ball)
     comps = g.components()
     idx = [comp.min_ball for comp in comps].index(root)
     table = side_status_table(comps, params.n, params.k)
-    minority_ok, majority_ok = table[idx][0 if on_larger else 1]
+    minority_ok, majority_ok = table[idx][0 if ball in comps[idx].larger else 1]
     return minority_ok if colour == "minority" else majority_ok
 
 
@@ -307,12 +303,15 @@ def induced_move_and_choice(
     both on their smaller sides) make 'same' add the weights, opposite
     sides make 'same' cancel them.
     """
-    ri, wi, i_on_larger = _place_ball(g, i)
-    rj, wj, j_on_larger = _place_ball(g, j)
+    ri, side_i = g.find(i)
+    rj, side_j = g.find(j)
     if ri == rj:
         raise ValueError(f"balls {i} and {j} share a component; no move is induced")
-    pair = move_for_pair(g.weights(), wi, wj)
-    plus = (i_on_larger == j_on_larger) == (answer is BallAnswer.SAME)
+    (zero_i, one_i), (zero_j, one_j) = g._sides[ri], g._sides[rj]
+    wi, wj = len(zero_i) - len(one_i), len(zero_j) - len(one_j)  # side 0 is larger when >= 0
+    pair = move_for_pair(g.weights(), abs(wi), abs(wj))
+    aligned = ((wi >= 0) == (side_i == 0)) == ((wj >= 0) == (side_j == 0))
+    plus = aligned == (answer is _SAME)
     return pair, AssignerChoice.PLUS if plus else AssignerChoice.MINUS
 
 
@@ -455,9 +454,9 @@ def min_comparisons_ball_level(params: GameParams) -> int:
 def export_transcript(g: QuestionGraph, params: GameParams) -> str:
     """Line format: an ``n k`` header, then one ``i j same|different`` per record."""
     _check_params(g, params)
+    # answer._value_ is answer.value without the descriptor call
     lines = [f"{params.n} {params.k}"]
-    for i, j, answer in g.history:
-        lines.append(f"{i} {j} {answer.value}")
+    lines += [f"{i} {j} {answer._value_}" for i, j, answer in g.history]
     return "\n".join(lines) + "\n"
 
 
@@ -467,7 +466,7 @@ def import_transcript(text: str) -> tuple[GameParams, QuestionGraph]:
     Every record passes through add_comparison, so inconsistent
     transcripts raise InconsistentAnswerError.
     """
-    lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
+    lines = [stripped for line in text.splitlines() if (stripped := line.strip())]
     if not lines:
         raise ValueError("empty transcript")
     head = lines[0].split()
@@ -479,10 +478,9 @@ def import_transcript(text: str) -> tuple[GameParams, QuestionGraph]:
         fields = line.split()
         if len(fields) != 3:
             raise ValueError(f"bad transcript record {line!r}")
-        try:
-            answer = BallAnswer(fields[2])
-        except ValueError:
-            raise ValueError(f"bad answer {fields[2]!r} in transcript") from None
+        answer = _ANSWERS.get(fields[2])
+        if answer is None:
+            raise ValueError(f"bad answer {fields[2]!r} in transcript")
         g.add_comparison(int(fields[0]), int(fields[1]), answer)
     return params, g
 
@@ -492,9 +490,9 @@ def export_transcript_json(g: QuestionGraph, params: GameParams) -> str:
     n, k and balls are exact ints, answers plain words, and json's C encoder does not indent.
     """
     _check_params(g, params)
-    records = ",\n".join(
-        f'    {{\n      "i": {i},\n      "j": {j},\n      "answer": "{answer.value}"\n    }}'
-        for i, j, answer in g.history)
+    records = ",\n".join([
+        f'    {{\n      "i": {i},\n      "j": {j},\n      "answer": "{answer._value_}"\n    }}'
+        for i, j, answer in g.history])
     comparisons = f"[\n{records}\n  ]" if records else "[]"
     return f'{{\n  "n": {params.n},\n  "k": {params.k},\n  "comparisons": {comparisons}\n}}\n'
 
@@ -526,8 +524,9 @@ def import_transcript_json(text: str) -> tuple[GameParams, QuestionGraph]:
         if not isinstance(record, dict):
             raise ValueError(f"bad transcript record {record!r}")
         i, j = _json_int(record, "i"), _json_int(record, "j")
-        answer = record.get("answer")
-        if answer not in ("same", "different"):
-            raise ValueError(f"bad answer {answer!r} in transcript record {record!r}")
-        g.add_comparison(i, j, BallAnswer(answer))
+        word = record.get("answer")
+        answer = _ANSWERS.get(word) if type(word) is str else None
+        if answer is None:
+            raise ValueError(f"bad answer {word!r} in transcript record {record!r}")
+        g.add_comparison(i, j, answer)
     return params, g

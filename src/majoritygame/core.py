@@ -155,17 +155,17 @@ def legal_moves(M: Position) -> list[tuple[int, int]]:
 
     Replacing equal-valued elements is interchangeable, so a move is
     named by its value pair alone.  Positions with fewer than two
-    elements have no moves.
+    elements have no moves.  Each distinct weight w, largest first, gives
+    (w, w) when it repeats, then (w, w') for each smaller distinct w'.
     """
-    moves: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     elems = M.elements
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            pair = (elems[i], elems[j])
-            if pair not in seen:
-                seen.add(pair)
-                moves.append(pair)
+    distinct = sorted(set(elems), reverse=True)
+    moves: list[tuple[int, int]] = []
+    for x, w in enumerate(distinct):
+        if elems.count(w) > 1:
+            moves.append((w, w))
+        for smaller in distinct[x + 1:]:
+            moves.append((w, smaller))
     return moves
 
 

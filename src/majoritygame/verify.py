@@ -66,7 +66,7 @@ SOLVER_GUARD_M = 7
 FAMILY_M_LIMIT = 256
 
 #: Most trials a randomized suite runs: at this limit ``reformulation`` takes
-#: about 31 s and ``conservation-iterated`` about 23 s (2 cores, Python 3.11).
+#: about 24 s and ``conservation-iterated`` about 23 s (2 cores, Python 3.11).
 TRIALS_LIMIT = 100_000
 
 
@@ -545,6 +545,7 @@ def suite_reformulation(seed: int = DEFAULT_SEED, trials: int = 10_000) -> Suite
     max_n, oracle_n = 10, 7
     report = SuiteReport("reformulation")
     rng = random.Random(seed)
+    answers = tuple(BallAnswer)  # SAME, DIFFERENT
     for _ in range(trials):
         n = rng.randint(2, max_n)
         k = rng.randint(n // 2 + 1, n)
@@ -556,7 +557,7 @@ def suite_reformulation(seed: int = DEFAULT_SEED, trials: int = 10_000) -> Suite
             ca, cb = rng.sample(range(len(comps)), 2)
             i = rng.choice(comps[ca].balls)
             j = rng.choice(comps[cb].balls)
-            answer = rng.choice((BallAnswer.SAME, BallAnswer.DIFFERENT))
+            answer = rng.choice(answers)
             before = g.weights()
             pair, choice = induced_move_and_choice(g, i, j, answer)
             g.add_comparison(i, j, answer)
@@ -566,7 +567,7 @@ def suite_reformulation(seed: int = DEFAULT_SEED, trials: int = 10_000) -> Suite
                     f"n={n}: answer {answer.value} on ({i},{j}) disagrees with "
                     f"pair {pair} choice {choice.value} from {before}")
             zero, one = g.sides(g.find(i)[0])
-            balls = tuple(sorted(zero + one))
+            balls = sorted(zero + one)
             x = rng.choice(balls)
             y = rng.choice(balls)
             if x != y:
@@ -594,9 +595,11 @@ def suite_reformulation(seed: int = DEFAULT_SEED, trials: int = 10_000) -> Suite
 
     state_counts = {}
     # The colouring table depends only on k and the components' side sizes, and
-    # components of equal sizes share a row: cache each size pair's larger side.
-    larger_status = {}
+    # components of equal sizes share a row: cache, per k and sorted sizes, the
+    # size pairs whose larger side can be majority but never minority.
+    sure_sizes = {}
     for n in range(1, oracle_n + 1):
+        games = [(k, GameParams(n, k)) for k in _valid_thresholds(n)]
         for count, state in enumerate(_all_ball_states(n), 1):
             g = _graph_for_state(n, state)
             comps = g.components()
@@ -611,18 +614,17 @@ def suite_reformulation(seed: int = DEFAULT_SEED, trials: int = 10_000) -> Suite
             total = sum(comp.weight for comp in comps)
             sizes = [(len(comp.larger), len(comp.smaller)) for comp in comps]
             shape = tuple(sorted(sizes))
-            for k in _valid_thresholds(n):
-                params = GameParams(n, k)
+            leaders = [(size, comp.larger[0]) for size, comp in zip(sizes, comps)]
+            for k, params in games:
                 if total < params.e:
                     continue  # no admissible colouring: outside every game
-                status = larger_status.get((k, shape))
-                if status is None:
+                sure = sure_sizes.get((k, shape))
+                if sure is None:
                     table = side_status_table(comps, n, k)
-                    status = larger_status[k, shape] = {
-                        size: sides[0] for size, sides in zip(sizes, table)}
+                    sure = sure_sizes[k, shape] = {
+                        size for size, sides in zip(sizes, table) if sides[0] == (False, True)}
                 # the smallest ball on a larger side that can be majority but never minority
-                determined = min((comp.larger[0] for size, comp in zip(sizes, comps)
-                                  if status[size] == (False, True)), default=None)
+                determined = min((ball for size, ball in leaders if size in sure), default=None)
                 report.cases += 1
                 announced = identify_majority(g, params)
                 if announced != determined:

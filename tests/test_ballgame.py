@@ -98,6 +98,23 @@ class TestQuestionGraph:
         assert g.history == []
         assert g.weights() == Position((1, 1, 1))
 
+    @pytest.mark.parametrize("bad", [0, 4, -1])
+    def test_balls_out_of_range(self, bad):
+        g = QuestionGraph(3)
+        calls = [
+            lambda: g.find(bad),
+            lambda: g.forced_answer(bad, 2),
+            lambda: g.forced_answer(2, bad),
+            lambda: g.add_comparison(bad, 2, BallAnswer.SAME),
+            lambda: g.add_comparison(2, bad, BallAnswer.DIFFERENT),
+            lambda: induced_move_and_choice(g, bad, 2, BallAnswer.SAME),
+            lambda: induced_move_and_choice(g, 2, bad, BallAnswer.SAME),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"ball {bad} out of range 1\.\.3"):
+                call()
+        assert g.history == []
+
     def test_rejects_ball_counts_that_are_not_ints(self):
         for bad in (True, 2.0, "3", None):
             with pytest.raises(ValueError, match="n must be an integer"):
@@ -706,15 +723,27 @@ class TestTranscripts:
         }
         assert export_transcript_json(g, GameParams(n, k)) == json.dumps(payload, indent=2) + "\n"
 
-    def test_import_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            import_transcript("")
-        with pytest.raises(ValueError):
-            import_transcript("5\n1 2 same\n")
-        with pytest.raises(ValueError):
-            import_transcript("5 4\n1 2 maybe\n")
-        with pytest.raises(ValueError):
-            import_transcript("5 4\n1 2\n")
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty transcript"),
+        (" \n\t\n", "empty transcript"),
+        ("5\n1 2 same\n", "header must be 'n k', got '5'"),
+        ("5 4 3\n", "header must be 'n k'"),
+        ("5 4\n1 2\n", "bad transcript record '1 2'"),
+        ("5 4\n1 2 same same\n", "bad transcript record"),
+        ("5 4\n1 2 maybe\n", "bad answer 'maybe'"),
+        ("5 4\n1 2 SAME\n", "bad answer 'SAME'"),
+        ("5 4\n1 9 same\n", r"ball 9 out of range 1\.\.5"),
+    ])
+    def test_import_rejects_garbage(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            import_transcript(text)
+
+    def test_import_accepts_blank_lines_and_padding(self):
+        params, g = self._sample_game()
+        padded = "\n  5   4 \n\n\t1 2  different\r\n   \n 3\t4 same  \n\n"
+        params2, g2 = import_transcript(padded)
+        assert params2 == params and g2.history == g.history
+        assert export_transcript(g2, params2) == export_transcript(g, params)
 
     @pytest.mark.parametrize("blob, message", [
         ("", "Expecting value"),
@@ -737,6 +766,12 @@ class TestTranscripts:
         ('{"n": 5, "k": 4, "comparisons": [{"i": 1, "j": 2}]}', "bad answer None"),
         ('{"n": 5, "k": 4, "comparisons": [{"i": 1, "j": 2, "answer": "maybe"}]}',
          "bad answer 'maybe'"),
+        # unhashable and non-string answers are bad answers, not a TypeError
+        ('{"n": 5, "k": 4, "comparisons": [{"i": 1, "j": 2, "answer": ["same"]}]}',
+         r"bad answer \['same'\]"),
+        ('{"n": 5, "k": 4, "comparisons": [{"i": 1, "j": 2, "answer": {}}]}',
+         r"bad answer \{\}"),
+        ('{"n": 5, "k": 4, "comparisons": [{"i": 1, "j": 2, "answer": 1}]}', "bad answer 1"),
         ('{"n": 5, "k": 4, "comparisons": [{"i": 1, "j": 9, "answer": "same"}]}',
          "out of range"),
     ])

@@ -18,6 +18,9 @@ from majoritygame.core import (
 
 positions = st.lists(st.integers(0, 6), min_size=0, max_size=8).map(
     lambda ws: Position(tuple(ws)))
+# Long positions of few distinct weights, zeros the most common.
+repeated_positions = st.lists(st.sampled_from((0, 0, 0, 1, 1, 2, 5)), max_size=40).map(
+    lambda ws: Position(tuple(ws)))
 
 
 class TestGameParams:
@@ -156,11 +159,15 @@ class TestMoves:
             else:
                 assert succ.total == M.total - 2 * wp
 
-    @given(positions)
+    @given(st.one_of(positions, repeated_positions))
     def test_legal_moves_are_first_occurrences_of_index_pairs(self, M):
         elems = M.elements
         pairs = [(elems[i], elems[j]) for i in range(len(elems)) for j in range(i + 1, len(elems))]
         assert legal_moves(M) == list(dict.fromkeys(pairs))
+
+    def test_legal_moves_of_many_equal_weights(self):
+        assert legal_moves(Position((1,) * 4096)) == [(1, 1)]
+        assert legal_moves(Position((3,) * 2000 + (0,) * 2000)) == [(3, 3), (3, 0), (0, 0)]
 
     @given(positions.filter(lambda M: len(M) >= 2), st.data())
     def test_apply_move_takes_either_order(self, M, data):

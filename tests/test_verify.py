@@ -7,9 +7,9 @@ import json
 import pytest
 
 from majoritygame import verify
-from majoritygame.ballgame import QuestionGraph
+from majoritygame.ballgame import BallAnswer, QuestionGraph
 from majoritygame.cli import main
-from majoritygame.core import GameParams, Position
+from majoritygame.core import AssignerChoice, GameParams, Position
 from majoritygame.report import WITNESS_CAP, SuiteReport
 from majoritygame.statistics import INFINITE, potential
 from majoritygame.verify import (
@@ -115,6 +115,62 @@ class TestBallSuites:
         assert states == {1: 1, 2: 3, 3: 11, 4: 49, 5: 257, 6: 1539, 7: 10299}
         assert report.failure_count == sum(states.values()) - len(states)
         assert report.failures[0] == "n=2: graph reconstruction lost structure"
+
+
+class TestReformulationCatchesFaults:
+    """Each fault planted in what the suite checks must show as its own failures."""
+
+    def _failures(self, monkeypatch, target, name, fake):
+        monkeypatch.setattr(target, name, fake)
+        report = suite_reformulation(trials=50)
+        assert report.failure_count > 0
+        return report.failures
+
+    def test_flipped_choice(self, monkeypatch):
+        real = verify.induced_move_and_choice
+
+        def flipped(g, i, j, answer):
+            pair, choice = real(g, i, j, answer)
+            other = AssignerChoice.MINUS if choice is AssignerChoice.PLUS else AssignerChoice.PLUS
+            return pair, other
+
+        failures = self._failures(monkeypatch, verify, "induced_move_and_choice", flipped)
+        assert all(" disagrees with pair " in failure for failure in failures)
+
+    def test_inverted_forced_answer(self, monkeypatch):
+        real = QuestionGraph.forced_answer
+
+        def inverted(g, i, j):
+            forced = real(g, i, j)
+            return BallAnswer.DIFFERENT if forced is BallAnswer.SAME else BallAnswer.SAME
+
+        failures = self._failures(monkeypatch, QuestionGraph, "forced_answer", inverted)
+        assert all(" disagrees with sides" in failure for failure in failures)
+
+    def test_text_import_drops_the_last_record(self, monkeypatch):
+        real = verify.import_transcript
+
+        def lossy(text):
+            return real("".join(text.splitlines(keepends=True)[:-1]))
+
+        failures = self._failures(monkeypatch, verify, "import_transcript", lossy)
+        assert all(failure.endswith(": transcript round-trip mismatch") for failure in failures)
+
+    def test_json_import_drops_the_last_record(self, monkeypatch):
+        real = verify.import_transcript_json
+
+        def lossy(blob):
+            payload = json.loads(blob)
+            payload["comparisons"].pop()
+            return real(json.dumps(payload))
+
+        failures = self._failures(monkeypatch, verify, "import_transcript_json", lossy)
+        assert all(failure.endswith(": transcript round-trip mismatch") for failure in failures)
+
+    def test_identification_never_announces(self, monkeypatch):
+        failures = self._failures(
+            monkeypatch, verify, "identify_majority", lambda g, params: None)
+        assert all(": announced None, colouring oracle says " in failure for failure in failures)
 
 
 class TestPotentialAgainstValues:
