@@ -5,12 +5,12 @@ components, each split into two sides: balls on one side are the same
 colour, and the two sides differ.  Every ball records its component's
 root, which is the component's smallest ball, and its side, and every
 root keeps both sides' balls, so a merge relabels the component with
-the larger root and reads rebuild nothing.  The multiset of side-size
-differences is the weight-level position, and answering a
-cross-component comparison realizes one Assigner choice on it.  This
-module also hosts the identification rule, the exhaustive colouring
-oracle it is checked against, adversarial answering, and transcript
-import/export.
+the larger root, and a component is nothing but its root's two sides.
+The multiset of side-size differences is the weight-level position,
+and answering a cross-component comparison realizes one Assigner
+choice on it.  This module also hosts the identification rule, the
+exhaustive colouring oracle it is checked against, adversarial
+answering, and transcript import/export.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ BALL_SEARCH_GUARD_N = 24
 #: A ball state up to relabelling: sorted (larger, smaller) side sizes.
 SideSizes = tuple[tuple[int, int], ...]
 
+#: A component's two sides as sorted ball tuples.
+Sides = tuple[tuple[int, ...], tuple[int, ...]]
+
 
 class BallAnswer(Enum):
     SAME = "same"
@@ -57,30 +60,6 @@ class InconsistentAnswerError(ValueError):
     """An answer contradicts what earlier answers already force."""
 
 
-@dataclass(frozen=True)
-class Component:
-    """One component's bipartition, larger side first.
-
-    For weight 0 the nominal larger side is the one holding the smallest
-    ball, which keeps every downstream tie-break deterministic.
-    """
-
-    larger: tuple[int, ...]
-    smaller: tuple[int, ...]
-
-    @property
-    def weight(self) -> int:
-        return len(self.larger) - len(self.smaller)
-
-    @property
-    def min_ball(self) -> int:
-        return min(self.larger[:1] + self.smaller[:1])
-
-    @property
-    def balls(self) -> tuple[int, ...]:
-        return tuple(sorted(self.larger + self.smaller))
-
-
 class QuestionGraph:
     """Balls 1..n in two-sided components, with a full answer history.
 
@@ -88,9 +67,8 @@ class QuestionGraph:
     ball, and its side (0 or 1) relative to the root; each root records
     both sides as sorted ball tuples, keyed in ascending root order.  A
     merge keeps the smaller root and relabels the other component, so
-    ``find`` is two list reads.  ``components()`` caches one Component
-    per root and rebuilds only merged ones; ``weights()`` is cached until
-    the next merge.
+    ``find`` is two list reads.  Those root sides are the only record of
+    a component; ``weights()`` is cached until the next merge.
     """
 
     def __init__(self, n: int):
@@ -102,7 +80,6 @@ class QuestionGraph:
         self._root = list(range(n + 1))  # index 0 unused
         self._side = [0] * (n + 1)  # side relative to the root
         self._sides = {ball: ((ball,), ()) for ball in range(1, n + 1)}
-        self._comps: dict[int, Component] = {}
         self._weights: Position | None = None
         self.history: list[tuple[int, int, BallAnswer]] = []
 
@@ -136,7 +113,7 @@ class QuestionGraph:
             self._check_ball(ball)
         return self._root[ball], self._side[ball]
 
-    def sides(self, root: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def sides(self, root: int) -> Sides:
         """A root's two sides as sorted ball tuples, the root's side first."""
         return self._sides[root]
 
@@ -180,27 +157,17 @@ class QuestionGraph:
             gone0, gone1 = gone1, gone0
         sides[keep] = (tuple(sorted(keep0 + gone0)) if gone0 else keep0,
                        tuple(sorted(keep1 + gone1)) if gone1 else keep1)
-        self._comps.pop(keep, None)
-        self._comps.pop(gone, None)
         self._weights = None
         self.history.append((i, j, answer))
 
-    def components(self) -> list[Component]:
-        """Current components, ordered by their smallest ball (their root).
+    def components(self) -> list[Sides]:
+        """Each component's (larger, smaller) sides, in root order.
 
-        Each call returns a new list; the components themselves are
-        immutable.
+        On a weight-0 tie the root's side, which holds the smallest ball,
+        counts as larger.
         """
-        cache = self._comps
-        comps = []
-        for root, (zero, one) in self._sides.items():
-            comp = cache.get(root)
-            if comp is None:
-                # on a weight-0 tie side 0 wins: it holds the root, the smallest ball
-                larger, smaller = (zero, one) if len(zero) >= len(one) else (one, zero)
-                comp = cache[root] = Component(larger, smaller)
-            comps.append(comp)
-        return comps
+        return [(zero, one) if len(zero) >= len(one) else (one, zero)
+                for zero, one in self._sides.values()]
 
     def weights(self) -> Position:
         """The weight-level position induced by the current components."""
@@ -227,17 +194,11 @@ def identify_majority(g: QuestionGraph, params: GameParams) -> int | None:
     s = minority_capacity(M, params.e)
     if M.elements[0] <= s:
         return None  # not final: no component outweighs the minority capacity
-    best = None
-    for zero, one in g._sides.values():
-        if abs(len(zero) - len(one)) > s:
-            ball = zero[0] if len(zero) > len(one) else one[0]
-            if best is None or ball < best:
-                best = ball
-    return best
+    return min(larger[0] for larger, smaller in g.components() if len(larger) - len(smaller) > s)
 
 
 def side_status_table(
-    comps: list[Component], n: int, k: int
+    comps: list[Sides], n: int, k: int
 ) -> list[tuple[tuple[bool, bool], tuple[bool, bool]]]:
     """Per-side colour statuses realizable by some admissible colouring.
 
@@ -252,9 +213,9 @@ def side_status_table(
     c = len(comps)
     if c > COLOURING_GUARD:
         raise ValueError(f"colouring enumeration is guarded at {COLOURING_GUARD} components")
-    counts = [sum(len(comp.larger) for comp in comps)]
-    for comp in comps:
-        d = len(comp.smaller) - len(comp.larger)
+    counts = [sum(len(larger) for larger, _ in comps)]
+    for larger, smaller in comps:
+        d = len(smaller) - len(larger)
         counts += [count + d for count in counts]
     full = (1 << c) - 1
     majority = minority = 0  # bit idx: component idx's larger side can be that
@@ -266,9 +227,9 @@ def side_status_table(
             majority |= mask
             minority |= full ^ mask
     table = []
-    for idx, comp in enumerate(comps):
+    for idx, (_, smaller) in enumerate(comps):
         larger = (bool(minority >> idx & 1), bool(majority >> idx & 1))
-        table.append((larger, larger[::-1] if comp.smaller else (False, False)))
+        table.append((larger, larger[::-1] if smaller else (False, False)))
     return table
 
 
@@ -285,11 +246,10 @@ def consistent_colouring_exists(
     if colour not in ("minority", "majority"):
         raise ValueError(f"colour must be 'minority' or 'majority', got {colour!r}")
     _check_params(g, params)
-    root, _ = g.find(ball)
+    idx = list(g._sides).index(g.find(ball)[0])
     comps = g.components()
-    idx = [comp.min_ball for comp in comps].index(root)
     table = side_status_table(comps, params.n, params.k)
-    minority_ok, majority_ok = table[idx][0 if ball in comps[idx].larger else 1]
+    minority_ok, majority_ok = table[idx][0 if ball in comps[idx][0] else 1]
     return minority_ok if colour == "minority" else majority_ok
 
 
@@ -348,18 +308,17 @@ def optimal_selector_comparison(
 ) -> tuple[int, int]:
     """A concrete ball pair realizing an optimal Selector move.
 
-    Takes the lexicographically smallest optimal value pair and the
-    smallest-ball representatives of matching components.  Which balls
-    inside the components are compared is immaterial: the adversary
-    controls the outcome through its answer either way.
+    Takes the lexicographically smallest optimal value pair and the roots,
+    which are the smallest balls, of the first matching components in
+    root order.  Which balls inside the components are compared is
+    immaterial: the adversary controls the outcome through its answer
+    either way.
     """
     _check_params(g, params)
     w, wp = solver.selector_move(g.weights())
-    comps = g.components()
-    first = next(idx for idx, comp in enumerate(comps) if comp.weight == w)
-    second = next(
-        idx for idx, comp in enumerate(comps) if idx != first and comp.weight == wp)
-    return comps[first].min_ball, comps[second].min_ball
+    weight = {root: abs(len(zero) - len(one)) for root, (zero, one) in g._sides.items()}
+    first = next(root for root in weight if weight[root] == w)
+    return first, next(root for root in weight if root != first and weight[root] == wp)
 
 
 @dataclass

@@ -292,10 +292,10 @@ def _read_line(prompt: str, in_stream: IO[str], out_stream: IO[str]) -> str | No
 
 def _describe_components(g: QuestionGraph) -> str:
     parts = []
-    for comp in g.components():
-        inner = ",".join(map(str, comp.larger))
-        if comp.smaller:
-            inner += "|" + ",".join(map(str, comp.smaller))
+    for larger, smaller in g.components():
+        inner = ",".join(map(str, larger))
+        if smaller:
+            inner += "|" + ",".join(map(str, smaller))
         parts.append("{" + inner + "}")
     return " ".join(parts)
 
@@ -445,6 +445,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     params = _game(args)
     from_start = args.position is None
     origin = start_position(params) if from_start else Position.parse(args.position)
+    # a weight-w component holds at least w balls, and a weight-0 one at least two
+    balls = sum(w if w else 2 for w in origin.elements)
+    if balls > params.n:
+        raise ValueError(f"position {origin} needs at least {balls} balls, but --n is {params.n}")
     e = params.e
     result = GameSolver(e).solve(origin)
     comparisons = len(origin) - result.value

@@ -555,8 +555,8 @@ def suite_reformulation(seed: int = DEFAULT_SEED, trials: int = 10_000) -> Suite
             if len(comps) == 1:
                 break
             ca, cb = rng.sample(range(len(comps)), 2)
-            i = rng.choice(comps[ca].balls)
-            j = rng.choice(comps[cb].balls)
+            i = rng.choice(sorted(comps[ca][0] + comps[ca][1]))
+            j = rng.choice(sorted(comps[cb][0] + comps[cb][1]))
             answer = rng.choice(answers)
             before = g.weights()
             pair, choice = induced_move_and_choice(g, i, j, answer)
@@ -606,15 +606,14 @@ def suite_reformulation(seed: int = DEFAULT_SEED, trials: int = 10_000) -> Suite
             report.cases += 1
             rebuilt = tuple(sorted(
                 (max(masks), min(masks)) for masks in (
-                    [sum(1 << ball for ball in side) for side in (comp.larger, comp.smaller)]
-                    for comp in comps)))
+                    [sum(1 << ball for ball in side) for side in comp] for comp in comps)))
             if rebuilt != state:
                 report.add_failure(f"n={n}: graph reconstruction lost structure")
                 continue
-            total = sum(comp.weight for comp in comps)
-            sizes = [(len(comp.larger), len(comp.smaller)) for comp in comps]
+            sizes = [(len(larger), len(smaller)) for larger, smaller in comps]
+            total = sum(a - b for a, b in sizes)
             shape = tuple(sorted(sizes))
-            leaders = [(size, comp.larger[0]) for size, comp in zip(sizes, comps)]
+            leaders = [(size, larger[0]) for size, (larger, _) in zip(sizes, comps)]
             for k, params in games:
                 if total < params.e:
                     continue  # no admissible colouring: outside every game

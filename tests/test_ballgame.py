@@ -11,7 +11,6 @@ from majoritygame.ballgame import (
     BALL_SEARCH_GUARD_N,
     AdversarialGameRecord,
     BallAnswer,
-    Component,
     InconsistentAnswerError,
     QuestionGraph,
     adversarial_answer,
@@ -29,7 +28,7 @@ from majoritygame.ballgame import (
     run_adversarial_game,
     side_status_table,
 )
-from majoritygame.core import AssignerChoice, GameParams, Position, apply_move
+from majoritygame.core import AssignerChoice, GameParams, Position, apply_move, is_final
 from majoritygame.solver import GameSolver, formula_comparisons
 from majoritygame.verify import _all_ball_states, _graph_for_state, suite_reformulation
 
@@ -132,18 +131,9 @@ class TestQuestionGraph:
         g.add_comparison(3, 5, BallAnswer.DIFFERENT)
         g.add_comparison(2, 6, BallAnswer.SAME)
         comps = g.components()
-        assert [comp.min_ball for comp in comps] == [1, 2, 3, 4]
-        tied = comps[2]  # balls 3 and 5, weight 0
-        assert tied.weight == 0
-        assert tied.larger == (3,) and tied.smaller == (5,)
-        merged = comps[1]
-        assert merged.larger == (2, 6) and merged.smaller == ()
-
-    def test_component_properties(self):
-        comp = Component((2, 6), (4,))
-        assert comp.weight == 1
-        assert comp.min_ball == 2
-        assert comp.balls == (2, 4, 6)
+        assert [g.find(larger[0])[0] for larger, _ in comps] == [1, 2, 3, 4]
+        assert comps[2] == ((3,), (5,))  # weight 0: the root's side counts as larger
+        assert comps[1] == ((2, 6), ())
 
 
 def _reference(n, history):
@@ -169,8 +159,18 @@ def _reference(n, history):
                     queue.append(other)
         zero, one = tuple(sorted(sides[0])), tuple(sorted(sides[1]))
         # a tie goes to side 0, which holds the smallest ball
-        comps.append(Component(zero, one) if len(zero) >= len(one) else Component(one, zero))
+        comps.append((zero, one) if len(zero) >= len(one) else (one, zero))
     return comps, colour
+
+
+def _weight(comp):
+    larger, smaller = comp
+    return len(larger) - len(smaller)
+
+
+def _balls(comp):
+    larger, smaller = comp
+    return sorted(larger + smaller)
 
 
 def _assert_matches_history(g):
@@ -178,10 +178,10 @@ def _assert_matches_history(g):
     returned = g.components()
     assert returned == comps
     returned.reverse()
-    returned.append(Component((1,), ()))
+    returned.append(((1,), ()))
     assert g.components() == comps  # the caller's list is its own
-    assert g.weights() == Position(tuple(comp.weight for comp in comps))
-    comp_of = {ball: idx for idx, comp in enumerate(comps) for ball in comp.balls}
+    assert g.weights() == Position(tuple(map(_weight, comps)))
+    comp_of = {ball: idx for idx, comp in enumerate(comps) for ball in _balls(comp)}
     for a in range(1, g.n + 1):
         root_a, side_a = g.find(a)
         for b in range(1, g.n + 1):
@@ -308,9 +308,9 @@ class TestIdentification:
                     break
                 ca, cb = rng.sample(range(len(comps)), 2)
                 g.add_comparison(
-                    rng.choice(comps[ca].balls), rng.choice(comps[cb].balls),
+                    rng.choice(_balls(comps[ca])), rng.choice(_balls(comps[cb])),
                     rng.choice((BallAnswer.SAME, BallAnswer.DIFFERENT)))
-            if sum(comp.weight for comp in g.components()) < params.e:
+            if sum(map(_weight, g.components())) < params.e:
                 continue
             announced = identify_majority(g, params)
             determined = [
@@ -357,8 +357,8 @@ class TestInducedMoves:
                 if len(comps) == 1:
                     break
                 ca, cb = rng.sample(range(len(comps)), 2)
-                i = rng.choice(comps[ca].balls)
-                j = rng.choice(comps[cb].balls)
+                i = rng.choice(_balls(comps[ca]))
+                j = rng.choice(_balls(comps[cb]))
                 answer = rng.choice((BallAnswer.SAME, BallAnswer.DIFFERENT))
                 before = g.weights()
                 pair, choice = induced_move_and_choice(g, i, j, answer)
@@ -369,10 +369,10 @@ class TestInducedMoves:
 
 def _locate_ball(comps, ball):
     """Index of the ball's component and whether it sits on the larger side."""
-    for idx, comp in enumerate(comps):
-        if ball in comp.larger:
+    for idx, (larger, smaller) in enumerate(comps):
+        if ball in larger:
             return idx, True
-        if ball in comp.smaller:
+        if ball in smaller:
             return idx, False
     raise ValueError(f"ball {ball} not found in any component")
 
@@ -385,7 +385,7 @@ def _earlier_adversarial_answer(g, i, j, params, solver, mode):
     comps = g.components()
     ci, i_on_larger = _locate_ball(comps, i)
     cj, j_on_larger = _locate_ball(comps, j)
-    wi, wj = comps[ci].weight, comps[cj].weight
+    wi, wj = _weight(comps[ci]), _weight(comps[cj])
     if min(wi, wj) == 0:
         return BallAnswer.SAME
     choice = solver.assigner_reply(g.weights(), (wi, wj), mode)
@@ -465,6 +465,30 @@ class TestAdversary:
         g.add_comparison(1, 2, BallAnswer.DIFFERENT)
         i, j = optimal_selector_comparison(g, params, solver)
         assert i < j and len({i, j}) == 2
+
+    def test_selector_comparison_on_every_small_state(self):
+        # The first component of weight w in root order, then the first other one
+        # of weight w', each by its smallest ball, from the BFS reference alone.
+        checked = 0
+        for n in range(1, 7):
+            solvers = {}
+            for state in _all_ball_states(n):
+                g = _graph_for_state(n, state)
+                comps, _ = _reference(n, g.history)
+                weights = list(map(_weight, comps))
+                for k in range(n // 2 + 1, n + 1):
+                    params = GameParams(n, k)
+                    if sum(weights) < params.e or is_final(g.weights(), params.e):
+                        continue
+                    solver = solvers.setdefault(params.e, GameSolver(params.e))
+                    w, wp = solver.selector_move(g.weights())
+                    first = weights.index(w)
+                    second = next(idx for idx, weight in enumerate(weights)
+                                  if idx != first and weight == wp)
+                    assert optimal_selector_comparison(g, params, solver) == (
+                        min(_balls(comps[first])), min(_balls(comps[second]))), (state, k)
+                    checked += 1
+        assert checked == 221
 
     def test_selector_comparison_raises_on_final(self):
         params = GameParams(3, 3)
@@ -581,9 +605,9 @@ class TestExhaustiveSearch:
         for n in range(1, 8):
             for state in _all_ball_states(n):
                 comps = _graph_for_state(n, state).components()
-                sizes = tuple(sorted((len(comp.larger), len(comp.smaller)) for comp in comps))
+                sizes = tuple(sorted((len(larger), len(smaller)) for larger, smaller in comps))
                 for k in range(n // 2 + 1, n + 1):
-                    if sum(comp.weight for comp in comps) < 2 * k - n:
+                    if sum(map(_weight, comps)) < 2 * k - n:
                         assert announced(sizes, k)  # no admissible colouring
                         continue
                     table = side_status_table(comps, n, k)
@@ -609,8 +633,8 @@ class TestExhaustiveSearch:
 def _reference_side_status_table(comps, n, k):
     """The colouring oracle as first written: one pass over the components per mask."""
     c = len(comps)
-    larger_sizes = [len(comp.larger) for comp in comps]
-    smaller_sizes = [len(comp.smaller) for comp in comps]
+    larger_sizes = [len(larger) for larger, _ in comps]
+    smaller_sizes = [len(smaller) for _, smaller in comps]
     larger_minority = [False] * c
     larger_majority = [False] * c
     smaller_minority = [False] * c
@@ -648,8 +672,8 @@ def _component_lists(draw, max_components=14):
     for _ in range(draw(st.integers(1, max_components))):
         larger = draw(st.integers(1, 3))
         smaller = draw(st.integers(0, larger))
-        comps.append(Component(tuple(range(ball, ball + larger)),
-                               tuple(range(ball + larger, ball + larger + smaller))))
+        comps.append((tuple(range(ball, ball + larger)),
+                      tuple(range(ball + larger, ball + larger + smaller))))
         ball += larger + smaller
     n = ball - 1
     return comps, n, draw(st.integers(n // 2 + 1, n))
@@ -671,7 +695,7 @@ class TestSideStatusTable:
         assert side_status_table(comps, n, k) == _reference_side_status_table(comps, n, k)
 
     def test_guard(self):
-        comps = [Component((b,), ()) for b in range(1, 23)]
+        comps = [((b,), ()) for b in range(1, 23)]
         with pytest.raises(ValueError):
             side_status_table(comps, 22, 12)
 

@@ -330,6 +330,23 @@ class TestTrace:
         assert code == 0
         assert "formula" not in out
 
+    @pytest.mark.parametrize("n, k, position, balls", [
+        ("3", "2", "[1^5]", 5), ("3", "2", "[1,0,0]", 5), ("7", "4", "[2,1^5,0]", 9)])
+    def test_position_with_more_balls_than_n_exits_2(self, capsys, n, k, position, balls):
+        # each unit of weight needs a ball and each zero two: no n-ball game reaches these
+        code, out, err = run_cli(capsys, "trace", "--n", n, "--k", k, "--position", position)
+        assert code == 2
+        assert out == ""
+        assert f"needs at least {balls} balls, but --n is {n}" in err
+
+    def test_position_with_exactly_n_balls_or_fewer_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "trace", "--n", "9", "--k", "5", "--position", "[2,1^5,0]")
+        assert code == 0
+        assert out.endswith("comparisons: 3\n")
+        code, out, _ = run_cli(capsys, "trace", "--n", "5", "--k", "3", "--position", "[1^3]")
+        assert code == 0
+        assert out.endswith("comparisons: 1\n")
+
 
 class TestPlay:
     def test_selector_completes(self, capsys, monkeypatch, tmp_path):
