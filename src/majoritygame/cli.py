@@ -1,7 +1,11 @@
 """Command-line interface: tables, values, statistics, verification, play.
 
 All output is deterministic for fixed arguments: no timestamps, no
-machine-dependent fields, and JSON with a stable key order.  Exit codes
+machine-dependent fields, and JSON with a stable key order.  Each command
+builds its JSON results, text lines and csv rows once and hands them to
+one emitter, ``_emit``, which prints the form ``--format`` asks for; only
+``play``'s dialogue, ``verify``'s streamed text summaries and the
+``value --stats`` counters on stderr are printed outside it.  Exit codes
 are 0 for success, 1 for failed verification or an aborted game, and 2
 for invalid usage or arguments.
 """
@@ -53,14 +57,16 @@ def _valuation_json(v) -> dict:
     return {"finite": True, "value": int(v)}
 
 
-def _emit_json(command: str, params: dict, results: dict | list, failures: list[str]) -> None:
-    """Print the one JSON envelope every command uses."""
-    payload = {"command": command, "params": params, "results": results, "failures": failures}
-    print(json.dumps(payload, indent=2))
-
-
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
+def _emit(fmt: str, command: str, params: dict, results: dict | list, failures: list[str],
+          text: list[str], rows: list[list]) -> None:
+    """Print one command's output: its JSON envelope, its csv rows or its text lines."""
+    if fmt == "json":
+        payload = {"command": command, "params": params, "results": results, "failures": failures}
+        print(json.dumps(payload, indent=2))
+    elif fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+    else:
+        print(*text, sep="\n")
 
 
 # ---------------------------------------------------------------------------
@@ -68,32 +74,24 @@ def _csv_writer():
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    rows = []
+    results = []
     failures = []
+    text = [f"{'n':>3} {'k':>3} {'d':>3} {'comparisons':>12} {'formula':>8}  match"]
+    rows = [["n", "k", "d", "comparisons", "formula", "match"]]
     for params, comparisons in solved_starts(args.max_n):
         n, k = params.n, params.k
         expected = formula_comparisons(params)
         match = comparisons == expected
-        rows.append({
+        results.append({
             "n": n, "k": k, "d": n - k,
             "comparisons": comparisons, "formula": expected, "match": match,
         })
+        text.append(f"{n:>3} {k:>3} {n - k:>3} {comparisons:>12} {expected:>8}  "
+                    f"{'yes' if match else 'NO'}")
+        rows.append([n, k, n - k, comparisons, expected, "yes" if match else "no"])
         if not match:
             failures.append(f"n={n} k={k}: solved {comparisons} != formula {expected}")
-    if args.format == "json":
-        _emit_json("table", {"max_n": args.max_n}, rows, failures)
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["n", "k", "d", "comparisons", "formula", "match"])
-        for row in rows:
-            writer.writerow([row["n"], row["k"], row["d"], row["comparisons"],
-                             row["formula"], "yes" if row["match"] else "no"])
-    else:
-        print(f"{'n':>3} {'k':>3} {'d':>3} {'comparisons':>12} {'formula':>8}  match")
-        for row in rows:
-            print(f"{row['n']:>3} {row['k']:>3} {row['d']:>3} "
-                  f"{row['comparisons']:>12} {row['formula']:>8}  "
-                  f"{'yes' if row['match'] else 'NO'}")
+    _emit(args.format, "table", {"max_n": args.max_n}, results, failures, text, rows)
     return 0 if not failures else 1
 
 
@@ -132,39 +130,16 @@ def cmd_value(args: argparse.Namespace) -> int:
         stats = solver.stats
         print(f"solver: entries={stats.entries} probes={stats.probes} hits={stats.hits}",
               file=sys.stderr)
-    comparisons = len(M) - val
     pot = potential(M, e)
-    result = {
-        "position": str(M),
-        "e": e,
-        "final": final,
-        "value": val,
-        "comparisons": comparisons,
-        "potential": _valuation_json(pot),
-    }
+    fields = [("position", str(M)), ("e", e), ("final", final), ("value", val),
+              ("comparisons", len(M) - val), ("potential", _valuation_text(pot))]
     if params is not None:
-        result["n"] = params.n
-        result["k"] = params.k
-        result["formula"] = formula_comparisons(params)
-    if args.format == "json":
-        _emit_json("value", {"position": str(M), "e": e}, result, [])
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["field", "value"])
-        for key, value in result.items():
-            if key == "potential":
-                writer.writerow([key, _valuation_text(pot)])
-            else:
-                writer.writerow([key, value])
-    else:
-        print(f"position: {M}")
-        print(f"e: {e}")
-        print(f"final: {'yes' if final else 'no'}")
-        print(f"value: {val}")
-        print(f"comparisons: {comparisons}")
-        print(f"potential: {_valuation_text(pot)}")
-        if params is not None:
-            print(f"formula: {result['formula']}")
+        fields += [("n", params.n), ("k", params.k), ("formula", formula_comparisons(params))]
+    shown = dict(fields, final="yes" if final else "no")
+    _emit(args.format, "value", {"position": str(M), "e": e},
+          dict(fields, potential=_valuation_json(pot)), [],
+          [f"{key}: {value}" for key, value in shown.items() if key not in ("n", "k")],
+          [["field", "value"], *fields])
     return 0
 
 
@@ -196,41 +171,26 @@ def cmd_stats(args: argparse.Namespace) -> int:
     counts = subposition_weight_counts(M)
     signed = {order: signed_count(M, e, order) for order in range(1, max_order + 1)}
     pot = potential(M, e) if e >= 1 else None
-    if args.format == "json":
-        results = {
-            "position": str(M),
-            "e": e,
-            "total": M.total,
-            "capacity": capacity,
-            "weight_counts": list(counts),
-            "signed_counts": {str(order): value for order, value in signed.items()},
-            "valuation": _valuation_json(two_adic_valuation(signed[max_order])),
-        }
-        if pot is not None:
-            results["potential"] = _valuation_json(pot)
-        _emit_json("stats", {"position": str(M), "e": e, "max_order": max_order}, results, [])
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["field", "value"])
-        writer.writerow(["position", str(M)])
-        writer.writerow(["e", e])
-        writer.writerow(["total", M.total])
-        writer.writerow(["capacity", capacity])
-        writer.writerow(["weight_counts", " ".join(map(str, counts))])
-        for order, value in signed.items():
-            writer.writerow([f"signed_count_{order}", value])
-        if pot is not None:
-            writer.writerow(["potential", _valuation_text(pot)])
-    else:
-        print(f"position: {M}")
-        print(f"e: {e}")
-        print(f"total: {M.total}")
-        print(f"capacity: {capacity}")
-        print(f"weight counts: {' '.join(map(str, counts))}")
-        for order, value in signed.items():
-            print(f"signed count (order {order}): {value}")
-        if pot is not None:
-            print(f"potential: {_valuation_text(pot)}")
+    results = {
+        "position": str(M),
+        "e": e,
+        "total": M.total,
+        "capacity": capacity,
+        "weight_counts": list(counts),
+        "signed_counts": {str(order): value for order, value in signed.items()},
+        "valuation": _valuation_json(two_adic_valuation(signed[max_order])),
+    }
+    fields = [("position", "position", M), ("e", "e", e), ("total", "total", M.total),
+              ("capacity", "capacity", capacity),
+              ("weight_counts", "weight counts", " ".join(map(str, counts)))]
+    fields += [(f"signed_count_{order}", f"signed count (order {order})", value)
+               for order, value in signed.items()]
+    if pot is not None:
+        results["potential"] = _valuation_json(pot)
+        fields.append(("potential", "potential", _valuation_text(pot)))
+    _emit(args.format, "stats", {"position": str(M), "e": e, "max_order": max_order}, results,
+          [], [f"{label}: {value}" for _, label, value in fields],
+          [["field", "value"], *[(field, value) for field, _, value in fields]])
     return 0
 
 
@@ -254,25 +214,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"{passed}/{total} suites passed")
         return 0 if passed == total else 1
     reports = list(reports)
-    if args.format == "json":
-        params = {"suite": args.suite, "seed": args.seed, "trials": args.trials, "m": args.m}
-        results = [
-            {
-                "suite": report.suite,
-                "cases": report.cases,
-                "failures": report.failure_count,
-                "passed": report.passed,
-                "details": report.details,
-            }
-            for report in reports
-        ]
-        _emit_json("verify", params, results, [w for report in reports for w in report.failures])
-    else:
-        writer = _csv_writer()
-        writer.writerow(["suite", "cases", "failures", "status"])
-        for report in reports:
-            writer.writerow([report.suite, report.cases, report.failure_count,
-                             "pass" if report.passed else "fail"])
+    params = {"suite": args.suite, "seed": args.seed, "trials": args.trials, "m": args.m}
+    results = [
+        {
+            "suite": report.suite,
+            "cases": report.cases,
+            "failures": report.failure_count,
+            "passed": report.passed,
+            "details": report.details,
+        }
+        for report in reports
+    ]
+    rows = [["suite", "cases", "failures", "status"]]
+    rows += [[report.suite, report.cases, report.failure_count,
+              "pass" if report.passed else "fail"] for report in reports]
+    _emit(args.format, "verify", params, results,
+          [w for report in reports for w in report.failures], [], rows)
     return 0 if all(report.passed for report in reports) else 1
 
 
@@ -452,44 +409,40 @@ def cmd_trace(args: argparse.Namespace) -> int:
     e = params.e
     result = GameSolver(e).solve(origin)
     comparisons = len(origin) - result.value
-    if args.format == "json":
-        payload_steps = []
-        for step in result.principal_variation:
-            payload_steps.append({
+    steps = [(step, potential(step.position, e)) for step in result.principal_variation]
+    final_pot = potential(result.final_position, e)
+    results = {
+        "origin": str(origin),
+        "e": e,
+        "value": result.value,
+        "comparisons": comparisons,
+        "steps": [
+            {
                 "position": str(step.position),
-                "potential": _valuation_json(potential(step.position, e)),
+                "potential": _valuation_json(pot),
                 "pair": list(step.pair),
                 "choice": step.choice.value,
-            })
-        results = {
-            "origin": str(origin),
-            "e": e,
-            "value": result.value,
-            "comparisons": comparisons,
-            "steps": payload_steps,
-            "final": {
-                "position": str(result.final_position),
-                "potential": _valuation_json(potential(result.final_position, e)),
-                "size": result.value,
-            },
-        }
-        if from_start:
-            results["formula"] = formula_comparisons(params)
-        _emit_json("trace", {"n": params.n, "k": params.k, "origin": str(origin)}, results, [])
-        return 0
-    print(f"principal variation from {origin} at excess {e}:")
-    for idx, step in enumerate(result.principal_variation):
-        pot = potential(step.position, e)
-        w, wp = step.pair
-        print(f"step {idx}: {step.position}  potential={_valuation_text(pot)}  "
-              f"select ({w},{wp}) -> {step.choice.value}")
-    final_pot = potential(result.final_position, e)
-    print(f"final: {result.final_position}  potential={_valuation_text(final_pot)}  "
-          f"size={result.value}")
-    line = f"comparisons: {comparisons}"
+            }
+            for step, pot in steps
+        ],
+        "final": {
+            "position": str(result.final_position),
+            "potential": _valuation_json(final_pot),
+            "size": result.value,
+        },
+    }
+    text = [f"principal variation from {origin} at excess {e}:"]
+    text += [f"step {idx}: {step.position}  potential={_valuation_text(pot)}  "
+             f"select ({step.pair[0]},{step.pair[1]}) -> {step.choice.value}"
+             for idx, (step, pot) in enumerate(steps)]
+    text.append(f"final: {result.final_position}  potential={_valuation_text(final_pot)}  "
+                f"size={result.value}")
+    text.append(f"comparisons: {comparisons}")
     if from_start:
-        line += f" (formula {formula_comparisons(params)})"
-    print(line)
+        results["formula"] = formula_comparisons(params)
+        text[-1] += f" (formula {results['formula']})"
+    _emit(args.format, "trace", {"n": params.n, "k": params.k, "origin": str(origin)}, results,
+          [], text, [])
     return 0
 
 
@@ -587,7 +540,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, MemoLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

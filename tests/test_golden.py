@@ -10,8 +10,9 @@ deletion of the paths that repeated another: the kernel's second
 stored-bound read, the wrapped final-bound check and the in-game abort
 lines, then the one-excess-at-a-time game sweep behind ``table`` and the
 formula suite, then the single Selector move and Assigner reply, with
-``trace_n24_k14.json`` added to pin both choices at excess 4); a refactor
-must reproduce it exactly.
+``trace_n24_k14.json`` added to pin both choices at excess 4, then the
+one output emitter behind ``table``, ``value``, ``stats``, ``verify`` and
+``trace``); a refactor must reproduce it exactly.
 To regenerate a file after an intended output change, run the command
 from the repository root, for example::
 
@@ -54,14 +55,25 @@ CASES = {
         "play", "--n", "9", "--k", "5", "--level", "balls", "--role", "assigner"),
     "value_n13_k7.txt": ("value", "--n", "13", "--k", "7"),
     "value_n13_k7.csv": ("value", "--n", "13", "--k", "7", "--format", "csv"),
+    "value_n13_k7.json": ("value", "--n", "13", "--k", "7", "--format", "json"),
     "value_position_e3.csv": (
         "value", "--position", "[3,2,1^4,0]", "--e", "3", "--format", "csv"),
+    "value_position_final_e1.txt": ("value", "--position", "[2,1]", "--e", "1"),
+    "value_position_final_e1.json": (
+        "value", "--position", "[2,1]", "--e", "1", "--format", "json"),
     "stats_position_e1_b3.txt": ("stats", "--position", "[2,1^5]", "--e", "1", "--b", "3"),
     "stats_position_e1_b3.csv": (
         "stats", "--position", "[2,1^5]", "--e", "1", "--b", "3", "--format", "csv"),
+    "stats_position_e1_b3.json": (
+        "stats", "--position", "[2,1^5]", "--e", "1", "--b", "3", "--format", "json"),
+    "stats_position_e0_b2.txt": ("stats", "--position", "[4,0]", "--e", "0", "--b", "2"),
+    "stats_position_e0_b2.csv": (
+        "stats", "--position", "[4,0]", "--e", "0", "--b", "2", "--format", "csv"),
     "trace_n13_k7.txt": ("trace", "--n", "13", "--k", "7"),
     "trace_n13_k7.json": ("trace", "--n", "13", "--k", "7", "--format", "json"),
     "trace_n9_k5_position.txt": ("trace", "--n", "9", "--k", "5", "--position", "[2,1^5,0]"),
+    "trace_n9_k5_position.json": (
+        "trace", "--n", "9", "--k", "5", "--position", "[2,1^5,0]", "--format", "json"),
     "trace_n24_k14.json": ("trace", "--n", "24", "--k", "14", "--format", "json"),
     "table_max_n12.txt": ("table", "--max-n", "12"),
     "verify_assigner_tie_m11.txt": ("verify", "--suite", "assigner-tie", "--m", "11"),
@@ -72,6 +84,7 @@ CASES = {
     "verify_formula.json": ("verify", "--suite", "formula", "--format", "json"),
     "verify_two_one_family.json": ("verify", "--suite", "two-one-family", "--format", "json"),
     "verify_assigner_tie.json": ("verify", "--suite", "assigner-tie", "--format", "json"),
+    "verify_assigner_tie.csv": ("verify", "--suite", "assigner-tie", "--format", "csv"),
     "play_weights_n9_k5_selector.out": ("play", "--n", "9", "--k", "5", "--level", "weights"),
     "play_weights_n9_k5_potential.out": (
         "play", "--n", "9", "--k", "5", "--level", "weights", "--adversary", "potential"),
@@ -85,10 +98,20 @@ STDIN = {
 }
 
 
+def _stdin_file(name: str) -> Path:
+    return GOLDEN / STDIN.get(name, Path(name).with_suffix(".in").name)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name, capsys, monkeypatch):
-    stdin = GOLDEN / STDIN.get(name, Path(name).with_suffix(".in").name)
+    stdin = _stdin_file(name)
     if stdin.exists():
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin.read_text()))
     assert main(list(CASES[name])) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_every_golden_file_is_a_case_or_its_stdin():
+    # a file no case names would be a check that never runs and never fails
+    used = set(CASES) | {_stdin_file(name).name for name in CASES if _stdin_file(name).exists()}
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(used)
