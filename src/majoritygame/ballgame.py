@@ -133,7 +133,7 @@ class QuestionGraph:
         and a consistent repeat leaves the structure unchanged (the
         record still enters the history).
         """
-        if not isinstance(answer, BallAnswer):
+        if answer is not _SAME and answer is not _DIFFERENT:
             raise ValueError(f"answer must be a BallAnswer, got {answer!r}")
         keep, gone, apart = self._pair(i, j)
         flip = apart ^ (answer is _DIFFERENT)
@@ -172,8 +172,8 @@ class QuestionGraph:
     def weights(self) -> Position:
         """The weight-level position induced by the current components."""
         if self._weights is None:
-            self._weights = Position(
-                tuple([abs(len(zero) - len(one)) for zero, one in self._sides.values()]))
+            self._weights = Position._sorted(tuple(sorted(
+                [abs(len(zero) - len(one)) for zero, one in self._sides.values()], reverse=True)))
         return self._weights
 
 
@@ -434,13 +434,14 @@ def import_transcript(text: str) -> tuple[GameParams, QuestionGraph]:
     params = GameParams(int(head[0]), int(head[1]))
     g = QuestionGraph(params.n)
     for line in lines[1:]:
-        fields = line.split()
-        if len(fields) != 3:
-            raise ValueError(f"bad transcript record {line!r}")
-        answer = _ANSWERS.get(fields[2])
+        try:
+            i, j, word = line.split()
+        except ValueError:
+            raise ValueError(f"bad transcript record {line!r}") from None
+        answer = _ANSWERS.get(word)
         if answer is None:
-            raise ValueError(f"bad answer {fields[2]!r} in transcript")
-        g.add_comparison(int(fields[0]), int(fields[1]), answer)
+            raise ValueError(f"bad answer {word!r} in transcript")
+        g.add_comparison(int(i), int(j), answer)
     return params, g
 
 
@@ -482,7 +483,9 @@ def import_transcript_json(text: str) -> tuple[GameParams, QuestionGraph]:
     for record in records:
         if not isinstance(record, dict):
             raise ValueError(f"bad transcript record {record!r}")
-        i, j = _json_int(record, "i"), _json_int(record, "j")
+        i, j = record.get("i"), record.get("j")
+        if type(i) is not int or type(j) is not int:  # bool is an int subclass
+            i, j = _json_int(record, "i"), _json_int(record, "j")  # raises the message
         word = record.get("answer")
         answer = _ANSWERS.get(word) if type(word) is str else None
         if answer is None:

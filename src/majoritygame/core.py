@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -54,6 +55,7 @@ class Position:
 
     Zero weights are ordinary elements: they arise when a comparison
     cancels a pair exactly, and merging them away still costs a move.
+    ``Position(...)`` and ``parse`` validate and sort; the internal ``_sorted`` does neither.
     """
 
     elements: tuple[int, ...] = ()
@@ -64,6 +66,13 @@ class Position:
             if type(w) is not int or w < 0:  # bool is an int subclass
                 raise ValueError(f"weights must be non-negative integers, got {w!r}")
         object.__setattr__(self, "elements", elems)
+
+    @classmethod
+    def _sorted(cls, elems: tuple[int, ...]) -> "Position":
+        """Wrap a descending tuple of non-negative ints with no sort or check."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "elements", elems)
+        return M
 
     @classmethod
     def parse(cls, text: str) -> "Position":
@@ -186,10 +195,10 @@ def move_for_pair(M: Position, w: int, wp: int) -> tuple[int, int]:
 
 
 def apply_move(M: Position, pair: tuple[int, int], choice: AssignerChoice) -> Position:
-    """Replace one w and one w' by w + w' or w - w' and re-canonicalize."""
+    """Replace one w and one w' by w + w' or w - w', inserted in order with no re-sort."""
     w, wp = move_for_pair(M, *pair)
-    rest = list(M.elements)
+    rest = list(M.elements[::-1])  # ascending, for insort
     rest.remove(w)
     rest.remove(wp)
-    rest.append(w + wp if choice is AssignerChoice.PLUS else w - wp)
-    return Position(tuple(rest))
+    insort(rest, w + wp if choice is AssignerChoice.PLUS else w - wp)
+    return Position._sorted(tuple(rest[::-1]))

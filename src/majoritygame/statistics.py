@@ -97,15 +97,22 @@ def _weight_counts(elements: tuple[int, ...]) -> tuple[int, ...]:
     total = sum(elements)
     if total > WEIGHT_LIMIT:
         raise ValueError(f"weight counts are limited to total weight {WEIGHT_LIMIT}, got {total}")
+    zeros = elements.count(0)
+    weights = elements[:len(elements) - zeros]  # elements descend: zeros come last
     counts = [0] * (total + 1)
-    counts[0] = 1
-    for w in elements:
-        if w == 0:
-            counts = [2 * c for c in counts]
-        else:
-            for r in range(len(counts) - 1, w - 1, -1):
+    # (1 + x^w)^m, w the most repeated weight, is C(m, j) at x^(jw); the rest shift-add in.
+    common = max(set(weights), key=weights.count, default=0)
+    m, c = weights.count(common), 1
+    for j in range(m + 1):
+        counts[j * common] = c
+        c = c * (m - j) // (j + 1)
+    degree = m * common
+    for w in weights:
+        if w != common:
+            degree += w
+            for r in range(degree, w - 1, -1):
                 counts[r] += counts[r - w]
-    return tuple(counts)
+    return tuple([count << zeros for count in counts]) if zeros else tuple(counts)
 
 
 def _check_excess(M: Position, e: int) -> int:

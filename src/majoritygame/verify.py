@@ -62,7 +62,7 @@ _BRUTE_TOTAL_CAP = 14
 SOLVER_GUARD_M = 7
 
 #: Largest m the two-one-family suite checks: each m computes the potential
-#: of a position of 2m elements, so the suite's cost grows faster than m^3.
+#: of a position of 2m elements, so the suite's cost grows faster than m^2.
 FAMILY_M_LIMIT = 256
 
 #: Most trials a randomized suite runs: at this limit ``reformulation`` takes
@@ -507,26 +507,23 @@ def _all_ball_states(n: int) -> Iterator[BallState]:
     return extend((), 1)
 
 
-def _mask_balls(mask: int) -> list[int]:
-    """The balls of a side bitmask in ascending order: ball b is bit b."""
-    return [ball for ball in range(mask.bit_length()) if mask >> ball & 1]
-
-
 def _graph_for_state(n: int, state: BallState) -> QuestionGraph:
     """Reconstruct a question graph realizing the given component structure.
 
-    Each component's side bitmasks are decoded to balls (bit b is ball
-    b).  The smallest ball of the numerically larger mask is compared
-    SAME with the rest of its side and DIFFERENT with every ball of the
-    other side.
+    Bit b of a side bitmask is ball b.  The smallest ball of the
+    numerically larger mask is compared with every other ball of the
+    component, peeled lowest bit first: SAME with the rest of its side
+    and DIFFERENT with every ball of the other side.
     """
     g = QuestionGraph(n)
     for high, low in state:
-        anchor, *same = _mask_balls(high)
-        for ball in same:
-            g.add_comparison(anchor, ball, BallAnswer.SAME)
-        for ball in _mask_balls(low):
-            g.add_comparison(anchor, ball, BallAnswer.DIFFERENT)
+        first = high & -high
+        anchor, rest = first.bit_length() - 1, (high | low) ^ first
+        while rest:
+            bit = rest & -rest
+            answer = BallAnswer.SAME if high & bit else BallAnswer.DIFFERENT
+            g.add_comparison(anchor, bit.bit_length() - 1, answer)
+            rest ^= bit
     return g
 
 
@@ -604,10 +601,9 @@ def suite_reformulation(seed: int = DEFAULT_SEED, trials: int = 10_000) -> Suite
             g = _graph_for_state(n, state)
             comps = g.components()
             report.cases += 1
-            rebuilt = tuple(sorted(
-                (max(masks), min(masks)) for masks in (
-                    [sum(1 << ball for ball in side) for side in comp] for comp in comps)))
-            if rebuilt != state:
+            masks = [(sum([1 << ball for ball in larger]), sum([1 << ball for ball in smaller]))
+                     for larger, smaller in comps]
+            if tuple(sorted([(a, b) if a > b else (b, a) for a, b in masks])) != state:
                 report.add_failure(f"n={n}: graph reconstruction lost structure")
                 continue
             sizes = [(len(larger), len(smaller)) for larger, smaller in comps]

@@ -97,6 +97,13 @@ class TestQuestionGraph:
         assert g.history == []
         assert g.weights() == Position((1, 1, 1))
 
+    def test_rejects_answers_that_are_not_ball_answers(self):
+        g = QuestionGraph(3)
+        for bad in ("same", None, AssignerChoice.PLUS):
+            with pytest.raises(ValueError, match="answer must be a BallAnswer"):
+                g.add_comparison(1, 2, bad)
+        assert g.history == []
+
     @pytest.mark.parametrize("bad", [0, 4, -1])
     def test_balls_out_of_range(self, bad):
         g = QuestionGraph(3)
@@ -180,6 +187,7 @@ def _assert_matches_history(g):
     returned.reverse()
     returned.append(((1,), ()))
     assert g.components() == comps  # the caller's list is its own
+    # weights() builds its Position unchecked: it must equal the validated one
     assert g.weights() == Position(tuple(map(_weight, comps)))
     comp_of = {ball: idx for idx, comp in enumerate(comps) for ball in _balls(comp)}
     for a in range(1, g.n + 1):

@@ -53,10 +53,9 @@ class TestPosition:
         assert Position((0, 5)).elements == (5, 0)
 
     def test_rejects_negative_and_non_integer(self):
-        with pytest.raises(ValueError):
-            Position((1, -1))
-        with pytest.raises(ValueError):
-            Position((1.5, 2))
+        for weights in ((1, -1), (-1,), (1.5, 2), (1.0,)):
+            with pytest.raises(ValueError, match="weights must be non-negative integers"):
+                Position(weights)
 
     def test_rejects_bool_weights(self):
         # bool is an int subclass: (True, 1) would print as "[True^2]",
@@ -158,6 +157,18 @@ class TestMoves:
                 assert succ.total == M.total
             else:
                 assert succ.total == M.total - 2 * wp
+
+    @given(st.one_of(positions, repeated_positions))
+    def test_apply_move_equals_the_validated_position(self, M):
+        # apply_move builds its result unchecked; it must be the canonical one.
+        for w, wp in legal_moves(M):
+            rest = list(M.elements)
+            rest.remove(w)
+            rest.remove(wp)
+            for choice, merged in ((AssignerChoice.PLUS, w + wp), (AssignerChoice.MINUS, w - wp)):
+                succ = apply_move(M, (w, wp), choice)
+                assert succ == Position(tuple(rest + [merged]))
+                assert succ.elements == tuple(sorted(succ.elements, reverse=True))
 
     @given(st.one_of(positions, repeated_positions))
     def test_legal_moves_are_first_occurrences_of_index_pairs(self, M):

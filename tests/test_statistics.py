@@ -1,6 +1,7 @@
 """Signed subposition counts, weight counts, valuations, potentials."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -88,6 +89,25 @@ class TestWeightCounts:
         assert counts == counts[::-1]  # complementation symmetry
         zeros = sum(1 for w in M if w == 0)
         assert counts[0] == 2 ** zeros
+
+    @given(st.lists(st.sampled_from((0, 0, 1, 1, 1, 2, 2, 3, 7)), max_size=30))
+    def test_matches_a_shift_add_reference(self, ws):
+        counts = [1]
+        for w in ws:  # multiply by (1 + x^w), one element at a time
+            counts = [a + b for a, b in zip(counts + [0] * w, [0] * w + counts)]
+        assert subposition_weight_counts(Position(tuple(ws))) == tuple(counts)
+
+    def test_all_ones_give_a_binomial_row(self):
+        for n in range(301):
+            row = tuple(math.comb(n, r) for r in range(n + 1))
+            assert subposition_weight_counts(Position((1,) * n)) == row
+
+    def test_many_repeated_weights_are_fast(self):
+        statistics_module._weight_counts.cache_clear()
+        start = time.perf_counter()
+        counts = subposition_weight_counts(Position((2,) + (1,) * 4094))
+        assert time.perf_counter() - start < 1.0
+        assert counts[:3] == (1, 4094, math.comb(4094, 2) + 1)
 
     def test_total_weight_limit(self):
         assert subposition_weight_counts(Position((WEIGHT_LIMIT,)))[-1] == 1
