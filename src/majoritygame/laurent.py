@@ -8,12 +8,14 @@ hyperderivative at -1 recovers the order-e signed count up to sign.
 
 Only the public constructor accumulates repeated exponents.  Operator
 results are built in a fresh dict that is taken over as it stands, with
-only its zero coefficients dropped, and certificates expand their
-product of binomial factors directly in one coefficient dict.
+only its zero coefficients dropped.  Certificates expand their product
+of binomial factors in one packed int, a fixed-width slot per exponent,
+and read the coefficients off its slots once.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 
 from .core import Position, is_final, minority_capacity
@@ -108,7 +110,8 @@ class LaurentPoly:
             raise ValueError(f"derivative order must be non-negative, got {r}")
         if r == 0:
             return self
-        return LaurentPoly._adopt({p - r: binomial(p, r) * c for p, c in self._coeffs.items()})
+        return LaurentPoly._adopt({p - r: (math.comb(p, r) if p >= 0 else binomial(p, r)) * c
+                                   for p, c in self._coeffs.items()})
 
     def eval_at_minus_one(self) -> int:
         """Sum of coefficients with sign (-1)^exponent."""
@@ -141,18 +144,21 @@ def certificate_polynomial(M: Position, e: int) -> LaurentPoly:
 
     Only defined for final positions.  Dropping one copy of the maximum
     keeps every exponent non-negative: the remaining elements weigh at
-    most s + e - 1 in total.  The product is expanded in one coefficient
-    dict: multiplying by 1 + x^-w adds a copy shifted down by w.
+    most s + e - 1 in total.  The product is expanded in one packed int
+    with a len(M)-bit slot per exponent: multiplying by 1 + x^-w adds a
+    copy shifted down by w slots.
     """
     if not is_final(M, e):
         raise ValueError(f"{M} is not final for excess {e}")
-    coeffs = {minority_capacity(M, e) + e - 1: 1}
+    top = minority_capacity(M, e) + e - 1
+    # Coefficients count submultisets of the len(M) - 1 factors, so each
+    # is at most 2^(len(M) - 1) and no slot carries into the next.
+    bits = len(M.elements)
+    packed = 1 << top * bits
     for w in M.elements[1:]:
-        shifted = dict(coeffs)
-        for p, c in coeffs.items():
-            shifted[p - w] = shifted.get(p - w, 0) + c
-        coeffs = shifted
-    return LaurentPoly._adopt(coeffs)
+        packed += packed >> w * bits
+    mask = (1 << bits) - 1
+    return LaurentPoly._adopt({p: (packed >> p * bits) & mask for p in range(top + 1)})
 
 
 def certificate_value(M: Position, e: int) -> int:

@@ -12,17 +12,20 @@ All arithmetic is exact; the 2-adic valuation of zero is ``math.inf``,
 which orders above every finite valuation and absorbs finite addends.
 
 Weight counts are computed for totals up to ``WEIGHT_LIMIT``.  The
-brute-force oracle enumerates each element tuple's submultisets once and
-keeps only their tally by weight, so every excess is then read off that
-tally.  The recursive oracle keeps one column of counts per element tuple
-and order, over every excess of the total's parity; each column is the
-suffix sum over e, e+2, ... of the column one order below.  Every cache
-here is a bounded ``lru_cache``.
+closed form is one dot product: the weight counts a_0..a_s against a row
+of signed binomials, cached per (s, order) and shared by every position
+of that s.  The brute-force oracle enumerates each element tuple's
+submultisets once and keeps only their tally by weight, so every excess
+is then read off that tally.  The recursive oracle keeps one column of
+counts per element tuple and order, over every excess of the total's
+parity; each column is the suffix sum over e, e+2, ... of the column one
+order below.  Every cache here is a bounded ``lru_cache``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
@@ -44,6 +47,10 @@ WEIGHT_LIMIT = 4096
 #: Entries kept by each cache below; enough that the verification suites
 #: recompute little, small enough that a long-lived process stays bounded.
 _CACHE_SIZE = 4096
+
+#: Signed binomial rows kept, one per (s, order): all suites together build 309,
+#: and a row holds s + 1 <= WEIGHT_LIMIT // 2 + 1 ints.
+_ROW_CACHE_SIZE = 512
 
 
 def binary_weight(m: int) -> int:
@@ -115,23 +122,20 @@ def _weight_counts(elements: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([count << zeros for count in counts]) if zeros else tuple(counts)
 
 
-def _check_excess(M: Position, e: int) -> int:
-    """Validate e against M and return M's total weight."""
+def _check_excess(M: Position, e: int, order: int = 1) -> int:
+    """Validate e against M, then order, and return M's total weight."""
     if type(e) is not int:  # bool is an int subclass
         raise ValueError(f"excess must be an integer, got {e!r}")
     if e < 0:
         raise ValueError(f"excess must be non-negative, got {e}")
-    total = M.total
+    total = sum(M.elements)
     if (total - e) % 2 != 0:
         raise ValueError(f"excess {e} has the wrong parity for total weight {total}")
-    return total
-
-
-def _check_order(order: int) -> None:
     if type(order) is not int:
         raise ValueError(f"order must be an integer, got {order!r}")
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
+    return total
 
 
 def signed_count_bruteforce(M: Position, e: int) -> int:
@@ -177,18 +181,25 @@ def signed_count(M: Position, e: int, order: int = 1) -> int:
     sum over r <= s of (-1)^r C(s + order - 1 - r, order - 1) a_r, where
     a_r counts submultisets of weight r and 2s + e is the total weight.
     When e exceeds the total weight the sum is empty and the count is 0.
+    The sum is the dot product of a_0..a_s with a cached row of signed
+    binomials; the weight counts come first, so a total past
+    ``WEIGHT_LIMIT`` is refused before any row is built.
     """
-    total = _check_excess(M, e)
-    _check_order(order)
-    s = (total - e) // 2
+    s = (_check_excess(M, e, order) - e) // 2
     if s < 0:
         return 0
-    counts = _weight_counts(M.elements)
-    acc = 0
-    for r in range(s + 1):
-        term = math.comb(s + order - 1 - r, order - 1) * counts[r]
-        acc += -term if r & 1 else term
-    return acc
+    return sum(map(operator.mul, _weight_counts(M.elements), _signed_binomials(s, order)))
+
+
+@lru_cache(maxsize=_ROW_CACHE_SIZE)
+def _signed_binomials(s: int, order: int) -> tuple[int, ...]:
+    """Entry r: (-1)^r C(s + order - 1 - r, order - 1), for r = 0..s."""
+    row = [0] * (s + 1)
+    c = 1  # C(order - 1 + j, order - 1), the entry at r = s - j up to sign
+    for j in range(s + 1):
+        row[s - j] = -c if (s - j) & 1 else c
+        c = c * (order + j) // (j + 1)
+    return tuple(row)
 
 
 def signed_count_recursive(M: Position, e: int, order: int) -> int:
@@ -209,8 +220,7 @@ def signed_count_recursive(M: Position, e: int, order: int) -> int:
     cold call at a high order stays far from the recursion limit.  The
     total weight is capped at ``WEIGHT_LIMIT``.
     """
-    _check_excess(M, e)
-    _check_order(order)
+    _check_excess(M, e, order)
     if len(M.elements) > _ENUMERATION_LIMIT:
         raise ValueError(
             f"recursion bottoms out in enumeration, which is limited to "

@@ -166,8 +166,9 @@ class TestCertificates:
             certificate_polynomial(Position((1, 1, 1)), 1)
 
     def test_direct_product_matches_generic_arithmetic(self):
-        checked = 0
-        for M in _small_positions(10, extra_zeros=2):
+        # Up to 6 zeros fill a len(M)-bit slot of the packed product to 2^(len - 1).
+        checked = full_slots = 0
+        for M in _small_positions(10, extra_zeros=6):
             for e in range(1, M.total + 1):
                 if (M.total - e) % 2 or not is_final(M, e):
                     continue
@@ -176,7 +177,14 @@ class TestCertificates:
                     expected = expected * (LaurentPoly.one() + LaurentPoly.monomial(-w))
                 assert certificate_polynomial(M, e) == expected, (M, e)
                 checked += 1
-        assert checked == 1383
+                full_slots += max(c for _, c in expected.terms()) == 2 ** (len(M) - 1)
+        assert checked == 3227
+        assert full_slots == 210
+
+    def test_packed_slot_holds_its_largest_coefficient(self):
+        M = Position((1,) + (0,) * 40)
+        assert certificate_polynomial(M, 1) == LaurentPoly({0: 2**40})
+        assert certificate_value(M, 1) == 2**40
 
     def test_value_matches_signed_count_on_small_finals(self):
         for M in _small_positions(10):

@@ -193,8 +193,12 @@ class TestSignedCounts:
         def closed_form_weight_counts(elements):
             raise AssertionError("the oracle must enumerate, not use the weight-count DP")
 
+        def closed_form_row(s, order):
+            raise AssertionError("the oracle must sum its own columns, not the binomial row")
+
         statistics_module._enumerated_weight_counts.cache_clear()
         monkeypatch.setattr(statistics_module, "_weight_counts", closed_form_weight_counts)
+        monkeypatch.setattr(statistics_module, "_signed_binomials", closed_form_row)
         M = Position((6, 4, 4, 2, 1, 1, 0))
         assert signed_count_bruteforce(M, 0) == _per_subset_signed_count(
             _subset_weights(M.elements), M.total, 0)
@@ -203,9 +207,13 @@ class TestSignedCounts:
         def closed_form_weight_counts(elements):
             raise AssertionError("the oracle must enumerate, not use the weight-count DP")
 
+        def closed_form_row(s, order):
+            raise AssertionError("the oracle must sum its own columns, not the binomial row")
+
         statistics_module._enumerated_weight_counts.cache_clear()
         statistics_module._order_column.cache_clear()
         monkeypatch.setattr(statistics_module, "_weight_counts", closed_form_weight_counts)
+        monkeypatch.setattr(statistics_module, "_signed_binomials", closed_form_row)
         M = Position((6, 4, 4, 2, 1, 1, 0))
         weights = _subset_weights(M.elements)
         for order in range(1, 5):
@@ -263,6 +271,42 @@ class TestSignedCounts:
                     assert signed_count(M, e) == (
                         signed_count(plus, e) + sign * signed_count(minus, e)), (M, pair, e)
 
+    @given(positions)
+    def test_closed_form_matches_its_literal_sum(self, M):
+        for e in range(M.total % 2, M.total + 5, 2):
+            for order in range(1, 9):
+                assert signed_count(M, e, order) == _literal_signed_count(M, e, order), (e, order)
+
+    def test_closed_form_matches_its_literal_sum_at_scale(self):
+        ones = Position((1,) * 300)
+        for e in range(0, 301, 2):
+            for order in range(1, 41):
+                assert signed_count(ones, e, order) == _literal_signed_count(ones, e, order)
+        single = Position((4096,))
+        assert signed_count(single, 1024, 85) == _literal_signed_count(single, 1024, 85)
+        at_s_zero = Position((5, 0, 0))
+        assert signed_count(at_s_zero, 5, 3000) == _literal_signed_count(at_s_zero, 5, 3000) == 4
+
+    def test_potentials_at_one_s_share_one_row(self):
+        rows = statistics_module._signed_binomials
+        rows.cache_clear()
+        e, s = 3, 4
+        same_s = [M for M in _positions_up_to(2 * s + e) if M.total == 2 * s + e]
+        for M in same_s:
+            potential(M, e)
+        assert len(same_s) == 112
+        assert rows.cache_info().misses == 1
+
+    def test_row_cache_stays_bounded_over_many_orders(self):
+        rows = statistics_module._signed_binomials
+        rows.cache_clear()
+        M = Position((5,))
+        for order in range(1, 43_691):
+            signed_count(M, 1, order)
+        info = rows.cache_info()
+        assert info.misses == 43_690
+        assert info.currsize <= info.maxsize
+
     def test_all_ones_closed_form(self):
         for n in range(1, 13):
             M = Position((1,) * n)
@@ -275,7 +319,7 @@ class TestSignedCounts:
 
 def test_every_cache_is_bounded():
     caches = [f for f in vars(statistics_module).values() if hasattr(f, "cache_info")]
-    assert caches
+    assert statistics_module._signed_binomials in caches
     for f in caches:
         assert f.cache_info().maxsize is not None, f.__name__
 
@@ -334,6 +378,17 @@ def _per_subset_iterated(weights, total, e, order):
         return _per_subset_signed_count(weights, total, e)
     return sum(_per_subset_iterated(weights, total, ee, order - 1)
                for ee in range(e, total + 1, 2))
+
+
+def _literal_signed_count(M, e, order):
+    """The closed form summed term by term: one math.comb per weight r <= s."""
+    s = (M.total - e) // 2
+    counts = subposition_weight_counts(M)
+    acc = 0
+    for r in range(s + 1):
+        term = math.comb(s + order - 1 - r, order - 1) * counts[r]
+        acc += -term if r & 1 else term
+    return acc
 
 
 def _per_subset_signed_count(weights, total, e):
