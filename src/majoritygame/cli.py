@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import sys
-from typing import IO
 
 from .ballgame import (
     BallAnswer,
@@ -237,12 +236,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # play
 
 
-def _read_line(prompt: str, in_stream: IO[str], out_stream: IO[str]) -> str | None:
+def _read_line(prompt: str) -> str | None:
     """One stripped input line, or None after reporting the abort at end of input."""
-    print(prompt, end="", file=out_stream, flush=True)
-    line = in_stream.readline()
+    print(prompt, end="", flush=True)
+    line = sys.stdin.readline()
     if line == "":
-        print("\naborted", file=out_stream)
+        print("\naborted")
         return None
     return line.strip()
 
@@ -257,40 +256,30 @@ def _describe_components(g: QuestionGraph) -> str:
     return " ".join(parts)
 
 
-def _play_balls(
-    params: GameParams,
-    role: str,
-    adversary: str,
-    in_stream: IO[str],
-    out_stream: IO[str],
-) -> tuple[int, QuestionGraph, int]:
-    g = QuestionGraph(params.n)
+def _play_balls(g: QuestionGraph, params: GameParams, role: str, adversary: str) -> int:
+    """Play on g until the majority ball is known; g keeps every comparison made."""
     solver = GameSolver(params.e)
-    comparisons = 0
     print(f"n={params.n} balls, majority threshold k={params.k}; "
-          f"optimal play needs {formula_comparisons(params)} comparisons",
-          file=out_stream)
+          f"optimal play needs {formula_comparisons(params)} comparisons")
     while True:
         ball = identify_majority(g, params)
         if ball is not None:
-            print(f"majority ball: {ball} after {comparisons} comparisons",
-                  file=out_stream)
-            return 0, g, comparisons
-        print(f"components: {_describe_components(g)}   weights: {g.weights()}",
-              file=out_stream)
+            print(f"majority ball: {ball} after {len(g.history)} comparisons")
+            return 0
+        print(f"components: {_describe_components(g)}   weights: {g.weights()}")
         if role == "selector":
-            line = _read_line("compare i j> ", in_stream, out_stream)
+            line = _read_line("compare i j> ")
             if line is None:
-                return 1, g, comparisons
+                return 1
             fields = line.split()
             if len(fields) != 2:
-                print("enter two ball numbers, e.g. '1 2'", file=out_stream)
+                print("enter two ball numbers, e.g. '1 2'")
                 continue
             try:
                 i, j = int(fields[0]), int(fields[1])
                 forced = g.forced_answer(i, j)
             except ValueError as exc:
-                print(f"bad comparison: {exc}", file=out_stream)
+                print(f"bad comparison: {exc}")
                 continue
             if forced is not None:
                 answer = forced
@@ -299,74 +288,63 @@ def _play_balls(
                 answer = adversarial_answer(g, i, j, params, solver, adversary)
                 note = ""
             g.add_comparison(i, j, answer)
-            comparisons += 1
-            print(f"balls {i} and {j}: {answer.value}{note}", file=out_stream)
+            print(f"balls {i} and {j}: {answer.value}{note}")
         else:
             i, j = optimal_selector_comparison(g, params, solver)
-            line = _read_line(f"are balls {i} and {j} the same colour? [same/different] ",
-                              in_stream, out_stream)
+            line = _read_line(f"are balls {i} and {j} the same colour? [same/different] ")
             if line is None:
-                return 1, g, comparisons
+                return 1
             word = line.lower()
             if word in ("same", "s"):
                 answer = BallAnswer.SAME
             elif word in ("different", "d"):
                 answer = BallAnswer.DIFFERENT
             else:
-                print("answer 'same' or 'different'", file=out_stream)
+                print("answer 'same' or 'different'")
                 continue
             g.add_comparison(i, j, answer)
-            comparisons += 1
-            print(f"recorded: balls {i} and {j} are {answer.value}", file=out_stream)
+            print(f"recorded: balls {i} and {j} are {answer.value}")
 
 
-def _play_weights(
-    params: GameParams,
-    role: str,
-    adversary: str,
-    in_stream: IO[str],
-    out_stream: IO[str],
-) -> tuple[int, int]:
+def _play_weights(params: GameParams, role: str, adversary: str) -> int:
     M = start_position(params)
     e = params.e
     solver = GameSolver(e)
     comparisons = 0
-    print(f"excess e={e}; optimal play needs {formula_comparisons(params)} comparisons",
-          file=out_stream)
+    print(f"excess e={e}; optimal play needs {formula_comparisons(params)} comparisons")
     while not is_final(M, e):
-        print(f"position: {M}", file=out_stream)
+        print(f"position: {M}")
         if role == "selector":
-            line = _read_line("select w w'> ", in_stream, out_stream)
+            line = _read_line("select w w'> ")
             if line is None:
-                return 1, comparisons
+                return 1
             fields = line.split()
             if len(fields) != 2:
-                print("enter two weights, e.g. '1 1'", file=out_stream)
+                print("enter two weights, e.g. '1 1'")
                 continue
             try:
                 pair = move_for_pair(M, int(fields[0]), int(fields[1]))
             except ValueError as exc:
-                print(f"bad selection: {exc}", file=out_stream)
+                print(f"bad selection: {exc}")
                 continue
             choice = solver.assigner_reply(M, pair, adversary)
-            print(f"assigner replies {choice.value} on ({pair[0]},{pair[1]})", file=out_stream)
+            print(f"assigner replies {choice.value} on ({pair[0]},{pair[1]})")
         else:
             pair = solver.selector_move(M)
-            line = _read_line(f"selected pair {pair}; reply [+/-] ", in_stream, out_stream)
+            line = _read_line(f"selected pair {pair}; reply [+/-] ")
             if line is None:
-                return 1, comparisons
+                return 1
             if line == "+":
                 choice = AssignerChoice.PLUS
             elif line == "-":
                 choice = AssignerChoice.MINUS
             else:
-                print("reply '+' or '-'", file=out_stream)
+                print("reply '+' or '-'")
                 continue
         M = apply_move(M, pair, choice)
         comparisons += 1
-    print(f"final position: {M} ({len(M)} components) after {comparisons} comparisons",
-          file=out_stream)
-    return 0, comparisons
+    print(f"final position: {M} ({len(M)} components) after {comparisons} comparisons")
+    return 0
 
 
 def cmd_play(args: argparse.Namespace) -> int:
@@ -378,18 +356,19 @@ def cmd_play(args: argparse.Namespace) -> int:
     if args.level == "weights":
         if args.out is not None:
             raise ValueError("--out records ball-level transcripts; use --level balls")
-        code, _ = _play_weights(params, args.role, adversary, sys.stdin, sys.stdout)
-        return code
+        return _play_weights(params, args.role, adversary)
+    g = QuestionGraph(params.n)
     if args.out is None:
-        code, _, _ = _play_balls(params, args.role, adversary, sys.stdin, sys.stdout)
-        return code
+        return _play_balls(g, params, args.role, adversary)
     try:  # before the first prompt, so an unwritable path costs no game
         handle = open(args.out, "w", encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot write the transcript to {args.out}: {exc.strerror}") from None
     with handle:
-        code, g, _ = _play_balls(params, args.role, adversary, sys.stdin, sys.stdout)
-        handle.write(export_transcript(g, params))
+        try:  # a session that ends in an error still records every comparison made
+            code = _play_balls(g, params, args.role, adversary)
+        finally:
+            handle.write(export_transcript(g, params))
     print(f"transcript written to {args.out}")
     return code
 

@@ -14,12 +14,11 @@ which orders above every finite valuation and absorbs finite addends.
 Weight counts are computed for totals up to ``WEIGHT_LIMIT``.  The
 closed form is one dot product: the weight counts a_0..a_s against a row
 of signed binomials, cached per (s, order) and shared by every position
-of that s.  The brute-force oracle enumerates each element tuple's
-submultisets once and keeps only their tally by weight, so every excess
-is then read off that tally.  The recursive oracle keeps one column of
-counts per element tuple and order, over every excess of the total's
-parity; each column is the suffix sum over e, e+2, ... of the column one
-order below.  Every cache here is a bounded ``lru_cache``.
+of that s.  The one enumeration oracle lists each element tuple's
+submultisets once and keeps only their tally by weight; from it, one
+column of counts per element tuple and order holds every excess of the
+total's parity, each column the suffix sum over e, e+2, ... of the
+column one order below.  Every cache here is a bounded ``lru_cache``.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ def _weight_counts(elements: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([count << zeros for count in counts]) if zeros else tuple(counts)
 
 
-def _check_excess(M: Position, e: int, order: int = 1) -> int:
+def _check_excess(M: Position, e: int, order: int) -> int:
     """Validate e against M, then order, and return M's total weight."""
     if type(e) is not int:  # bool is an int subclass
         raise ValueError(f"excess must be an integer, got {e!r}")
@@ -138,29 +137,11 @@ def _check_excess(M: Position, e: int, order: int = 1) -> int:
     return total
 
 
-def signed_count_bruteforce(M: Position, e: int) -> int:
-    """The order-1 signed count by direct enumeration of all submultisets.
-
-    This is the reference oracle for the closed-form and recursive
-    routes: it walks all 2^len(M) submultisets, keeps those whose
-    complement outweighs them by at least e, and adds their signs.
-    The walk runs once per element tuple and is kept as a tally of
-    submultisets by weight, from which every excess is read; it never
-    uses the weight-count recursion of the closed form.  Guarded at 24
-    elements and at total weight ``WEIGHT_LIMIT`` to keep the walk bounded.
-    """
-    _check_excess(M, e)
-    if len(M.elements) > _ENUMERATION_LIMIT:
-        raise ValueError(
-            f"enumeration is limited to {_ENUMERATION_LIMIT} elements, got {len(M.elements)}")
-    return _column_entry(M.elements, e, 1)
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def _enumerated_weight_counts(elements: tuple[int, ...]) -> tuple[int, ...]:
     """Entry r: how many of the 2^len(elements) listed submultisets weigh r.
 
-    Both enumeration oracles start here, so the ``total + 1`` tally is
+    The enumeration oracle starts here, so the ``total + 1`` tally is
     refused above ``WEIGHT_LIMIT`` before any submultiset is listed.
     """
     total = sum(elements)
@@ -203,29 +184,33 @@ def _signed_binomials(s: int, order: int) -> tuple[int, ...]:
 
 
 def signed_count_recursive(M: Position, e: int, order: int) -> int:
-    """The same statistic by literally evaluating the defining sums.
+    """The same statistic by enumeration, summing the definition over excesses.
 
-    The counts are built one column per element tuple and order, holding
-    the count at every excess of the total weight's parity, entry e // 2
-    for excess e.  The order-1 column comes from the brute-force
-    enumeration; each higher column is the suffix sum of the column one
-    order below, so its entry for e adds the lower-order counts at
-    e, e+2, ... up to the total weight.  An excess past the total weight
-    reads 0.  This route shares no arithmetic with the closed form, so
-    their agreement cross-checks both.
+    The order-1 column walks all 2^len(M) submultisets once per element
+    tuple and tallies them by weight; its entry e // 2 is the signed sum
+    over those whose complement outweighs them by at least e, for every
+    excess e of the total weight's parity.  Each higher column is the
+    suffix sum of the column one order below, so its entry for e adds the
+    lower-order counts at e, e+2, ... up to the total weight.  An excess
+    past the total weight reads 0.  This route shares no arithmetic with
+    the closed form, so their agreement cross-checks both.
 
     Only the 64 most recent columns are kept: each suite walks one
     position's excesses and orders before moving to the next.  Missing
     orders are built lowest first, at most 64 per nested descent, so a
     cold call at a high order stays far from the recursion limit.  The
-    total weight is capped at ``WEIGHT_LIMIT``.
+    walk is guarded at 24 elements and at total weight ``WEIGHT_LIMIT``.
     """
     _check_excess(M, e, order)
     if len(M.elements) > _ENUMERATION_LIMIT:
         raise ValueError(
-            f"recursion bottoms out in enumeration, which is limited to "
-            f"{_ENUMERATION_LIMIT} elements; got {len(M.elements)}")
+            f"enumeration is limited to {_ENUMERATION_LIMIT} elements, got {len(M.elements)}")
     return _column_entry(M.elements, e, order)
+
+
+def signed_count_bruteforce(M: Position, e: int) -> int:
+    """The order-1 signed count by enumeration: ``signed_count_recursive(M, e, 1)``."""
+    return signed_count_recursive(M, e, 1)
 
 
 def _column_entry(elements: tuple[int, ...], e: int, order: int) -> int:

@@ -47,7 +47,6 @@ from .statistics import (
     binary_weight,
     potential,
     signed_count,
-    signed_count_bruteforce,
     signed_count_recursive,
     two_adic_valuation,
 )
@@ -55,7 +54,7 @@ from .statistics import (
 #: Seed used by randomized suites when none is supplied.
 DEFAULT_SEED = 20917
 
-#: Positions up to this total get the brute-force cross-check.
+#: Positions up to this total get the enumeration cross-check.
 _BRUTE_TOTAL_CAP = 14
 
 #: Largest m for which the first-move-tie check solves the game exactly.
@@ -140,14 +139,15 @@ def _random_laurent(rng: random.Random) -> LaurentPoly:
 
 
 def _split_law(
-    name: str, seed: int, trials: int, max_total: int, orders: range, beyond: int, oracle
+    name: str, seed: int, trials: int, max_total: int, orders: range, beyond: int
 ) -> SuiteReport:
     """Signed counts split across a move: count(M) = count(M+) ± count(M-).
 
     The sign is minus exactly when the smaller selected weight is odd.
     Each random position/move pair is checked at every order and
     admissible excess, plus ``beyond`` vacuous excesses past the total;
-    small totals also check the closed form against ``oracle(M, e, order)``.
+    small totals also check the closed form against enumeration,
+    ``signed_count_recursive(M, e, order)``.
     """
     report = SuiteReport(name)
     rng = random.Random(seed)
@@ -169,7 +169,7 @@ def _split_law(
                 for e in _valid_excesses(M):
                     report.cases += 1
                     closed = signed_count(M, e, order)
-                    reference = oracle(M, e, order)
+                    reference = signed_count_recursive(M, e, order)
                     if closed != reference:
                         report.add_failure(
                             f"{M} e={e} order={order}: closed {closed} != reference {reference}")
@@ -180,22 +180,20 @@ def _split_law(
 def suite_conservation(seed: int = DEFAULT_SEED, trials: int = 1000) -> SuiteReport:
     """The splitting law for plain signed counts, totals up to 24.
 
-    Two vacuous excesses past the total are checked too, and small
-    totals are cross-checked against brute-force enumeration.
+    One vacuous excess past the total is checked too, and small totals
+    are cross-checked against enumeration.
     """
     return _split_law("conservation", seed, trials, max_total=24,
-                      orders=range(1, 2), beyond=1,
-                      oracle=lambda M, e, _order: signed_count_bruteforce(M, e))
+                      orders=range(1, 2), beyond=1)
 
 
 def suite_conservation_iterated(seed: int = DEFAULT_SEED, trials: int = 250) -> SuiteReport:
     """The same splitting law for iterated signed counts of orders 1..4, totals up to 20.
 
-    Small positions are additionally cross-checked against the recursive
-    definition, which bottoms out in plain enumeration.
+    Small positions are additionally cross-checked against enumeration.
     """
     return _split_law("conservation-iterated", seed, trials, max_total=20,
-                      orders=range(1, 5), beyond=0, oracle=signed_count_recursive)
+                      orders=range(1, 5), beyond=0)
 
 
 def suite_start_position() -> SuiteReport:

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from majoritygame import solver, verify
+from majoritygame.ballgame import BallAnswer, import_transcript
 from majoritygame.cli import STATS_TERM_LIMIT, main
 from majoritygame.core import PARSE_ELEMENT_LIMIT
 from majoritygame.statistics import WEIGHT_LIMIT
@@ -390,6 +391,19 @@ class TestPlay:
         assert code == 2
         assert "bad comparison" not in out
         assert "too deep to solve" in err
+
+    def test_transcript_survives_a_session_that_exits_2(self, capsys, monkeypatch, tmp_path):
+        # (11, 6) outgrows a 44-entry table on the engine's third selection
+        monkeypatch.setattr(solver, "MEMO_LIMIT", 44)
+        monkeypatch.setattr("sys.stdin", io.StringIO("same\n" * 5))
+        path = tmp_path / "t.txt"
+        code, _, err = run_cli(capsys, "play", "--n", "11", "--k", "6", "--role", "assigner",
+                               "--out", str(path))
+        assert code == 2
+        assert err == "error: solve table would exceed 44 entries\n"
+        params, g = import_transcript(path.read_text())
+        assert (params.n, params.k) == (11, 6)
+        assert g.history == [(1, 2, BallAnswer.SAME), (3, 4, BallAnswer.SAME)]
 
     def test_assigner_role(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("same\nsame\nsame\n"))

@@ -158,8 +158,11 @@ class TestSignedCounts:
                 potential(M, e)
 
     def test_bruteforce_guard(self):
-        with pytest.raises(ValueError):
+        message = "enumeration is limited to 24 elements, got 25"
+        with pytest.raises(ValueError, match=message):
             signed_count_bruteforce(Position((1,) * 25), 1)
+        with pytest.raises(ValueError, match=message):
+            signed_count_recursive(Position((1,) * 25), 1, 2)
 
     def test_enumeration_total_weight_limit(self):
         at_limit = Position((WEIGHT_LIMIT,))

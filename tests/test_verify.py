@@ -18,6 +18,7 @@ from majoritygame.verify import (
     run_all_suites,
     run_suite,
     suite_conservation,
+    suite_conservation_iterated,
     suite_leibniz,
     suite_reformulation,
     suite_two_one_family,
@@ -171,6 +172,28 @@ class TestReformulationCatchesFaults:
         failures = self._failures(
             monkeypatch, verify, "identify_majority", lambda g, params: None)
         assert all(": announced None, colouring oracle says " in failure for failure in failures)
+
+
+class TestSplitLawCatchesFaults:
+    """An enumeration oracle off by one at one order shows only at that order."""
+
+    @staticmethod
+    def _off_by_one_at(monkeypatch, bad_order):
+        real = verify.signed_count_recursive
+        monkeypatch.setattr(verify, "signed_count_recursive",
+                            lambda M, e, order: real(M, e, order) + (order == bad_order))
+
+    def test_iterated_names_only_the_faulty_order(self, monkeypatch):
+        self._off_by_one_at(monkeypatch, 2)
+        report = suite_conservation_iterated(trials=50)
+        assert report.failure_count > 0
+        assert all(" order=2: closed " in failure for failure in report.failures)
+
+    def test_plain_conservation_asks_the_oracle(self, monkeypatch):
+        self._off_by_one_at(monkeypatch, 1)
+        report = suite_conservation(trials=50)
+        assert report.failure_count > 0
+        assert all(" order=1: closed " in failure for failure in report.failures)
 
 
 class TestPotentialAgainstValues:
