@@ -21,6 +21,7 @@ from enum import Enum
 from typing import Iterator
 
 from .core import (
+    PARSE_ELEMENT_LIMIT,
     AssignerChoice,
     GameParams,
     Position,
@@ -419,6 +420,13 @@ def export_transcript(g: QuestionGraph, params: GameParams) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _transcript_game(n: int, k: int) -> tuple[GameParams, QuestionGraph]:
+    """A transcript header's game and empty graph; n over the ``play --n`` cap is refused first."""
+    if n > PARSE_ELEMENT_LIMIT:
+        raise ValueError(f"transcript n is limited to {PARSE_ELEMENT_LIMIT} balls, got {n}")
+    return GameParams(n, k), QuestionGraph(n)
+
+
 def import_transcript(text: str) -> tuple[GameParams, QuestionGraph]:
     """Rebuild a graph by replaying an exported transcript.
 
@@ -431,8 +439,7 @@ def import_transcript(text: str) -> tuple[GameParams, QuestionGraph]:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError(f"transcript header must be 'n k', got {lines[0]!r}")
-    params = GameParams(int(head[0]), int(head[1]))
-    g = QuestionGraph(params.n)
+    params, g = _transcript_game(int(head[0]), int(head[1]))
     for line in lines[1:]:
         try:
             i, j, word = line.split()
@@ -475,11 +482,10 @@ def import_transcript_json(text: str) -> tuple[GameParams, QuestionGraph]:
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("JSON transcript must be an object with 'n', 'k' and 'comparisons'")
-    params = GameParams(_json_int(payload, "n"), _json_int(payload, "k"))
+    params, g = _transcript_game(_json_int(payload, "n"), _json_int(payload, "k"))
     records = payload.get("comparisons", [])
     if not isinstance(records, list):
         raise ValueError(f"JSON transcript 'comparisons' must be a list, got {records!r}")
-    g = QuestionGraph(params.n)
     for record in records:
         if not isinstance(record, dict):
             raise ValueError(f"bad transcript record {record!r}")

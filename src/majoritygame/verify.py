@@ -19,6 +19,7 @@ from typing import Iterator
 from .ballgame import (
     BallAnswer,
     QuestionGraph,
+    Sides,
     consistent_colouring_exists,
     export_transcript,
     export_transcript_json,
@@ -44,6 +45,7 @@ from .report import SuiteReport
 from .solver import GameSolver, formula_comparisons, reachable_positions, solved_starts
 from .statistics import (
     INFINITE,
+    WEIGHT_LIMIT,
     binary_weight,
     potential,
     signed_count,
@@ -431,8 +433,10 @@ def verify_first_move_tie(m: int) -> SuiteReport:
     """
     if m < 1 or m % 4 != 3:
         raise ValueError(f"need a positive m = 3 (mod 4), got m={m}")
+    n = 2 * m + 1  # also the merged position's total weight: refused before it is built
+    if n > WEIGHT_LIMIT:
+        raise ValueError(f"weight counts are limited to total weight {WEIGHT_LIMIT}, got {n}")
     report = SuiteReport(f"assigner-tie(m={m})")
-    n = 2 * m + 1
     params = GameParams(n, m + 1)
     merged = Position((2,) + (1,) * (2 * m - 1))
     cancelled = Position((1,) * (2 * m - 1) + (0,))
@@ -479,49 +483,35 @@ def suite_assigner_tie() -> SuiteReport:
 # ball-level suites
 
 
-#: A labelled ball state: sorted pairs of disjoint side bitmasks, bit b for
-#: ball b, the numerically larger mask first and an empty side 0.
-BallState = tuple[tuple[int, int], ...]
+def _all_ball_states(n: int) -> Iterator[tuple[Sides, ...]]:
+    """Every labelled ball state on n balls once, as ``QuestionGraph.sides`` in root order.
 
-
-def _all_ball_states(n: int) -> Iterator[BallState]:
-    """Every labelled ball state on n balls, each yielded once.
-
-    Ball b opens a component or joins one on either side; its bit is the
-    highest yet, so that component goes last and the tuple stays sorted.
-    These are the signed set partitions, all reachable by merges.
+    Ball b, the largest yet, opens a component ``((b,), ())`` at the end or
+    joins either side of one in place, so sides stay sorted, each root first
+    on its own side.  These are the signed set partitions, all reachable by merges.
     """
-    def extend(state: BallState, ball: int) -> Iterator[BallState]:
+    def extend(state: tuple[Sides, ...], ball: int) -> Iterator[tuple[Sides, ...]]:
         if ball > n:
             yield state
             return
-        bit = 1 << ball
-        yield from extend(state + ((bit, 0),), ball + 1)
-        for x, (high, low) in enumerate(state):
-            rest = state[:x] + state[x + 1:]
-            yield from extend(rest + ((high | bit, low),), ball + 1)
-            yield from extend(rest + ((low | bit, high),), ball + 1)
+        yield from extend(state + (((ball,), ()),), ball + 1)
+        for x, (zero, one) in enumerate(state):
+            head, tail = state[:x], state[x + 1:]
+            yield from extend(head + ((zero + (ball,), one),) + tail, ball + 1)
+            yield from extend(head + ((zero, one + (ball,)),) + tail, ball + 1)
 
     return extend((), 1)
 
 
-def _graph_for_state(n: int, state: BallState) -> QuestionGraph:
-    """Reconstruct a question graph realizing the given component structure.
-
-    Bit b of a side bitmask is ball b.  The smallest ball of the
-    numerically larger mask is compared with every other ball of the
-    component, peeled lowest bit first: SAME with the rest of its side
-    and DIFFERENT with every ball of the other side.
-    """
+def _graph_for_state(n: int, state: tuple[Sides, ...]) -> QuestionGraph:
+    """A question graph realizing the state: each root is compared with the rest
+    of its own side (SAME) and with every ball on the other side (DIFFERENT)."""
     g = QuestionGraph(n)
-    for high, low in state:
-        first = high & -high
-        anchor, rest = first.bit_length() - 1, (high | low) ^ first
-        while rest:
-            bit = rest & -rest
-            answer = BallAnswer.SAME if high & bit else BallAnswer.DIFFERENT
-            g.add_comparison(anchor, bit.bit_length() - 1, answer)
-            rest ^= bit
+    for (root, *same), other in state:
+        for ball in same:
+            g.add_comparison(root, ball, BallAnswer.SAME)
+        for ball in other:
+            g.add_comparison(root, ball, BallAnswer.DIFFERENT)
     return g
 
 
@@ -599,9 +589,7 @@ def suite_reformulation(seed: int = DEFAULT_SEED, trials: int = 10_000) -> Suite
             g = _graph_for_state(n, state)
             comps = g.components()
             report.cases += 1
-            masks = [(sum([1 << ball for ball in larger]), sum([1 << ball for ball in smaller]))
-                     for larger, smaller in comps]
-            if tuple(sorted([(a, b) if a > b else (b, a) for a, b in masks])) != state:
+            if tuple([g.sides(g.find(zero[0])[0]) for zero, _ in state]) != state:
                 report.add_failure(f"n={n}: graph reconstruction lost structure")
                 continue
             sizes = [(len(larger), len(smaller)) for larger, smaller in comps]

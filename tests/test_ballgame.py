@@ -524,13 +524,16 @@ def _reference_merged_states(state):
                    rest | {frozenset((a0 | b1, a1 | b0))})
 
 
-def _encoded_component(comp):
-    return tuple(sorted((sum(1 << ball for ball in side) for side in comp), reverse=True))
+def _root_sides(comp):
+    """A reference component as ``QuestionGraph.sides``: both sides sorted, the
+    side holding the smallest ball first (an empty side sorts last)."""
+    zero, one = sorted([sorted(side) for side in comp], key=lambda side: (not side, side))
+    return tuple(zero), tuple(one)
 
 
-def _encoded(state):
-    """A reference state in the bitmask encoding of ``_all_ball_states``."""
-    return tuple(sorted(map(_encoded_component, state)))
+def _in_root_order(state):
+    """A reference state in the form of ``_all_ball_states``: components by smallest ball."""
+    return tuple(sorted(map(_root_sides, state)))
 
 
 def _reference_states(n):
@@ -576,11 +579,11 @@ class TestBallStates:
     def test_matches_the_frozenset_states(self):
         # so every generated state is reachable by merges from the start
         for n in range(1, 7):
-            assert {_encoded(state) for state in _reference_states(n)} == set(
+            assert {_in_root_order(state) for state in _reference_states(n)} == set(
                 _all_ball_states(n))
 
     def test_traced_footprint(self):
-        # One state per ball is alive at a time: 0.003 MiB at n = 7, where the
+        # One state per ball is alive at a time: 0.004 MiB at n = 7, where the
         # set of all 10,299 states took 1.7 MiB.
         assert _traced_peak_mib(_count, _all_ball_states(7)) < 0.01
         # Up to relabelling the search keeps 0.003 MiB at n = 8 and 2 MiB at the guard.
@@ -589,7 +592,7 @@ class TestBallStates:
         assert _traced_peak_mib(min_comparisons_ball_level, GameParams(n, n // 2 + 2)) < 4
 
     def test_reformulation_traced_footprint(self):
-        # The exhaustive phase peaks at 0.6 MiB; it took 2.7 MiB with each n's states in a set.
+        # The whole suite peaks at 0.11 MiB; it took 2.7 MiB with each n's states in a set.
         assert _traced_peak_mib(lambda: suite_reformulation(trials=1)) < 1
 
 
@@ -810,6 +813,27 @@ class TestTranscripts:
     def test_json_import_rejects_garbage(self, blob, message):
         with pytest.raises(ValueError, match=message):
             import_transcript_json(blob)
+
+    @pytest.mark.parametrize("importer, text", [
+        (import_transcript, "2000000 1000001\n"),
+        (import_transcript_json, '{"n": 2000000, "k": 1000001}'),
+    ])
+    def test_import_refuses_n_over_the_cap_first(self, importer, text):
+        # The header alone once built a graph of 2,000,000 balls: 4.2 s and 463 MiB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="limited to 4096 balls, got 2000000"):
+                importer(text)
+            assert tracemalloc.get_traced_memory()[1] / 2**20 < 1
+        finally:
+            tracemalloc.stop()
+
+    def test_import_accepts_n_at_the_cap(self):
+        # play --n allows 4096, so every transcript play --out writes imports
+        params, g = import_transcript("4096 2049\n1 4096 different\n")
+        assert params == GameParams(4096, 2049) and g.find(4096) == (1, 1)
+        params, g = import_transcript_json('{"n": 4096, "k": 2049, "comparisons": []}')
+        assert params == GameParams(4096, 2049) and g.n == 4096
 
     def test_import_replays_consistency_checks(self):
         bad = "3 2\n1 2 same\n2 3 same\n1 3 different\n"

@@ -1,4 +1,5 @@
-"""Source hygiene of the package modules, checked with the stdlib ``ast`` only."""
+"""Source hygiene of the package modules: imports checked with the stdlib ``ast`` only,
+and the package's line budget."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,9 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "majoritygame"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+
+#: Most lines ``src/majoritygame/*.py`` may hold, counted as ``cat ... | wc -l`` counts them.
+LINE_BUDGET = 2900
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,3 +36,8 @@ def test_module_reads_every_name_it_imports(path):
 def test_unused_import_is_reported():
     source = "from __future__ import annotations\nimport sys\nfrom typing import IO\nsys.exit()\n"
     assert unused_imports(source) == ["line 3: IO"]
+
+
+def test_package_within_the_line_budget():
+    lines = sum(path.read_bytes().count(b"\n") for path in PACKAGE.glob("*.py"))
+    assert lines <= LINE_BUDGET, f"src/majoritygame holds {lines} lines, budget {LINE_BUDGET}"

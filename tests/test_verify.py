@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -114,6 +115,21 @@ class TestBallSuites:
         report = suite_reformulation(trials=1)
         states = report.details["states"]
         assert states == {1: 1, 2: 3, 3: 11, 4: 49, 5: 257, 6: 1539, 7: 10299}
+        assert report.failure_count == sum(states.values()) - len(states)
+        assert report.failures[0] == "n=2: graph reconstruction lost structure"
+
+    def test_reformulation_reports_an_overmerged_rebuild(self, monkeypatch):
+        # A graph of one all-SAME component matches one state per n; the other
+        # states are reported, not a KeyError on a root the graph merged away.
+        def merged(n, state):
+            g = QuestionGraph(n)
+            for ball in range(2, n + 1):
+                g.add_comparison(1, ball, BallAnswer.SAME)
+            return g
+
+        monkeypatch.setattr(verify, "_graph_for_state", merged)
+        report = suite_reformulation(trials=1)
+        states = report.details["states"]
         assert report.failure_count == sum(states.values()) - len(states)
         assert report.failures[0] == "n=2: graph reconstruction lost structure"
 
@@ -231,6 +247,20 @@ class TestNamedFamilies:
             assert report.passed, report.failures[:3]
         with pytest.raises(ValueError):
             verify_first_move_tie(5)
+
+    def test_first_move_tie_refuses_a_large_m_before_building(self):
+        # At m = 4,000,003 three positions of 8M elements (about 300 MiB) were
+        # built before the weight-count limit refused the first potential.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="total weight 4096, got 8000007"):
+                verify_first_move_tie(4_000_003)
+            assert tracemalloc.get_traced_memory()[1] / 2**20 < 1
+        finally:
+            tracemalloc.stop()
+        with pytest.raises(ValueError, match="limited to total weight 4096, got 4103"):
+            verify_first_move_tie(2051)
+        assert verify_first_move_tie(2047).passed
 
     def test_first_move_tie_values_detail(self):
         report = verify_first_move_tie(3)
