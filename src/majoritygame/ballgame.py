@@ -9,8 +9,9 @@ the larger root, and a component is nothing but its root's two sides.
 The multiset of side-size differences is the weight-level position,
 and answering a cross-component comparison realizes one Assigner
 choice on it.  This module also hosts the identification rule, the
-exhaustive colouring oracle it is checked against, adversarial
-answering, and transcript import/export.
+exhaustive colouring oracle it is checked against, the lifting of
+weight-level strategies to balls and the one loop that plays them, and
+transcript import/export.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import (
     PARSE_ELEMENT_LIMIT,
@@ -28,7 +29,7 @@ from .core import (
     minority_capacity,
     move_for_pair,
 )
-from .solver import GameSolver
+from .solver import Assigner, Selector
 
 #: Components beyond which the exhaustive colouring oracle refuses to run.
 COLOURING_GUARD = 20
@@ -276,78 +277,63 @@ def induced_move_and_choice(
     return pair, AssignerChoice.PLUS if plus else AssignerChoice.MINUS
 
 
-def adversarial_answer(
-    g: QuestionGraph,
-    i: int,
-    j: int,
-    params: GameParams,
-    solver: GameSolver,
-    mode: str = "optimal",
-) -> BallAnswer:
-    """An answer that keeps identification as expensive as possible.
+def ball_selector(selector: Selector) -> Callable[[QuestionGraph], tuple[int, int]]:
+    """The weight-level Selector lifted to balls: a ball pair realizing its move.
+
+    For the selector's value pair on the graph's weights it compares the
+    roots, which are the smallest balls, of the first matching components in
+    root order.  Which balls inside the components are compared is
+    immaterial: the Assigner's answer controls the outcome either way.
+    """
+    def select(g: QuestionGraph) -> tuple[int, int]:
+        w, wp = selector(g.weights())
+        weight = {root: abs(len(zero) - len(one)) for root, (zero, one) in g._sides.items()}
+        first = next(root for root in weight if weight[root] == w)
+        return first, next(root for root in weight if root != first and weight[root] == wp)
+    return select
+
+
+def ball_assigner(assigner: Assigner) -> Callable[[QuestionGraph, int, int], BallAnswer]:
+    """The weight-level Assigner lifted to balls: its answer to comparing i and j.
 
     Within a component the answer is forced.  Across components the
-    caller's solver picks the weight-level Assigner reply — exact minimax
-    for mode 'optimal', the potential heuristic for mode 'potential' —
-    and the reply is translated back through the balls' sides.  A comparison
-    touching a weight-0 component yields the same position either way
-    and is answered 'same'.
+    assigner replies to the induced weight pair, translated back through
+    the balls' sides; a comparison touching a weight-0 component yields the
+    same position either way and is answered 'same'.
     """
-    _check_params(g, params)
-    forced = g.forced_answer(i, j)
-    if forced is not None:
-        return forced
-    pair, same_choice = induced_move_and_choice(g, i, j, BallAnswer.SAME)
-    if pair[1] == 0:
-        return BallAnswer.SAME
-    choice = solver.assigner_reply(g.weights(), pair, mode)
-    return BallAnswer.SAME if choice is same_choice else BallAnswer.DIFFERENT
-
-
-def optimal_selector_comparison(
-    g: QuestionGraph, params: GameParams, solver: GameSolver
-) -> tuple[int, int]:
-    """A concrete ball pair realizing an optimal Selector move.
-
-    Takes the lexicographically smallest optimal value pair and the roots,
-    which are the smallest balls, of the first matching components in
-    root order.  Which balls inside the components are compared is
-    immaterial: the adversary controls the outcome through its answer
-    either way.
-    """
-    _check_params(g, params)
-    w, wp = solver.selector_move(g.weights())
-    weight = {root: abs(len(zero) - len(one)) for root, (zero, one) in g._sides.items()}
-    first = next(root for root in weight if weight[root] == w)
-    return first, next(root for root in weight if root != first and weight[root] == wp)
+    def answer(g: QuestionGraph, i: int, j: int) -> BallAnswer:
+        forced = g.forced_answer(i, j)
+        if forced is not None:
+            return forced
+        pair, same_choice = induced_move_and_choice(g, i, j, _SAME)
+        if pair[1] == 0:
+            return _SAME
+        return _SAME if assigner(g.weights(), pair) is same_choice else _DIFFERENT
+    return answer
 
 
 @dataclass
 class AdversarialGameRecord:
-    """Outcome of one optimal-Selector-versus-adversary game."""
+    """Outcome of one ball-level game."""
 
     comparisons: int
     majority_ball: int
     graph: QuestionGraph
 
 
-def run_adversarial_game(params: GameParams, mode: str = "optimal") -> AdversarialGameRecord:
-    """Play an optimal Selector against the adversarial answerer.
+def run_adversarial_game(params: GameParams, selector: Selector,
+                         assigner: Assigner) -> AdversarialGameRecord:
+    """Play the two weight-level strategies, lifted to balls, until a majority ball is known.
 
-    Returns once a majority ball is identified; with mode 'optimal' the
-    comparison count always equals the game's exact optimum.
+    Both strategies are for the game's excess.  Against the solver's
+    selector_move, either solver Assigner forces the game's exact optimum.
     """
     g = QuestionGraph(params.n)
-    solver = GameSolver(params.e)
-    comparisons = 0
-    while True:
-        ball = identify_majority(g, params)
-        if ball is not None:
-            return AdversarialGameRecord(comparisons, ball, g)
-        i, j = optimal_selector_comparison(g, params, solver)
-        answer = adversarial_answer(g, i, j, params, solver, mode)
-        g.add_comparison(i, j, answer)
-        comparisons += 1
+    select, answer = ball_selector(selector), ball_assigner(assigner)
+    while (ball := identify_majority(g, params)) is None:
+        i, j = select(g)
+        g.add_comparison(i, j, answer(g, i, j))
+    return AdversarialGameRecord(len(g.history), ball, g)
 
 
 def announced(sizes: SideSizes, k: int) -> bool:

@@ -20,10 +20,10 @@ import sys
 from .ballgame import (
     BallAnswer,
     QuestionGraph,
-    adversarial_answer,
+    ball_assigner,
+    ball_selector,
     export_transcript,
     identify_majority,
-    optimal_selector_comparison,
 )
 from .core import (
     PARSE_ELEMENT_LIMIT,
@@ -35,7 +35,8 @@ from .core import (
     move_for_pair,
     start_position,
 )
-from .solver import GameSolver, MemoLimitExceeded, formula_comparisons, solved_starts
+from .solver import (Assigner, GameSolver, MemoLimitExceeded, Selector, formula_comparisons,
+                     solved_starts)
 from .statistics import (
     INFINITE,
     potential,
@@ -256,9 +257,10 @@ def _describe_components(g: QuestionGraph) -> str:
     return " ".join(parts)
 
 
-def _play_balls(g: QuestionGraph, params: GameParams, role: str, adversary: str) -> int:
+def _play_balls(g: QuestionGraph, params: GameParams, role: str, selector: Selector,
+                assigner: Assigner) -> int:
     """Play on g until the majority ball is known; g keeps every comparison made."""
-    solver = GameSolver(params.e)
+    select, answer_for = ball_selector(selector), ball_assigner(assigner)
     print(f"n={params.n} balls, majority threshold k={params.k}; "
           f"optimal play needs {formula_comparisons(params)} comparisons")
     while True:
@@ -285,12 +287,12 @@ def _play_balls(g: QuestionGraph, params: GameParams, role: str, adversary: str)
                 answer = forced
                 note = " (already forced)"
             else:  # a solve too deep to finish ends the session with exit 2
-                answer = adversarial_answer(g, i, j, params, solver, adversary)
+                answer = answer_for(g, i, j)
                 note = ""
             g.add_comparison(i, j, answer)
             print(f"balls {i} and {j}: {answer.value}{note}")
         else:
-            i, j = optimal_selector_comparison(g, params, solver)
+            i, j = select(g)
             line = _read_line(f"are balls {i} and {j} the same colour? [same/different] ")
             if line is None:
                 return 1
@@ -306,10 +308,9 @@ def _play_balls(g: QuestionGraph, params: GameParams, role: str, adversary: str)
             print(f"recorded: balls {i} and {j} are {answer.value}")
 
 
-def _play_weights(params: GameParams, role: str, adversary: str) -> int:
+def _play_weights(params: GameParams, role: str, selector: Selector, assigner: Assigner) -> int:
     M = start_position(params)
     e = params.e
-    solver = GameSolver(e)
     comparisons = 0
     print(f"excess e={e}; optimal play needs {formula_comparisons(params)} comparisons")
     while not is_final(M, e):
@@ -327,10 +328,10 @@ def _play_weights(params: GameParams, role: str, adversary: str) -> int:
             except ValueError as exc:
                 print(f"bad selection: {exc}")
                 continue
-            choice = solver.assigner_reply(M, pair, adversary)
+            choice = assigner(M, pair)
             print(f"assigner replies {choice.value} on ({pair[0]},{pair[1]})")
         else:
-            pair = solver.selector_move(M)
+            pair = selector(M)
             line = _read_line(f"selected pair {pair}; reply [+/-] ")
             if line is None:
                 return 1
@@ -352,21 +353,22 @@ def cmd_play(args: argparse.Namespace) -> int:
     if args.adversary is not None and args.role == "assigner":
         raise ValueError("--adversary sets the engine's answers to a selector; "
                          "with --role assigner the engine selects")
-    adversary = args.adversary if args.adversary is not None else "optimal"
+    solver = GameSolver(params.e)
+    assigner = solver.potential_reply if args.adversary == "potential" else solver.assigner_reply
     if args.level == "weights":
         if args.out is not None:
             raise ValueError("--out records ball-level transcripts; use --level balls")
-        return _play_weights(params, args.role, adversary)
+        return _play_weights(params, args.role, solver.selector_move, assigner)
     g = QuestionGraph(params.n)
     if args.out is None:
-        return _play_balls(g, params, args.role, adversary)
+        return _play_balls(g, params, args.role, solver.selector_move, assigner)
     try:  # before the first prompt, so an unwritable path costs no game
         handle = open(args.out, "w", encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot write the transcript to {args.out}: {exc.strerror}") from None
     with handle:
         try:  # a session that ends in an error still records every comparison made
-            code = _play_balls(g, params, args.role, adversary)
+            code = _play_balls(g, params, args.role, solver.selector_move, assigner)
         finally:
             handle.write(export_transcript(g, params))
     print(f"transcript written to {args.out}")

@@ -7,15 +7,17 @@ null-window test (Knuth & Moore's alpha-beta with a zero-width window)
 over a table of proven (lower, upper) bounds per canonical position,
 driven to the exact value MTD(f)-style (Plaat, Schaeffer, Pijls & de
 Bruin 1996).  Values are exact integers and depend only on the excess,
-so one table serves every game of that excess.  Each strategy question
-has one answer: selector_move gives the smallest optimal value pair and
-assigner_reply the lower-scoring reply, MINUS on a tie.
+so one table serves every game of that excess.  Strategies are plain
+values that ``play`` plays out: selector_move gives the smallest optimal
+pair, and assigner_reply (by value) and potential_reply (by potential)
+share one tie rule, lower_scoring_reply: the lower-scoring child, MINUS on a tie.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import (
     AssignerChoice,
@@ -26,7 +28,7 @@ from .core import (
     legal_moves,
     start_position,
 )
-from .statistics import binary_weight, potential
+from .statistics import Valuation, binary_weight, potential
 
 #: Cap on one solver's table entries; a fresh bare-majority solve at n = 61
 #: needs 226,794.
@@ -38,6 +40,10 @@ TABLE_MAX_N = 48
 
 #: Largest n for which exhaustive reachability enumeration runs.
 EXHAUSTIVE_GUARD_N = 12
+
+#: A strategy for one fixed excess: the Selector picks a weight pair, the Assigner replies.
+Selector = Callable[[Position], tuple[int, int]]
+Assigner = Callable[[Position, tuple[int, int]], AssignerChoice]
 
 
 class MemoLimitExceeded(RuntimeError):
@@ -76,9 +82,9 @@ class TraceStep:
 class SolveResult:
     """Value and one optimal line of play for one position.
 
-    The principal variation is deterministic: each step plays
-    GameSolver.selector_move, the lexicographically smallest optimal value
-    pair, and GameSolver.assigner_reply, which breaks ties towards MINUS.
+    The principal variation is ``play`` of GameSolver.selector_move, the
+    lexicographically smallest optimal value pair, against
+    GameSolver.assigner_reply, which breaks ties towards MINUS.
     """
 
     value: int
@@ -254,39 +260,42 @@ class GameSolver:
             if all(self._test(tuple(reversed(apply_move(M, pair, c).elements)), best) >= best
                    for c in AssignerChoice))
 
-    def assigner_reply(
-        self, M: Position, pair: tuple[int, int], mode: str = "optimal"
-    ) -> AssignerChoice:
-        """The Assigner's one reply to selecting pair: the lower-scoring child, MINUS on a tie.
+    def assigner_reply(self, M: Position, pair: tuple[int, int]) -> AssignerChoice:
+        """The Assigner scoring each child by its value; see lower_scoring_reply."""
+        return lower_scoring_reply(M, pair, self.e, self.value)
 
-        Mode 'optimal' scores a child by its value, mode 'potential' by its
-        potential.  An unknown mode or a final position raises ValueError.
-        """
-        if mode == "optimal":
-            score = self.value
-        elif mode == "potential":
-            score = lambda child: potential(child, self.e)
-        else:
-            raise ValueError(f"unknown adversary mode {mode!r}")
-        if is_final(M, self.e):
-            raise ValueError(f"{M} is already final for excess {self.e}")
-        plus, minus = (apply_move(M, pair, c) for c in AssignerChoice)
-        return AssignerChoice.PLUS if score(plus) < score(minus) else AssignerChoice.MINUS
+    def potential_reply(self, M: Position, pair: tuple[int, int]) -> AssignerChoice:
+        """The Assigner scoring each child by its potential; see lower_scoring_reply."""
+        return lower_scoring_reply(M, pair, self.e, lambda child: potential(child, self.e))
 
     def solve(self, M: Position) -> SolveResult:
         """Value and the principal variation for M.
 
         The variation's length always equals len(M) minus the value.
         """
-        val = self.value(M)
-        variation: list[TraceStep] = []
-        cur = M
-        while not is_final(cur, self.e):
-            pair = self.selector_move(cur)
-            choice = self.assigner_reply(cur, pair)
-            variation.append(TraceStep(cur, pair, choice))
-            cur = apply_move(cur, pair, choice)
-        return SolveResult(val, variation, cur)
+        steps, final = play(M, self.e, self.selector_move, self.assigner_reply)
+        return SolveResult(self.value(M), steps, final)
+
+
+def lower_scoring_reply(M: Position, pair: tuple[int, int], e: int,
+                        score: Callable[[Position], Valuation]) -> AssignerChoice:
+    """The Assigner's one tie rule: the lower-scoring child, MINUS on a tie; final M raises."""
+    if is_final(M, e):
+        raise ValueError(f"{M} is already final for excess {e}")
+    plus, minus = (apply_move(M, pair, c) for c in AssignerChoice)
+    return AssignerChoice.PLUS if score(plus) < score(minus) else AssignerChoice.MINUS
+
+
+def play(M: Position, e: int, selector: Selector,
+         assigner: Assigner) -> tuple[list[TraceStep], Position]:
+    """Each step of selector against assigner from M until final, and the final position."""
+    steps = []
+    while not is_final(M, e):
+        pair = selector(M)
+        choice = assigner(M, pair)
+        steps.append(TraceStep(M, pair, choice))
+        M = apply_move(M, pair, choice)
+    return steps, M
 
 
 def solve_game(params: GameParams) -> tuple[int, SolveResult]:

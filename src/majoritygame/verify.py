@@ -633,19 +633,21 @@ def suite_adversarial() -> SuiteReport:
         for k in _valid_thresholds(n):
             params = GameParams(n, k)
             expected = formula_comparisons(params)
-            for mode in ("optimal", "potential"):
-                record = run_adversarial_game(params, mode=mode)
+            solver = GameSolver(params.e)
+            for name, assigner in (("optimal", solver.assigner_reply),
+                                   ("potential", solver.potential_reply)):
+                record = run_adversarial_game(params, solver.selector_move, assigner)
                 report.cases += 1
                 if record.comparisons != expected:
                     report.add_failure(
-                        f"n={n} k={k} adversary={mode}: took {record.comparisons} "
+                        f"n={n} k={k} adversary={name}: took {record.comparisons} "
                         f"comparisons, formula says {expected}")
                 report.cases += 1
                 if consistent_colouring_exists(
                     record.graph, params, record.majority_ball, "minority"
                 ):
                     report.add_failure(
-                        f"n={n} k={k} adversary={mode}: announced ball "
+                        f"n={n} k={k} adversary={name}: announced ball "
                         f"{record.majority_ball} could still be minority")
     search_counts = {}
     for n in range(1, oracle_n + 1):

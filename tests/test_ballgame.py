@@ -13,8 +13,9 @@ from majoritygame.ballgame import (
     BallAnswer,
     InconsistentAnswerError,
     QuestionGraph,
-    adversarial_answer,
     announced,
+    ball_assigner,
+    ball_selector,
     consistent_colouring_exists,
     export_transcript,
     export_transcript_json,
@@ -24,12 +25,18 @@ from majoritygame.ballgame import (
     induced_move_and_choice,
     merged_sizes,
     min_comparisons_ball_level,
-    optimal_selector_comparison,
     run_adversarial_game,
     side_status_table,
 )
-from majoritygame.core import AssignerChoice, GameParams, Position, apply_move, is_final
-from majoritygame.solver import GameSolver, formula_comparisons
+from majoritygame.core import (
+    AssignerChoice,
+    GameParams,
+    Position,
+    apply_move,
+    is_final,
+    start_position,
+)
+from majoritygame.solver import GameSolver, formula_comparisons, play
 from majoritygame.verify import _all_ball_states, _graph_for_state, suite_reformulation
 
 
@@ -385,8 +392,8 @@ def _locate_ball(comps, ball):
     raise ValueError(f"ball {ball} not found in any component")
 
 
-def _earlier_adversarial_answer(g, i, j, params, solver, mode):
-    """adversarial_answer as first written, with its own copy of the side rule."""
+def _earlier_adversarial_answer(g, i, j, assigner):
+    """The ball-level Assigner as first written, with its own copy of the side rule."""
     forced = g.forced_answer(i, j)
     if forced is not None:
         return forced
@@ -396,7 +403,7 @@ def _earlier_adversarial_answer(g, i, j, params, solver, mode):
     wi, wj = _weight(comps[ci]), _weight(comps[cj])
     if min(wi, wj) == 0:
         return BallAnswer.SAME
-    choice = solver.assigner_reply(g.weights(), (wi, wj), mode)
+    choice = assigner(g.weights(), (wi, wj))
     same_realizes_plus = i_on_larger == j_on_larger
     if choice is AssignerChoice.PLUS:
         return BallAnswer.SAME if same_realizes_plus else BallAnswer.DIFFERENT
@@ -422,12 +429,12 @@ class TestAdversary:
                 for k in range(n // 2 + 1, n + 1):
                     params = GameParams(n, k)
                     solver = solvers.setdefault(params.e, GameSolver(params.e))
-                    for mode in ("optimal", "potential"):
+                    for assigner in (solver.assigner_reply, solver.potential_reply):
+                        lifted = ball_assigner(assigner)
                         for i, j in pairs:
-                            args = (g, i, j, params, solver, mode)
-                            assert _answer_or_error(adversarial_answer, *args) is \
-                                _answer_or_error(_earlier_adversarial_answer, *args), \
-                                (g.weights(), i, j, k, mode)
+                            assert _answer_or_error(lifted, g, i, j) is \
+                                _answer_or_error(_earlier_adversarial_answer, g, i, j, assigner), \
+                                (g.weights(), i, j, k, assigner.__name__)
                             checked += 1
         assert checked > 0
 
@@ -435,7 +442,8 @@ class TestAdversary:
         for n in range(1, 9):
             for k in range(n // 2 + 1, n + 1):
                 params = GameParams(n, k)
-                record = run_adversarial_game(params, mode="optimal")
+                solver = GameSolver(params.e)
+                record = run_adversarial_game(params, solver.selector_move, solver.assigner_reply)
                 assert isinstance(record, AdversarialGameRecord)
                 assert record.comparisons == formula_comparisons(params), (n, k)
                 assert identify_majority(record.graph, params) == record.majority_ball
@@ -444,34 +452,30 @@ class TestAdversary:
         for n in range(1, 9):
             for k in range(n // 2 + 1, n + 1):
                 params = GameParams(n, k)
-                record = run_adversarial_game(params, mode="potential")
+                solver = GameSolver(params.e)
+                record = run_adversarial_game(params, solver.selector_move, solver.potential_reply)
                 assert record.comparisons == formula_comparisons(params), (n, k)
 
     def test_forced_answers_win_over_strategy(self):
         g = QuestionGraph(4)
         g.add_comparison(1, 2, BallAnswer.SAME)
         params = GameParams(4, 3)
-        assert adversarial_answer(g, 1, 2, params, GameSolver(params.e)) is BallAnswer.SAME
+        assert ball_assigner(GameSolver(params.e).assigner_reply)(g, 1, 2) is BallAnswer.SAME
 
     def test_zero_weight_comparison_answers_same(self):
         g = QuestionGraph(5)
         g.add_comparison(1, 2, BallAnswer.DIFFERENT)
         params = GameParams(5, 3)
-        assert adversarial_answer(g, 1, 3, params, GameSolver(params.e)) is BallAnswer.SAME
-
-    def test_unknown_mode_rejected(self):
-        g = QuestionGraph(3)
-        with pytest.raises(ValueError):
-            adversarial_answer(g, 1, 2, GameParams(3, 2), GameSolver(1), mode="random")
+        assert ball_assigner(GameSolver(params.e).assigner_reply)(g, 1, 3) is BallAnswer.SAME
 
     def test_selector_comparison_is_minimal_and_optimal(self):
         params = GameParams(5, 3)
-        solver = GameSolver(params.e)
+        select = ball_selector(GameSolver(params.e).selector_move)
         g = QuestionGraph(5)
-        i, j = optimal_selector_comparison(g, params, solver)
+        i, j = select(g)
         assert (i, j) == (1, 2)
         g.add_comparison(1, 2, BallAnswer.DIFFERENT)
-        i, j = optimal_selector_comparison(g, params, solver)
+        i, j = select(g)
         assert i < j and len({i, j}) == 2
 
     def test_selector_comparison_on_every_small_state(self):
@@ -493,7 +497,7 @@ class TestAdversary:
                     first = weights.index(w)
                     second = next(idx for idx, weight in enumerate(weights)
                                   if idx != first and weight == wp)
-                    assert optimal_selector_comparison(g, params, solver) == (
+                    assert ball_selector(solver.selector_move)(g) == (
                         min(_balls(comps[first])), min(_balls(comps[second]))), (state, k)
                     checked += 1
         assert checked == 221
@@ -502,7 +506,32 @@ class TestAdversary:
         params = GameParams(3, 3)
         g = QuestionGraph(3)
         with pytest.raises(ValueError):
-            optimal_selector_comparison(g, params, GameSolver(params.e))
+            ball_selector(GameSolver(params.e).selector_move)(g)
+
+
+def _pairing_selector(M):
+    """Saks and Werman's pairing Selector: merge the smallest repeated nonzero
+    weight, or else the two smallest nonzero weights."""
+    nonzero = [w for w in M.elements if w]  # descending
+    repeated = [w for w, smaller in zip(nonzero, nonzero[1:]) if w == smaller]
+    if repeated:
+        return repeated[-1], repeated[-1]
+    return nonzero[-2], nonzero[-1]
+
+
+class TestStrategyValues:
+    def test_pairing_selector_meets_the_formula_at_bare_majority(self):
+        # a Selector written outside the solver plays through both loops
+        for n in range(1, 26, 2):
+            params = GameParams(n, n // 2 + 1)
+            solver = GameSolver(params.e)
+            expected = formula_comparisons(params)
+            for assigner in (solver.assigner_reply, solver.potential_reply):
+                steps, final = play(start_position(params), params.e, _pairing_selector, assigner)
+                assert len(steps) == expected and is_final(final, params.e), (n, assigner.__name__)
+                record = run_adversarial_game(params, _pairing_selector, assigner)
+                assert record.comparisons == expected, (n, assigner.__name__)
+                assert identify_majority(record.graph, params) == record.majority_ball
 
 
 def _reference_start_state(n):
@@ -842,7 +871,8 @@ class TestTranscripts:
 
     def test_adversarial_game_round_trips(self):
         params = GameParams(7, 4)
-        record = run_adversarial_game(params)
+        solver = GameSolver(params.e)
+        record = run_adversarial_game(params, solver.selector_move, solver.assigner_reply)
         text = export_transcript(record.graph, params)
         params2, g2 = import_transcript(text)
         assert identify_majority(g2, params2) == record.majority_ball

@@ -22,6 +22,8 @@ from majoritygame.solver import (
     MemoLimitExceeded,
     SolverStats,
     formula_comparisons,
+    lower_scoring_reply,
+    play,
     reachable_positions,
     solve_game,
 )
@@ -274,9 +276,9 @@ class TestStrategies:
         solver = GameSolver(1)
         with pytest.raises(ValueError, match="already final"):
             solver.selector_move(Position((2, 1)))
-        for mode in ("optimal", "potential"):
+        for assigner in (solver.assigner_reply, solver.potential_reply):
             with pytest.raises(ValueError, match="already final"):
-                solver.assigner_reply(Position((2, 1)), (2, 1), mode)
+                assigner(Position((2, 1)), (2, 1))
 
     def test_selector_move_is_the_smallest_optimal_pair(self):
         # every reachable non-final position of every game with n <= 9
@@ -307,7 +309,13 @@ class TestStrategies:
     def test_potential_reply_cancels_the_opening_pair(self):
         # cancelling the opening pair is strictly better for the potential at m=3
         M = start_position(GameParams(7, 4))
-        assert GameSolver(1).assigner_reply(M, (1, 1), "potential") is AssignerChoice.MINUS
+        assert GameSolver(1).potential_reply(M, (1, 1)) is AssignerChoice.MINUS
+
+    def test_play_from_a_final_position_takes_no_step(self):
+        def never(*args):
+            raise AssertionError("no strategy is asked at a final position")
+        M = Position((2, 1))
+        assert play(M, 1, never, never) == ([], M)
 
 
 class TestAssignerReply:
@@ -321,19 +329,24 @@ class TestAssignerReply:
         # every move from every reachable non-final position of every game with n <= 9
         for e, positions, reference in _reachable_by_excess(9):
             solver = GameSolver(e)
-            scores = {"optimal": reference.__getitem__,
-                      "potential": lambda M: potential(M, e)}
+            scores = {solver.assigner_reply: reference.__getitem__,
+                      solver.potential_reply: lambda M: potential(M, e)}
             for M in positions:
                 for pair, plus, minus in _replies(M):
-                    for mode, score in scores.items():
+                    for assigner, score in scores.items():
                         expected = (AssignerChoice.MINUS if score(minus) <= score(plus)
                                     else AssignerChoice.PLUS)
-                        assert solver.assigner_reply(M, pair, mode) is expected, (M, pair, mode)
+                        assert assigner(M, pair) is expected, (M, pair, assigner.__name__)
 
-    def test_unknown_mode_raises(self):
-        solver = GameSolver(1)
-        with pytest.raises(ValueError, match="unknown adversary mode 'greedy'"):
-            solver.assigner_reply(Position((1,) * 7), (1, 1), "greedy")
+    def test_tie_rule_takes_any_score(self):
+        # PLUS makes [2,1^5] and MINUS makes [1^5,0]; score each by its largest weight
+        M = Position((1,) * 7)
+        largest = lambda child: child.elements[0]
+        assert lower_scoring_reply(M, (1, 1), 1, largest) is AssignerChoice.MINUS
+        assert lower_scoring_reply(M, (1, 1), 1, lambda c: -largest(c)) is AssignerChoice.PLUS
+        assert lower_scoring_reply(M, (1, 1), 1, lambda c: 0) is AssignerChoice.MINUS
+        with pytest.raises(ValueError, match="already final"):
+            lower_scoring_reply(Position((2, 1)), (2, 1), 1, largest)
 
 
 class TestMemoLimit:
