@@ -175,7 +175,7 @@ class QuestionGraph:
         """The weight-level position induced by the current components."""
         if self._weights is None:
             self._weights = Position._sorted(tuple(sorted(
-                [abs(len(zero) - len(one)) for zero, one in self._sides.values()], reverse=True)))
+                [abs(len(zero) - len(one)) for zero, one in self._sides.values()])))
         return self._weights
 
 
@@ -194,7 +194,7 @@ def identify_majority(g: QuestionGraph, params: GameParams) -> int | None:
     _check_params(g, params)
     M = g.weights()
     s = minority_capacity(M, params.e)
-    if M.elements[0] <= s:
+    if M.elements[-1] <= s:
         return None  # not final: no component outweighs the minority capacity
     return min(larger[0] for larger, smaller in g.components() if len(larger) - len(smaller) > s)
 
@@ -235,24 +235,18 @@ def side_status_table(
     return table
 
 
-def consistent_colouring_exists(
-    g: QuestionGraph, params: GameParams, ball: int, colour: str
-) -> bool:
-    """Whether some admissible colouring gives the ball the stated colour.
+def colour_options(g: QuestionGraph, params: GameParams, ball: int) -> tuple[bool, bool]:
+    """(can be minority, can be majority): the ball's row of side_status_table.
 
-    ``colour`` is 'minority' or 'majority'.  Both sides of a component
-    always take opposite colours, and an admissible colouring must give
-    one colour at least k balls.  Exhaustive over the 2^c side
-    assignments, guarded at 20 components.
+    Both sides of a component always take opposite colours, and an
+    admissible colouring must give one colour at least k balls.
+    Exhaustive over the 2^c side assignments, guarded at 20 components.
     """
-    if colour not in ("minority", "majority"):
-        raise ValueError(f"colour must be 'minority' or 'majority', got {colour!r}")
     _check_params(g, params)
     idx = list(g._sides).index(g.find(ball)[0])
     comps = g.components()
     table = side_status_table(comps, params.n, params.k)
-    minority_ok, majority_ok = table[idx][0 if ball in comps[idx][0] else 1]
-    return minority_ok if colour == "minority" else majority_ok
+    return table[idx][0 if ball in comps[idx][0] else 1]
 
 
 def induced_move_and_choice(

@@ -51,17 +51,19 @@ PARSE_ELEMENT_LIMIT = 4096
 
 @dataclass(frozen=True)
 class Position:
-    """A multiset of weights, canonically sorted in weakly decreasing order.
+    """A multiset of weights, stored in weakly increasing order and printed largest first.
 
-    Zero weights are ordinary elements: they arise when a comparison
-    cancels a pair exactly, and merging them away still costs a move.
+    Ascending is the solver's table key order: the largest weight is
+    ``elements[-1]`` and zeros lead.  Zero weights are ordinary elements:
+    they arise when a comparison cancels a pair exactly, and merging them
+    away still costs a move.
     ``Position(...)`` and ``parse`` validate and sort; the internal ``_sorted`` does neither.
     """
 
     elements: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        elems = tuple(sorted(self.elements, reverse=True))
+        elems = tuple(sorted(self.elements))
         for w in elems:
             if type(w) is not int or w < 0:  # bool is an int subclass
                 raise ValueError(f"weights must be non-negative integers, got {w!r}")
@@ -69,7 +71,7 @@ class Position:
 
     @classmethod
     def _sorted(cls, elems: tuple[int, ...]) -> "Position":
-        """Wrap a descending tuple of non-negative ints with no sort or check."""
+        """Wrap an ascending tuple of non-negative ints with no sort or check."""
         M = object.__new__(cls)
         object.__setattr__(M, "elements", elems)
         return M
@@ -106,7 +108,7 @@ class Position:
 
     def __str__(self) -> str:
         parts = []
-        for w, group in itertools.groupby(self.elements):
+        for w, group in itertools.groupby(reversed(self.elements)):
             mult = len(list(group))
             parts.append(str(w) if mult == 1 else f"{w}^{mult}")
         return "[" + ",".join(parts) + "]"
@@ -156,11 +158,11 @@ def minority_capacity(M: Position, e: int) -> int:
 def is_final(M: Position, e: int) -> bool:
     """Whether the largest element already exceeds the minority capacity."""
     s = minority_capacity(M, e)
-    return bool(M.elements) and M.elements[0] >= s + 1
+    return bool(M.elements) and M.elements[-1] >= s + 1
 
 
 def legal_moves(M: Position) -> list[tuple[int, int]]:
-    """The distinct weight pairs (w, w') with w >= w', in index order.
+    """The distinct weight pairs (w, w') with w >= w', larger weights first.
 
     Replacing equal-valued elements is interchangeable, so a move is
     named by its value pair alone.  Positions with fewer than two
@@ -188,8 +190,8 @@ def move_for_pair(M: Position, w: int, wp: int) -> tuple[int, int]:
         w, wp = wp, w
     elems = M.elements
     try:
-        first = elems.index(w)
-        return elems[first], elems[elems.index(wp, first + 1)]
+        first = elems.index(wp)
+        return elems[elems.index(w, first + 1)], elems[first]
     except ValueError:
         raise ValueError(f"{M} holds no pair ({w},{wp})") from None
 
@@ -197,8 +199,8 @@ def move_for_pair(M: Position, w: int, wp: int) -> tuple[int, int]:
 def apply_move(M: Position, pair: tuple[int, int], choice: AssignerChoice) -> Position:
     """Replace one w and one w' by w + w' or w - w', inserted in order with no re-sort."""
     w, wp = move_for_pair(M, *pair)
-    rest = list(M.elements[::-1])  # ascending, for insort
+    rest = list(M.elements)
     rest.remove(w)
     rest.remove(wp)
     insort(rest, w + wp if choice is AssignerChoice.PLUS else w - wp)
-    return Position._sorted(tuple(rest[::-1]))
+    return Position._sorted(tuple(rest))

@@ -155,7 +155,7 @@ def certificate_polynomial(M: Position, e: int) -> LaurentPoly:
     # is at most 2^(len(M) - 1) and no slot carries into the next.
     bits = len(M.elements)
     packed = 1 << top * bits
-    for w in M.elements[1:]:
+    for w in M.elements[:-1]:
         packed += packed >> w * bits
     mask = (1 << bits) - 1
     return LaurentPoly._adopt({p: (packed >> p * bits) & mask for p in range(top + 1)})

@@ -128,11 +128,10 @@ class GameSolver:
         position's bounds are stored only after its full scan.
         """
         is_final(M, self.e)  # raises ValueError for totals no game at this excess reaches
-        key = tuple(reversed(M.elements))
         lo = 1
         try:
             while True:
-                b = self._test(key, lo + 1)
+                b = self._test(M.elements, lo + 1)
                 if b <= lo:
                     return lo
                 lo = b
@@ -257,7 +256,7 @@ class GameSolver:
         best = self.value(M)
         return next(
             pair for pair in sorted(legal_moves(M))
-            if all(self._test(tuple(reversed(apply_move(M, pair, c).elements)), best) >= best
+            if all(self._test(apply_move(M, pair, c).elements, best) >= best
                    for c in AssignerChoice))
 
     def assigner_reply(self, M: Position, pair: tuple[int, int]) -> AssignerChoice:

@@ -14,11 +14,12 @@ which orders above every finite valuation and absorbs finite addends.
 Weight counts are computed for totals up to ``WEIGHT_LIMIT``.  The
 closed form is one dot product: the weight counts a_0..a_s against a row
 of signed binomials, cached per (s, order) and shared by every position
-of that s.  The one enumeration oracle lists each element tuple's
-submultisets once and keeps only their tally by weight; from it, one
-column of counts per element tuple and order holds every excess of the
-total's parity, each column the suffix sum over e, e+2, ... of the
-column one order below.  Every cache here is a bounded ``lru_cache``.
+of that s.  The one enumeration oracle keeps one column of counts per
+element tuple and order, holding every excess of the total's parity:
+the order-1 column lists the tuple's submultisets once and tallies them
+by weight, and each higher column is the suffix sum over e, e+2, ... of
+the column one order below.  The three caches here (weight counts,
+binomial rows, columns) are each a bounded ``lru_cache``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ _ENUMERATION_LIMIT = 24
 #: ``total + 1`` ints, and every signed count and potential reads them.
 WEIGHT_LIMIT = 4096
 
-#: Entries kept by each cache below; enough that the verification suites
+#: Weight counts kept, one per element tuple; enough that the verification suites
 #: recompute little, small enough that a long-lived process stays bounded.
 _CACHE_SIZE = 4096
 
@@ -104,7 +105,7 @@ def _weight_counts(elements: tuple[int, ...]) -> tuple[int, ...]:
     if total > WEIGHT_LIMIT:
         raise ValueError(f"weight counts are limited to total weight {WEIGHT_LIMIT}, got {total}")
     zeros = elements.count(0)
-    weights = elements[:len(elements) - zeros]  # elements descend: zeros come last
+    weights = elements[zeros:]  # elements ascend: zeros lead
     counts = [0] * (total + 1)
     # (1 + x^w)^m, w the most repeated weight, is C(m, j) at x^(jw); the rest shift-add in.
     common = max(set(weights), key=weights.count, default=0)
@@ -135,23 +136,6 @@ def _check_excess(M: Position, e: int, order: int) -> int:
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
     return total
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _enumerated_weight_counts(elements: tuple[int, ...]) -> tuple[int, ...]:
-    """Entry r: how many of the 2^len(elements) listed submultisets weigh r.
-
-    The enumeration oracle starts here, so the ``total + 1`` tally is
-    refused above ``WEIGHT_LIMIT`` before any submultiset is listed.
-    """
-    total = sum(elements)
-    if total > WEIGHT_LIMIT:
-        raise ValueError(f"enumeration is limited to total weight {WEIGHT_LIMIT}, got {total}")
-    weights = [0]
-    for w in elements:
-        weights.extend([wt + w for wt in weights])
-    tally = Counter(weights)
-    return tuple(tally[r] for r in range(total + 1))
 
 
 def signed_count(M: Position, e: int, order: int = 1) -> int:
@@ -236,11 +220,18 @@ def _order_column(elements: tuple[int, ...], order: int) -> tuple[int, ...]:
     if order > 1:
         below = _order_column(elements, order - 1)
         return tuple(accumulate(reversed(below)))[::-1]
+    # Order 1 tallies all 2^len(elements) submultisets by weight, refused
+    # past WEIGHT_LIMIT before any submultiset is listed.
+    total = sum(elements)
+    if total > WEIGHT_LIMIT:
+        raise ValueError(f"enumeration is limited to total weight {WEIGHT_LIMIT}, got {total}")
+    weights = [0]
+    for w in elements:
+        weights.extend([wt + w for wt in weights])
+    tally = Counter(weights)
     # A submultiset of weight wt counts at excess e iff wt <= (total - e) / 2,
     # so entry i adds the signed tally up to weight total // 2 - i.
-    tally = _enumerated_weight_counts(elements)
-    half = tally[:(len(tally) + 1) // 2]
-    signed = [-c if wt & 1 else c for wt, c in enumerate(half)]
+    signed = [-tally[wt] if wt & 1 else tally[wt] for wt in range(total // 2 + 1)]
     return tuple(accumulate(signed))[::-1]
 
 

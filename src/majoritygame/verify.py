@@ -20,7 +20,7 @@ from .ballgame import (
     BallAnswer,
     QuestionGraph,
     Sides,
-    consistent_colouring_exists,
+    colour_options,
     export_transcript,
     export_transcript_json,
     identify_majority,
@@ -123,9 +123,9 @@ def _random_position(rng: random.Random, max_total: int) -> Position:
 
 
 def _random_move(rng: random.Random, M: Position) -> tuple[int, int]:
-    """The weight pair (w, w') at a uniform index pair; descending order puts w first."""
+    """The weight pair (w, w') at a uniform index pair, indices counted from the largest weight."""
     i, j = rng.sample(range(len(M)), 2)
-    return M.elements[min(i, j)], M.elements[max(i, j)]
+    return M.elements[~min(i, j)], M.elements[~max(i, j)]
 
 
 def _random_laurent(rng: random.Random) -> LaurentPoly:
@@ -353,7 +353,7 @@ def verify_potential_dominates(params: GameParams) -> SuiteReport:
     solver = GameSolver(e)
     min_slack = None
     witness = None
-    for M in sorted(reachable_positions(params), key=lambda p: p.elements):
+    for M in sorted(reachable_positions(params), key=lambda p: p.elements[::-1]):
         pot = potential(M, e)
         val = solver.value(M)
         report.cases += 1
@@ -643,9 +643,7 @@ def suite_adversarial() -> SuiteReport:
                         f"n={n} k={k} adversary={name}: took {record.comparisons} "
                         f"comparisons, formula says {expected}")
                 report.cases += 1
-                if consistent_colouring_exists(
-                    record.graph, params, record.majority_ball, "minority"
-                ):
+                if colour_options(record.graph, params, record.majority_ball)[0]:
                     report.add_failure(
                         f"n={n} k={k} adversary={name}: announced ball "
                         f"{record.majority_ball} could still be minority")

@@ -16,7 +16,7 @@ from majoritygame.ballgame import (
     announced,
     ball_assigner,
     ball_selector,
-    consistent_colouring_exists,
+    colour_options,
     export_transcript,
     export_transcript_json,
     identify_majority,
@@ -283,16 +283,12 @@ class TestIdentification:
         g = QuestionGraph(5)
         g.add_comparison(1, 2, BallAnswer.DIFFERENT)
         params = GameParams(5, 4)
-        # ball 3 on the nominal larger side of a singleton: majority either way?
-        assert not consistent_colouring_exists(g, params, 3, "minority")
-        assert consistent_colouring_exists(g, params, 3, "majority")
+        # ball 3 on the nominal larger side of a singleton: majority either way
+        assert colour_options(g, params, 3) == (False, True)
         # balls 1 and 2 oppose each other; each could still be minority
-        assert consistent_colouring_exists(g, params, 1, "minority")
-        assert consistent_colouring_exists(g, params, 1, "majority")
-        with pytest.raises(ValueError):
-            consistent_colouring_exists(g, params, 1, "either")
+        assert colour_options(g, params, 1) == (True, True)
         with pytest.raises(ValueError, match="out of range"):
-            consistent_colouring_exists(g, params, 6, "minority")
+            colour_options(g, params, 6)
 
     def test_colouring_oracle_reads_the_ball_s_own_row(self):
         for n in range(1, 6):
@@ -303,12 +299,8 @@ class TestIdentification:
                     table = side_status_table(comps, n, k)
                     for ball in range(1, n + 1):
                         idx, on_larger = _locate_ball(comps, ball)
-                        minority_ok, majority_ok = table[idx][0 if on_larger else 1]
-                        params = GameParams(n, k)
-                        assert consistent_colouring_exists(g, params, ball, "minority") == \
-                            minority_ok
-                        assert consistent_colouring_exists(g, params, ball, "majority") == \
-                            majority_ok
+                        assert colour_options(g, GameParams(n, k), ball) == \
+                            table[idx][0 if on_larger else 1]
 
     def test_identification_agrees_with_colouring_oracle(self):
         rng = random.Random(5)
@@ -330,7 +322,7 @@ class TestIdentification:
             announced = identify_majority(g, params)
             determined = [
                 ball for ball in range(1, n + 1)
-                if not consistent_colouring_exists(g, params, ball, "minority")
+                if not colour_options(g, params, ball)[0]
             ]
             if announced is None:
                 assert determined == []
@@ -512,11 +504,11 @@ class TestAdversary:
 def _pairing_selector(M):
     """Saks and Werman's pairing Selector: merge the smallest repeated nonzero
     weight, or else the two smallest nonzero weights."""
-    nonzero = [w for w in M.elements if w]  # descending
-    repeated = [w for w, smaller in zip(nonzero, nonzero[1:]) if w == smaller]
+    nonzero = [w for w in M.elements if w]  # ascending
+    repeated = [w for w, larger in zip(nonzero, nonzero[1:]) if w == larger]
     if repeated:
-        return repeated[-1], repeated[-1]
-    return nonzero[-2], nonzero[-1]
+        return repeated[0], repeated[0]
+    return nonzero[1], nonzero[0]
 
 
 class TestStrategyValues:

@@ -49,8 +49,10 @@ class TestGameParams:
 
 class TestPosition:
     def test_canonical_order(self):
-        assert Position((1, 3, 2, 3)).elements == (3, 3, 2, 1)
-        assert Position((0, 5)).elements == (5, 0)
+        # stored ascending, the solver's key order, and printed largest first
+        assert Position((1, 3, 2, 3)).elements == (1, 2, 3, 3)
+        assert str(Position((1, 3, 2, 3))) == "[3^2,2,1]"
+        assert Position((0, 5)).elements == (0, 5)
 
     def test_rejects_negative_and_non_integer(self):
         for weights in ((1, -1), (-1,), (1.5, 2), (1.0,)):
@@ -89,7 +91,7 @@ class TestPosition:
         M = Position((3, 1, 0))
         assert M.total == 4
         assert len(M) == 3
-        assert list(M) == [3, 1, 0]
+        assert list(M) == [0, 1, 3]
 
 
 class TestCapacityAndFinal:
@@ -168,11 +170,11 @@ class TestMoves:
             for choice, merged in ((AssignerChoice.PLUS, w + wp), (AssignerChoice.MINUS, w - wp)):
                 succ = apply_move(M, (w, wp), choice)
                 assert succ == Position(tuple(rest + [merged]))
-                assert succ.elements == tuple(sorted(succ.elements, reverse=True))
+                assert succ.elements == tuple(sorted(succ.elements))
 
     @given(st.one_of(positions, repeated_positions))
     def test_legal_moves_are_first_occurrences_of_index_pairs(self, M):
-        elems = M.elements
+        elems = M.elements[::-1]  # index pairs count from the largest weight
         pairs = [(elems[i], elems[j]) for i in range(len(elems)) for j in range(i + 1, len(elems))]
         assert legal_moves(M) == list(dict.fromkeys(pairs))
 

@@ -173,7 +173,7 @@ class TestCertificates:
                 if (M.total - e) % 2 or not is_final(M, e):
                     continue
                 expected = LaurentPoly.monomial(minority_capacity(M, e) + e - 1)
-                for w in M.elements[1:]:
+                for w in M.elements[:-1]:
                     expected = expected * (LaurentPoly.one() + LaurentPoly.monomial(-w))
                 assert certificate_polynomial(M, e) == expected, (M, e)
                 checked += 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from majoritygame import cli as cli_module, solver as solver_module
+from majoritygame.ballgame import BallAnswer, QuestionGraph
 from majoritygame.core import (
     AssignerChoice,
     GameParams,
@@ -224,12 +225,24 @@ class TestValueProperties:
         # _test(key, g) >= g exactly when value >= g, and the bound lies on that side
         e, M = case
         solver = GameSolver(e)
-        key = tuple(reversed(M.elements))
+        key = M.elements
         true = _reference_value(M, e)
         for g in range(1, len(M) + 2):
             b = solver._test(key, g)
             assert (b >= g) == (true >= g), (g, b, true)
             assert true >= b if b >= g else true <= b, (g, b, true)
+
+    def test_every_layer_keeps_the_table_key_order(self):
+        # positions store their weights ascending, as the solver keys its table
+        M = Position((3, 1, 2, 1, 1))
+        assert M.elements == (1, 1, 1, 2, 3)
+        solver = GameSolver(2)
+        solver.value(M)
+        assert M.elements in solver._bounds
+        assert apply_move(M, (2, 1), AssignerChoice.PLUS).elements == (1, 1, 3, 3)
+        g = QuestionGraph(5)
+        g.add_comparison(1, 2, BallAnswer.SAME)
+        assert g.weights().elements == (1, 1, 1, 2)
 
 
 class TestStats:
@@ -341,7 +354,7 @@ class TestAssignerReply:
     def test_tie_rule_takes_any_score(self):
         # PLUS makes [2,1^5] and MINUS makes [1^5,0]; score each by its largest weight
         M = Position((1,) * 7)
-        largest = lambda child: child.elements[0]
+        largest = lambda child: child.elements[-1]
         assert lower_scoring_reply(M, (1, 1), 1, largest) is AssignerChoice.MINUS
         assert lower_scoring_reply(M, (1, 1), 1, lambda c: -largest(c)) is AssignerChoice.PLUS
         assert lower_scoring_reply(M, (1, 1), 1, lambda c: 0) is AssignerChoice.MINUS

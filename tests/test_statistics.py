@@ -183,14 +183,13 @@ class TestSignedCounts:
                 weights, M.total, e), e
 
     def test_bruteforce_enumerates_once_per_element_tuple(self):
-        elements = (6, 5, 3, 3, 1, 0, 0)
-        tally = statistics_module._enumerated_weight_counts
-        tally.cache_clear()
-        total = sum(elements)
-        for e in range(total % 2, total + 1, 2):
-            signed_count_bruteforce(Position(elements), e)
-        assert tally.cache_info().misses == 1
-        assert sum(tally(elements)) == 2 ** len(elements)
+        M = Position((6, 5, 3, 3, 1, 0, 0))
+        columns = statistics_module._order_column
+        columns.cache_clear()
+        for e in range(M.total % 2, M.total + 1, 2):
+            signed_count_bruteforce(M, e)
+        assert columns.cache_info().misses == 1
+        assert len(columns(M.elements, 1)) == M.total // 2 + 1
 
     def test_bruteforce_never_reads_the_closed_form_weight_counts(self, monkeypatch):
         def closed_form_weight_counts(elements):
@@ -199,7 +198,7 @@ class TestSignedCounts:
         def closed_form_row(s, order):
             raise AssertionError("the oracle must sum its own columns, not the binomial row")
 
-        statistics_module._enumerated_weight_counts.cache_clear()
+        statistics_module._order_column.cache_clear()
         monkeypatch.setattr(statistics_module, "_weight_counts", closed_form_weight_counts)
         monkeypatch.setattr(statistics_module, "_signed_binomials", closed_form_row)
         M = Position((6, 4, 4, 2, 1, 1, 0))
@@ -213,7 +212,6 @@ class TestSignedCounts:
         def closed_form_row(s, order):
             raise AssertionError("the oracle must sum its own columns, not the binomial row")
 
-        statistics_module._enumerated_weight_counts.cache_clear()
         statistics_module._order_column.cache_clear()
         monkeypatch.setattr(statistics_module, "_weight_counts", closed_form_weight_counts)
         monkeypatch.setattr(statistics_module, "_signed_binomials", closed_form_row)
