@@ -162,21 +162,21 @@ def is_final(M: Position, e: int) -> bool:
 
 
 def legal_moves(M: Position) -> list[tuple[int, int]]:
-    """The distinct weight pairs (w, w') with w >= w', larger weights first.
+    """The distinct weight pairs (w, w') with w >= w', smallest first.
 
     Replacing equal-valued elements is interchangeable, so a move is
     named by its value pair alone.  Positions with fewer than two
-    elements have no moves.  Each distinct weight w, largest first, gives
-    (w, w) when it repeats, then (w, w') for each smaller distinct w'.
+    elements have no moves.  Each distinct weight w, smallest first, gives
+    (w, w') for each smaller distinct w', then (w, w) when it repeats:
+    the pairs in lexicographic order.
     """
     elems = M.elements
-    distinct = sorted(set(elems), reverse=True)
+    distinct = sorted(set(elems))
     moves: list[tuple[int, int]] = []
     for x, w in enumerate(distinct):
+        moves += [(w, smaller) for smaller in distinct[:x]]
         if elems.count(w) > 1:
             moves.append((w, w))
-        for smaller in distinct[x + 1:]:
-            moves.append((w, smaller))
     return moves
 
 

@@ -255,7 +255,7 @@ class GameSolver:
             raise ValueError(f"{M} is already final for excess {self.e}")
         best = self.value(M)
         return next(
-            pair for pair in sorted(legal_moves(M))
+            pair for pair in legal_moves(M)
             if all(self._test(apply_move(M, pair, c).elements, best) >= best
                    for c in AssignerChoice))
 

@@ -76,15 +76,13 @@ def binomial(p: int, r: int) -> int:
 
     Defined as p (p-1) ... (p-r+1) / r!, so negative p is allowed:
     binomial(-1, 2) == 1 and binomial(-2, 1) == -2.  Negative r gives 0.
+    Negative p reflects: C(p, r) = (-1)^r C(r - p - 1, r).
     """
     if r < 0:
         return 0
     if p >= 0:
         return math.comb(p, r)
-    num = 1
-    for i in range(r):
-        num *= p - i
-    return num // math.factorial(r)
+    return (-1) ** r * math.comb(r - p - 1, r)
 
 
 def subposition_weight_counts(M: Position) -> tuple[int, ...]:

@@ -5,15 +5,17 @@ under moves, closed forms against independent enumeration, certificate
 evaluations, domination of game values by potentials, the comparison
 formula itself, and agreement between the ball-level and weight-level
 games — and returns a SuiteReport.  Each suite runs at one fixed scale,
-stated in its docstring.  Randomized suites take a seed and a trial
-count, the two family suites take m through ``run_suite``, and the rest
-are exhaustive over their ranges.
+stated in its docstring.  A suite's signature is its contract: the
+randomized suites take a seed and a trial count, the two family suites
+take m, and the rest take nothing and are exhaustive over their ranges.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .ballgame import (
@@ -41,7 +43,6 @@ from .core import (
     start_position,
 )
 from .laurent import LaurentPoly, certificate_value
-from .report import SuiteReport
 from .solver import GameSolver, formula_comparisons, reachable_positions, solved_starts
 from .statistics import (
     INFINITE,
@@ -69,6 +70,54 @@ FAMILY_M_LIMIT = 256
 #: Most trials a randomized suite runs: at this limit ``reformulation`` takes
 #: about 24 s and ``conservation-iterated`` about 23 s (2 cores, Python 3.11).
 TRIALS_LIMIT = 100_000
+
+#: Witness strings kept per report; further failures are only counted.
+WITNESS_CAP = 20
+
+
+@dataclass
+class SuiteReport:
+    """Outcome of one verification suite.
+
+    ``cases`` counts every identity checked; ``failures`` holds the first
+    few witness descriptions while ``failure_count`` keeps the true
+    total.  ``details`` carries extremal data such as minimal slacks.
+    """
+
+    suite: str
+    cases: int = 0
+    failure_count: int = 0
+    failures: list[str] = field(default_factory=list)
+    details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.failure_count == 0
+
+    def add_failure(self, witness: str) -> None:
+        self.failure_count += 1
+        if len(self.failures) < WITNESS_CAP:
+            self.failures.append(witness)
+
+    def merge(self, other: "SuiteReport") -> None:
+        """Fold another report's tallies into this one."""
+        self.cases += other.cases
+        self.failure_count += other.failure_count
+        for witness in other.failures:
+            if len(self.failures) < WITNESS_CAP:
+                self.failures.append(witness)
+        if other.details:
+            self.details[other.suite] = other.details
+
+    def summary(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        line = f"{status} {self.suite} (cases={self.cases}"
+        if self.failure_count:
+            line += f", failures={self.failure_count}"
+        line += ")"
+        if self.failures:
+            line += f" first: {self.failures[0]}"
+        return line
 
 
 # ---------------------------------------------------------------------------
@@ -404,23 +453,23 @@ def two_one_family_potential(m: int) -> int | float:
     return base - two_adic_valuation(m)
 
 
-def suite_two_one_family(max_m: int = 32) -> SuiteReport:
-    """Closed-form potentials for the {2, 1^(2m-1)} family at excess 1, m = 1..max_m.
+def suite_two_one_family(m: int = 32) -> SuiteReport:
+    """Closed-form potentials for the {2, 1^(2m'-1)} family at excess 1, m' = 1..m.
 
-    max_m may be at most ``FAMILY_M_LIMIT``.
+    m may be at most ``FAMILY_M_LIMIT``.
     """
-    if max_m < 1:
-        raise ValueError(f"need m >= 1, got m={max_m}")
-    if max_m > FAMILY_M_LIMIT:
-        raise ValueError(f"the two-one family is checked up to m={FAMILY_M_LIMIT}, got m={max_m}")
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
+    if m > FAMILY_M_LIMIT:
+        raise ValueError(f"the two-one family is checked up to m={FAMILY_M_LIMIT}, got m={m}")
     report = SuiteReport("two-one-family")
-    for m in range(1, max_m + 1):
-        M = Position((2,) + (1,) * (2 * m - 1))
+    for mp in range(1, m + 1):
+        M = Position((2,) + (1,) * (2 * mp - 1))
         direct = potential(M, 1)
-        closed = two_one_family_potential(m)
+        closed = two_one_family_potential(mp)
         report.cases += 1
         if direct != closed:
-            report.add_failure(f"m={m}: direct {direct} != closed form {closed}")
+            report.add_failure(f"m={mp}: direct {direct} != closed form {closed}")
     return report
 
 
@@ -465,14 +514,16 @@ def verify_first_move_tie(m: int) -> SuiteReport:
     return report
 
 
-def suite_assigner_tie() -> SuiteReport:
+def suite_assigner_tie(m: int | None = None) -> SuiteReport:
     """Positions where the potential ranks replies the game value ties.
 
     For m = 3 (mod 4) both replies to the opening move have equal game
     value even though the cancelling reply has strictly lower potential:
     the potential guides a sound Assigner but does not predict values.
-    Checked at m = 3 and m = 7.
+    Checked at m = 3 and m = 7, or at the given m alone.
     """
+    if m is not None:
+        return verify_first_move_tie(m)
     report = SuiteReport("assigner-tie")
     for m in (3, 7):
         report.merge(verify_first_move_tie(m))
@@ -682,45 +733,36 @@ SUITES = {
     "adversarial": suite_adversarial,
 }
 
-#: Suites that draw on a random generator and accept seed/trials.
-RANDOMIZED_SUITES = frozenset(
-    {"conservation", "conservation-iterated", "leibniz", "reformulation"})
-
-#: The check each family suite runs for one m.
-_FAMILY_CHECKS = {"two-one-family": suite_two_one_family, "assigner-tie": verify_first_move_tie}
-
 
 def run_suite(
     name: str, seed: int | None = None, trials: int | None = None, m: int | None = None
 ) -> SuiteReport:
-    """Run one suite by name.
+    """Run one suite by name with the parameters given.
 
-    Seed and trials apply to randomized suites only.  m applies to the
-    family suites only: two-one-family checks m' = 1..m, and assigner-tie
-    checks the single m.  A trial count below 1 raises ValueError rather
-    than run a vacuous check, and so does one above TRIALS_LIMIT.
+    The suite's signature says which of seed, trials and m it takes; one
+    it does not take raises ValueError, and so does a trial count below 1
+    or above TRIALS_LIMIT.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}")
-    if m is not None and name not in _FAMILY_CHECKS:
-        raise ValueError("m applies to the two-one-family and assigner-tie suites")
-    if name not in RANDOMIZED_SUITES:
-        if seed is not None or trials is not None:
-            raise ValueError(f"suite {name!r} is deterministic; seed and trials do not apply")
-        return SUITES[name]() if m is None else _FAMILY_CHECKS[name](m)
+    takes = inspect.signature(SUITES[name]).parameters
+    given = {key: v for key, v in (("seed", seed), ("trials", trials), ("m", m)) if v is not None}
+    refused = [key for key in given if key not in takes]
+    if refused:
+        raise ValueError(f"suite {name!r} takes {' and '.join(takes) or 'no parameters'}; "
+                         f"got {' and '.join(refused)}")
     if trials is not None and not 1 <= trials <= TRIALS_LIMIT:
         raise ValueError(f"trials must be from 1 to {TRIALS_LIMIT}, got {trials}")
-    kwargs = {key: v for key, v in (("seed", seed), ("trials", trials)) if v is not None}
-    return SUITES[name](**kwargs)
+    return SUITES[name](**given)
 
 
 def iter_suites(seed: int | None = None) -> Iterator[SuiteReport]:
     """Run every suite in registry order at its fixed scale, yielding each report.
 
-    The seed reaches the randomized suites only.
+    The seed reaches the suites that take one.
     """
-    for name in SUITES:
-        yield run_suite(name, seed=seed if name in RANDOMIZED_SUITES else None)
+    for name, suite in SUITES.items():
+        yield run_suite(name, seed=seed if "seed" in inspect.signature(suite).parameters else None)
 
 
 def run_all_suites(seed: int | None = None) -> list[SuiteReport]:

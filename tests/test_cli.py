@@ -259,7 +259,7 @@ class TestVerify:
             capsys, "verify", "--suite", "two-one-family", "--m", "3", *flag)
         assert code == 2
         assert out == ""
-        assert "seed and trials do not apply" in err
+        assert f"suite 'two-one-family' takes m; got {flag[0][2:]}" in err
 
     @pytest.mark.parametrize("suite, trials", [
         ("conservation", "0"), ("reformulation", "-1"), ("reformulation", "100001")])

@@ -122,7 +122,7 @@ class TestMoves:
         M = Position((1, 1, 1, 1))
         assert legal_moves(M) == [(1, 1)]
         M = Position((2, 1, 1))
-        assert legal_moves(M) == [(2, 1), (1, 1)]
+        assert legal_moves(M) == [(1, 1), (2, 1)]
 
     def test_no_moves_on_small_positions(self):
         assert legal_moves(Position(())) == []
@@ -173,14 +173,14 @@ class TestMoves:
                 assert succ.elements == tuple(sorted(succ.elements))
 
     @given(st.one_of(positions, repeated_positions))
-    def test_legal_moves_are_first_occurrences_of_index_pairs(self, M):
-        elems = M.elements[::-1]  # index pairs count from the largest weight
-        pairs = [(elems[i], elems[j]) for i in range(len(elems)) for j in range(i + 1, len(elems))]
-        assert legal_moves(M) == list(dict.fromkeys(pairs))
+    def test_legal_moves_are_the_sorted_value_pairs_of_index_pairs(self, M):
+        elems = M.elements  # ascending, so index j > i holds the larger weight
+        pairs = {(elems[j], elems[i]) for i in range(len(elems)) for j in range(i + 1, len(elems))}
+        assert legal_moves(M) == sorted(pairs)
 
     def test_legal_moves_of_many_equal_weights(self):
         assert legal_moves(Position((1,) * 4096)) == [(1, 1)]
-        assert legal_moves(Position((3,) * 2000 + (0,) * 2000)) == [(3, 3), (3, 0), (0, 0)]
+        assert legal_moves(Position((3,) * 2000 + (0,) * 2000)) == [(0, 0), (3, 0), (3, 3)]
 
     @given(positions.filter(lambda M: len(M) >= 2), st.data())
     def test_apply_move_takes_either_order(self, M, data):

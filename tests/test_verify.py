@@ -1,6 +1,7 @@
 """Suite registry, dispatch, the all-suites runner, and the named checks."""
 
 import contextlib
+import inspect
 import io
 import json
 import tracemalloc
@@ -11,11 +12,11 @@ from majoritygame import verify
 from majoritygame.ballgame import BallAnswer, QuestionGraph
 from majoritygame.cli import main
 from majoritygame.core import AssignerChoice, GameParams, Position
-from majoritygame.report import WITNESS_CAP, SuiteReport
 from majoritygame.statistics import INFINITE, potential
 from majoritygame.verify import (
-    RANDOMIZED_SUITES,
     SUITES,
+    WITNESS_CAP,
+    SuiteReport,
     run_all_suites,
     run_suite,
     suite_conservation,
@@ -63,9 +64,20 @@ class TestSuiteReport:
 
 class TestDispatch:
     def test_registry_names(self):
-        assert set(RANDOMIZED_SUITES) <= set(SUITES)
         assert "formula" in SUITES and "conservation" in SUITES
         assert len(SUITES) == 13
+
+    @pytest.mark.parametrize("name", SUITES)
+    def test_signature_is_the_suite_contract(self, name):
+        # keyword parameters among seed, trials and m, each with a default;
+        # a suite draws on a generator exactly when it takes a trial count
+        params = inspect.signature(SUITES[name]).parameters.values()
+        names = {p.name for p in params}
+        assert names <= {"seed", "trials", "m"}
+        assert ("seed" in names) == ("trials" in names)
+        for p in params:
+            assert p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY), p
+            assert p.default is not p.empty, p
 
     def test_run_suite_passes_seed_and_trials(self):
         direct = suite_leibniz(seed=99, trials=10)
@@ -77,15 +89,18 @@ class TestDispatch:
         with pytest.raises(ValueError):
             run_suite("no-such-suite")
 
-    def test_run_suite_rejects_seed_for_deterministic(self):
-        with pytest.raises(ValueError):
+    def test_run_suite_refuses_what_the_suite_does_not_take(self):
+        with pytest.raises(ValueError, match="^suite 'formula' takes no parameters; got seed$"):
             run_suite("formula", seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^suite 'two-one-family' takes m; got trials$"):
             run_suite("two-one-family", trials=5)
+        with pytest.raises(ValueError, match="^suite 'leibniz' takes seed and trials; got m$"):
+            run_suite("leibniz", seed=1, m=3)
 
     def test_run_suite_m_runs_the_family_check(self):
         assert run_suite("assigner-tie", m=3) == verify_first_move_tie(3)
         assert run_suite("two-one-family", m=4) == suite_two_one_family(4)
+        assert run_suite("assigner-tie").suite == "assigner-tie"
 
     @pytest.mark.parametrize("kwargs", [
         {"name": "leibniz", "m": 3},
@@ -287,15 +302,14 @@ class TestAllSuites:
             report.cases = trials
             return report
 
-        def fixed(**kwargs):
-            calls["fixed"] = {"kwargs": kwargs, "stdout": stdout.getvalue()}
+        def fixed():
+            calls["fixed"] = {"stdout": stdout.getvalue()}
             report = SuiteReport("fixed")
             report.cases = 2
             report.add_failure("witness")
             return report
 
         monkeypatch.setattr(verify, "SUITES", {"randomized": randomized, "fixed": fixed})
-        monkeypatch.setattr(verify, "RANDOMIZED_SUITES", frozenset({"randomized"}))
 
         def run(*argv):
             with contextlib.redirect_stdout(stdout):
@@ -334,8 +348,8 @@ class TestAllSuites:
         calls, run = fakes
         assert run("verify", "--seed", "5", "--format", "json")[0] == 1
         assert calls["randomized"]["seed"] == 5
-        assert calls["fixed"]["kwargs"] == {}
+        del calls["fixed"]
         reports = run_all_suites(seed=9)
         assert [r.suite for r in reports] == ["randomized", "fixed"]
         assert calls["randomized"]["seed"] == 9
-        assert calls["fixed"]["kwargs"] == {}
+        assert "fixed" in calls
