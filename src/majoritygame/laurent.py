@@ -10,7 +10,9 @@ Only the public constructor accumulates repeated exponents.  Operator
 results are built in a fresh dict that is taken over as it stands, with
 only its zero coefficients dropped.  Certificates expand their product
 of binomial factors in one packed int, a fixed-width slot per exponent,
-and read the coefficients off its slots once.
+and read the coefficients off its slots once.  A certificate's value is
+summed straight from those slots against binomials at -1, with no
+polynomial built on the way.
 """
 
 from __future__ import annotations
@@ -144,9 +146,17 @@ def certificate_polynomial(M: Position, e: int) -> LaurentPoly:
 
     Only defined for final positions.  Dropping one copy of the maximum
     keeps every exponent non-negative: the remaining elements weigh at
-    most s + e - 1 in total.  The product is expanded in one packed int
-    with a len(M)-bit slot per exponent: multiplying by 1 + x^-w adds a
-    copy shifted down by w slots.
+    most s + e - 1 in total.
+    """
+    return LaurentPoly._adopt(dict(enumerate(_certificate_coefficients(M, e))))
+
+
+def _certificate_coefficients(M: Position, e: int) -> list[int]:
+    """The certificate's coefficients of x^0 .. x^(s+e-1), some of them zero.
+
+    The product is expanded in one packed int with a len(M)-bit slot per
+    exponent: multiplying by 1 + x^-w adds a copy shifted down by w slots.
+    Raises ValueError when M is not final for e.
     """
     if not is_final(M, e):
         raise ValueError(f"{M} is not final for excess {e}")
@@ -158,13 +168,18 @@ def certificate_polynomial(M: Position, e: int) -> LaurentPoly:
     for w in M.elements[:-1]:
         packed += packed >> w * bits
     mask = (1 << bits) - 1
-    return LaurentPoly._adopt({p: (packed >> p * bits) & mask for p in range(top + 1)})
+    return [(packed >> p * bits) & mask for p in range(top + 1)]
 
 
 def certificate_value(M: Position, e: int) -> int:
     """The (e-1)-st hyperderivative of the certificate, evaluated at -1.
 
     Equals (-1)^s times the order-e signed count of M, so both sides
-    share one 2-adic valuation.
+    share one 2-adic valuation.  The value is summed straight from the
+    packed slots: D(e-1) sends c_p x^p to C(p, e-1) c_p x^(p-e+1), so at
+    -1 it is the sum over p >= e-1 of (-1)^(p-e+1) C(p, e-1) c_p, and no
+    polynomial is built.
     """
-    return certificate_polynomial(M, e).hyperderivative(e - 1).eval_at_minus_one()
+    r = e - 1
+    return sum((-1) ** i * math.comb(r + i, r) * c
+               for i, c in enumerate(_certificate_coefficients(M, e)[r:]))

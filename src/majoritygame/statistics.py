@@ -18,8 +18,9 @@ of that s.  The one enumeration oracle keeps one column of counts per
 element tuple and order, holding every excess of the total's parity:
 the order-1 column lists the tuple's submultisets once and tallies them
 by weight, and each higher column is the suffix sum over e, e+2, ... of
-the column one order below.  The three caches here (weight counts,
-binomial rows, columns) are each a bounded ``lru_cache``.
+the column one order below.  The caches here (weight counts, binomial
+rows, columns) are each a bounded ``lru_cache``; weight counts are kept
+for small element tuples, and for the latest larger one alone.
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ WEIGHT_LIMIT = 4096
 #: Weight counts kept, one per element tuple; enough that the verification suites
 #: recompute little, small enough that a long-lived process stays bounded.
 _CACHE_SIZE = 4096
+
+#: Largest total weight and element count whose weight counts are cached.  Such an
+#: entry holds at most 65 counts below 2^65 and a key of at most 64 small ints,
+#: under 3.6 KB, so a full cache stays under 15 MiB.  A long ``play`` session
+#: meets each larger tuple once, so only the latest one is kept, for the repeated
+#: calls of ``stats`` on one position; at 4,096 ones it takes 1.7 MiB.
+_CACHED_BOUND = 64
 
 #: Signed binomial rows kept, one per (s, order): all suites together build 309,
 #: and a row holds s + 1 <= WEIGHT_LIMIT // 2 + 1 ints.
@@ -94,7 +102,14 @@ def subposition_weight_counts(M: Position) -> tuple[int, ...]:
     2^len(M) and are symmetric about half the total weight.  Raises
     ValueError when the total weight exceeds ``WEIGHT_LIMIT``.
     """
-    return _weight_counts(M.elements)
+    return _gated_weight_counts(M.elements, M.total)
+
+
+def _gated_weight_counts(elements: tuple[int, ...], total: int) -> tuple[int, ...]:
+    """The weight counts of elements, from the cache that ``_CACHED_BOUND`` picks."""
+    if total <= _CACHED_BOUND and len(elements) <= _CACHED_BOUND:
+        return _weight_counts(elements)
+    return _latest_large_weight_counts(elements)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -118,6 +133,9 @@ def _weight_counts(elements: tuple[int, ...]) -> tuple[int, ...]:
             for r in range(degree, w - 1, -1):
                 counts[r] += counts[r - w]
     return tuple([count << zeros for count in counts]) if zeros else tuple(counts)
+
+
+_latest_large_weight_counts = lru_cache(maxsize=1)(_weight_counts.__wrapped__)
 
 
 def _check_excess(M: Position, e: int, order: int) -> int:
@@ -148,10 +166,12 @@ def signed_count(M: Position, e: int, order: int = 1) -> int:
     binomials; the weight counts come first, so a total past
     ``WEIGHT_LIMIT`` is refused before any row is built.
     """
-    s = (_check_excess(M, e, order) - e) // 2
+    total = _check_excess(M, e, order)
+    s = (total - e) // 2
     if s < 0:
         return 0
-    return sum(map(operator.mul, _weight_counts(M.elements), _signed_binomials(s, order)))
+    return sum(map(operator.mul, _gated_weight_counts(M.elements, total),
+                   _signed_binomials(s, order)))
 
 
 @lru_cache(maxsize=_ROW_CACHE_SIZE)

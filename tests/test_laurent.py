@@ -162,8 +162,10 @@ class TestCertificates:
                 assert certificate_value(M, e) == expected
 
     def test_rejects_non_final_positions(self):
-        with pytest.raises(ValueError):
-            certificate_polynomial(Position((1, 1, 1)), 1)
+        for M in (Position((1, 1, 1)), Position((2, 2, 1, 0))):
+            for route in (certificate_polynomial, certificate_value):
+                with pytest.raises(ValueError, match="is not final"):
+                    route(M, 1)
 
     def test_direct_product_matches_generic_arithmetic(self):
         # Up to 6 zeros fill a len(M)-bit slot of the packed product to 2^(len - 1).
@@ -195,6 +197,17 @@ class TestCertificates:
                 s = minority_capacity(M, e)
                 sign = -1 if s % 2 else 1
                 assert certificate_value(M, e) == sign * signed_count(M, e, order=e), (M, e)
+
+    def test_value_matches_the_laurent_route(self):
+        checked = 0
+        for M in _small_positions(12, extra_zeros=2):
+            for e in range(1, M.total + 1):
+                if (M.total - e) % 2 or not is_final(M, e):
+                    continue
+                oracle = certificate_polynomial(M, e).hyperderivative(e - 1).eval_at_minus_one()
+                assert certificate_value(M, e) == oracle, (M, e)
+                checked += 1
+        assert checked == 3192
 
     def test_final_bound_on_small_finals(self):
         for M in _small_positions(10):

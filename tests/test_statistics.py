@@ -325,6 +325,33 @@ def test_every_cache_is_bounded():
         assert f.cache_info().maxsize is not None, f.__name__
 
 
+def test_weight_counts_are_cached_only_for_small_tuples():
+    cache = statistics_module._weight_counts
+    cache.cache_clear()
+    large = Position((2,) + (1,) * 4093)  # total 4,095
+    potential(large, 1)
+    assert subposition_weight_counts(large)[:2] == (1, 4093)
+    assert cache.cache_info().currsize == 0
+    # Only the latest larger tuple is kept, so many orders on it count it once.
+    latest = statistics_module._latest_large_weight_counts
+    latest.cache_clear()
+    for order in range(1, 101):
+        signed_count(large, 4095, order)
+    assert latest.cache_info().misses == 1
+    assert latest.cache_info().currsize == 1
+    # Past the bound by total (65) or by element count (65) counts stay uncached.
+    subposition_weight_counts(Position((1,) * 65))
+    subposition_weight_counts(Position((1,) * 63 + (0, 0)))
+    assert cache.cache_info().currsize == 0
+    subposition_weight_counts(Position((1,) * 64))
+    assert cache.cache_info().currsize == 1
+    small = Position((6, 5, 4, 3, 2, 2, 1, 1))  # total 24
+    signed_count(small, 0)
+    hits = cache.cache_info().hits
+    potential(small, 2)
+    assert cache.cache_info().hits == hits + 1
+
+
 class TestPotential:
     def test_frozen_values(self):
         assert potential(Position((1,) * 7), 1) == 3
