@@ -11,9 +11,9 @@ suites that machine-check every identity involved.
 
 from .core import GameParams, Position, legal_moves, start_position
 from .laurent import LaurentPoly, certificate_polynomial
-from .solver import GameSolver, MemoLimitExceeded, formula_comparisons, solve_game
+from .solver import GameSolver, MemoLimitExceeded, formula_comparisons
 from .statistics import potential, signed_count, subposition_weight_counts
-from .verify import run_all_suites, run_suite
+from .verify import iter_suites, run_suite
 
 __version__ = "1.0.0"
 
@@ -25,12 +25,11 @@ __all__ = [
     "Position",
     "certificate_polynomial",
     "formula_comparisons",
+    "iter_suites",
     "legal_moves",
     "potential",
-    "run_all_suites",
     "run_suite",
     "signed_count",
-    "solve_game",
     "start_position",
     "subposition_weight_counts",
 ]

@@ -17,7 +17,6 @@ transcript import/export.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
@@ -306,28 +305,21 @@ def ball_assigner(assigner: Assigner) -> Callable[[QuestionGraph, int, int], Bal
     return answer
 
 
-@dataclass
-class AdversarialGameRecord:
-    """Outcome of one ball-level game."""
-
-    comparisons: int
-    majority_ball: int
-    graph: QuestionGraph
-
-
 def run_adversarial_game(params: GameParams, selector: Selector,
-                         assigner: Assigner) -> AdversarialGameRecord:
+                         assigner: Assigner) -> tuple[QuestionGraph, int]:
     """Play the two weight-level strategies, lifted to balls, until a majority ball is known.
 
-    Both strategies are for the game's excess.  Against the solver's
-    selector_move, either solver Assigner forces the game's exact optimum.
+    Returns the question graph, whose history is the game's comparisons,
+    and the announced ball.  Both strategies are for the game's excess.
+    Against the solver's selector_move, either solver Assigner forces the
+    game's exact optimum.
     """
     g = QuestionGraph(params.n)
     select, answer = ball_selector(selector), ball_assigner(assigner)
     while (ball := identify_majority(g, params)) is None:
         i, j = select(g)
         g.add_comparison(i, j, answer(g, i, j))
-    return AdversarialGameRecord(len(g.history), ball, g)
+    return g, ball
 
 
 def announced(sizes: SideSizes, k: int) -> bool:

@@ -388,15 +388,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if balls > params.n:
         raise ValueError(f"position {origin} needs at least {balls} balls, but --n is {params.n}")
     e = params.e
-    result = GameSolver(e).solve(origin)
-    comparisons = len(origin) - result.value
-    steps = [(step, potential(step.position, e)) for step in result.principal_variation]
-    final_pot = potential(result.final_position, e)
+    variation, final = GameSolver(e).solve(origin)
+    steps = [(step, potential(step.position, e)) for step in variation]
+    final_pot = potential(final, e)
     results = {
         "origin": str(origin),
         "e": e,
-        "value": result.value,
-        "comparisons": comparisons,
+        "value": len(final),
+        "comparisons": len(variation),
         "steps": [
             {
                 "position": str(step.position),
@@ -407,18 +406,17 @@ def cmd_trace(args: argparse.Namespace) -> int:
             for step, pot in steps
         ],
         "final": {
-            "position": str(result.final_position),
+            "position": str(final),
             "potential": _valuation_json(final_pot),
-            "size": result.value,
+            "size": len(final),
         },
     }
     text = [f"principal variation from {origin} at excess {e}:"]
     text += [f"step {idx}: {step.position}  potential={_valuation_text(pot)}  "
              f"select ({step.pair[0]},{step.pair[1]}) -> {step.choice.value}"
              for idx, (step, pot) in enumerate(steps)]
-    text.append(f"final: {result.final_position}  potential={_valuation_text(final_pot)}  "
-                f"size={result.value}")
-    text.append(f"comparisons: {comparisons}")
+    text.append(f"final: {final}  potential={_valuation_text(final_pot)}  size={len(final)}")
+    text.append(f"comparisons: {len(variation)}")
     if from_start:
         results["formula"] = formula_comparisons(params)
         text[-1] += f" (formula {results['formula']})"

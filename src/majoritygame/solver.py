@@ -28,7 +28,7 @@ from .core import (
     legal_moves,
     start_position,
 )
-from .statistics import Valuation, binary_weight, potential
+from .statistics import WEIGHT_LIMIT, Valuation, binary_weight, potential
 
 #: Cap on one solver's table entries; a fresh bare-majority solve at n = 61
 #: needs 226,794.
@@ -78,20 +78,6 @@ class TraceStep:
     choice: AssignerChoice
 
 
-@dataclass
-class SolveResult:
-    """Value and one optimal line of play for one position.
-
-    The principal variation is ``play`` of GameSolver.selector_move, the
-    lexicographically smallest optimal value pair, against
-    GameSolver.assigner_reply, which breaks ties towards MINUS.
-    """
-
-    value: int
-    principal_variation: list[TraceStep]
-    final_position: Position
-
-
 class GameSolver:
     """Minimax evaluation of positions for one fixed excess.
 
@@ -120,21 +106,30 @@ class GameSolver:
     def value(self, M: Position) -> int:
         """Element count of the final position reached under optimal play.
 
-        MTD(f) from the guess 1, the least value of any position: each
-        null-window test at one above the proven lower bound either raises
-        that bound or shows it is the value.  The kernel recurses once per
-        merge, so a position too long for Python's recursion limit raises
-        ValueError; the table then still holds only proven bounds, since a
-        position's bounds are stored only after its full scan.
+        MTD(f) seeded at the potential, which equals the value at a start
+        position: a final M is its own value, and otherwise the value lies
+        in [1, len(M) - 1].  Each null-window test at g either passes,
+        raising the proven lower bound to its result b, or fails, lowering
+        the upper bound to b, until the bounds meet.  The seed only orders
+        the tests: every bound comes from a test, so any first guess gives
+        the same value.  Past WEIGHT_LIMIT, where potential raises, the
+        first guess is 2.  The kernel recurses once per merge, so a
+        position too long for Python's recursion limit raises ValueError;
+        the table then still holds only proven bounds, since a position's
+        bounds are stored only after its full scan.
         """
-        is_final(M, self.e)  # raises ValueError for totals no game at this excess reaches
-        lo = 1
+        if is_final(M, self.e):  # raises ValueError for totals no game at this excess reaches
+            return len(M)
+        lo, hi = 1, len(M) - 1
+        g = min(max(potential(M, self.e), lo + 1), hi) if M.total <= WEIGHT_LIMIT else lo + 1
         try:
-            while True:
-                b = self._test(M.elements, lo + 1)
-                if b <= lo:
-                    return lo
-                lo = b
+            while lo < hi:
+                b = self._test(M.elements, g)
+                if b >= g:
+                    lo, g = b, b + 1
+                else:
+                    hi, g = b, max(b, lo + 1)
+            return lo
         except RecursionError:
             raise ValueError(
                 f"a position of {len(M)} elements is too deep to solve within "
@@ -267,13 +262,15 @@ class GameSolver:
         """The Assigner scoring each child by its potential; see lower_scoring_reply."""
         return lower_scoring_reply(M, pair, self.e, lambda child: potential(child, self.e))
 
-    def solve(self, M: Position) -> SolveResult:
-        """Value and the principal variation for M.
+    def solve(self, M: Position) -> tuple[list[TraceStep], Position]:
+        """The principal variation from M and the final position it reaches.
 
-        The variation's length always equals len(M) minus the value.
+        The variation is ``play`` of selector_move, the smallest optimal
+        value pair, against assigner_reply, which breaks ties towards
+        MINUS.  The final position's length is M's value, and the number
+        of steps is the comparisons it takes: len(M) minus the value.
         """
-        steps, final = play(M, self.e, self.selector_move, self.assigner_reply)
-        return SolveResult(self.value(M), steps, final)
+        return play(M, self.e, self.selector_move, self.assigner_reply)
 
 
 def lower_scoring_reply(M: Position, pair: tuple[int, int], e: int,
@@ -295,12 +292,6 @@ def play(M: Position, e: int, selector: Selector,
         steps.append(TraceStep(M, pair, choice))
         M = apply_move(M, pair, choice)
     return steps, M
-
-
-def solve_game(params: GameParams) -> tuple[int, SolveResult]:
-    """Solve from the start; returns (comparisons needed, full result)."""
-    result = GameSolver(params.e).solve(start_position(params))
-    return params.n - result.value, result
 
 
 def solved_starts(max_n: int) -> list[tuple[GameParams, int]]:

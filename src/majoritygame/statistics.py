@@ -13,14 +13,14 @@ which orders above every finite valuation and absorbs finite addends.
 
 Weight counts are computed for totals up to ``WEIGHT_LIMIT``.  The
 closed form is one dot product: the weight counts a_0..a_s against a row
-of signed binomials, cached per (s, order) and shared by every position
-of that s.  The one enumeration oracle keeps one column of counts per
-element tuple and order, holding every excess of the total's parity:
-the order-1 column lists the tuple's submultisets once and tallies them
-by weight, and each higher column is the suffix sum over e, e+2, ... of
-the column one order below.  The caches here (weight counts, binomial
-rows, columns) are each a bounded ``lru_cache``; weight counts are kept
-for small element tuples, and for the latest larger one alone.
+of signed binomials, one per (s, order).  The one enumeration oracle
+keeps one column of counts per element tuple and order, holding every
+excess of the total's parity: the order-1 column lists the tuple's
+submultisets once and tallies them by weight, and each higher column is
+the suffix sum over e, e+2, ... of the column one order below.  The
+caches here (weight counts, binomial rows, columns) are each a bounded
+``lru_cache``; weight counts and rows are kept for small tuples and small
+s only, and weight counts for the latest larger tuple too.
 """
 
 from __future__ import annotations
@@ -49,15 +49,16 @@ WEIGHT_LIMIT = 4096
 #: recompute little, small enough that a long-lived process stays bounded.
 _CACHE_SIZE = 4096
 
-#: Largest total weight and element count whose weight counts are cached.  Such an
-#: entry holds at most 65 counts below 2^65 and a key of at most 64 small ints,
-#: under 3.6 KB, so a full cache stays under 15 MiB.  A long ``play`` session
-#: meets each larger tuple once, so only the latest one is kept, for the repeated
-#: calls of ``stats`` on one position; at 4,096 ones it takes 1.7 MiB.
+#: Largest total weight and element count whose weight counts are cached, and
+#: largest s whose signed binomial rows are.  A weight-count entry holds at most
+#: 65 counts below 2^65 and a key of at most 64 small ints, under 3.6 KB, so a
+#: full cache stays under 15 MiB.  A long ``play`` session meets each larger
+#: tuple once, so only the latest one is kept, for the repeated calls of
+#: ``stats`` on one position; at 4,096 ones it takes 1.7 MiB.
 _CACHED_BOUND = 64
 
 #: Signed binomial rows kept, one per (s, order): all suites together build 309,
-#: and a row holds s + 1 <= WEIGHT_LIMIT // 2 + 1 ints.
+#: and a row holds s + 1 <= _CACHED_BOUND + 1 ints.
 _ROW_CACHE_SIZE = 512
 
 
@@ -162,16 +163,16 @@ def signed_count(M: Position, e: int, order: int = 1) -> int:
     sum over r <= s of (-1)^r C(s + order - 1 - r, order - 1) a_r, where
     a_r counts submultisets of weight r and 2s + e is the total weight.
     When e exceeds the total weight the sum is empty and the count is 0.
-    The sum is the dot product of a_0..a_s with a cached row of signed
-    binomials; the weight counts come first, so a total past
-    ``WEIGHT_LIMIT`` is refused before any row is built.
+    The sum is the dot product of a_0..a_s with a row of signed binomials,
+    cached when s <= ``_CACHED_BOUND``; the weight counts come first, so a
+    total past ``WEIGHT_LIMIT`` is refused before any row is built.
     """
     total = _check_excess(M, e, order)
     s = (total - e) // 2
     if s < 0:
         return 0
-    return sum(map(operator.mul, _gated_weight_counts(M.elements, total),
-                   _signed_binomials(s, order)))
+    rows = _signed_binomials if s <= _CACHED_BOUND else _uncached_signed_binomials
+    return sum(map(operator.mul, _gated_weight_counts(M.elements, total), rows(s, order)))
 
 
 @lru_cache(maxsize=_ROW_CACHE_SIZE)
@@ -183,6 +184,9 @@ def _signed_binomials(s: int, order: int) -> tuple[int, ...]:
         row[s - j] = -c if (s - j) & 1 else c
         c = c * (order + j) // (j + 1)
     return tuple(row)
+
+
+_uncached_signed_binomials = _signed_binomials.__wrapped__
 
 
 def signed_count_recursive(M: Position, e: int, order: int) -> int:

@@ -687,17 +687,17 @@ def suite_adversarial() -> SuiteReport:
             solver = GameSolver(params.e)
             for name, assigner in (("optimal", solver.assigner_reply),
                                    ("potential", solver.potential_reply)):
-                record = run_adversarial_game(params, solver.selector_move, assigner)
+                graph, ball = run_adversarial_game(params, solver.selector_move, assigner)
                 report.cases += 1
-                if record.comparisons != expected:
+                if len(graph.history) != expected:
                     report.add_failure(
-                        f"n={n} k={k} adversary={name}: took {record.comparisons} "
+                        f"n={n} k={k} adversary={name}: took {len(graph.history)} "
                         f"comparisons, formula says {expected}")
                 report.cases += 1
-                if colour_options(record.graph, params, record.majority_ball)[0]:
+                if colour_options(graph, params, ball)[0]:
                     report.add_failure(
                         f"n={n} k={k} adversary={name}: announced ball "
-                        f"{record.majority_ball} could still be minority")
+                        f"{ball} could still be minority")
     search_counts = {}
     for n in range(1, oracle_n + 1):
         for k in _valid_thresholds(n):
@@ -763,8 +763,3 @@ def iter_suites(seed: int | None = None) -> Iterator[SuiteReport]:
     """
     for name, suite in SUITES.items():
         yield run_suite(name, seed=seed if "seed" in inspect.signature(suite).parameters else None)
-
-
-def run_all_suites(seed: int | None = None) -> list[SuiteReport]:
-    """Every suite's report, in registry order, at its fixed scale."""
-    return list(iter_suites(seed))

@@ -11,8 +11,8 @@ the agreement of the ball-level game with the weight-level abstraction.
 
 import pytest
 
-from majoritygame.core import GameParams
-from majoritygame.solver import formula_comparisons, solve_game
+from majoritygame.core import GameParams, start_position
+from majoritygame.solver import GameSolver
 from majoritygame.statistics import binary_weight
 from majoritygame.verify import (
     suite_adversarial,
@@ -46,7 +46,9 @@ def test_01_comparison_formula(announce):
     spots = {(5, 3): 3, (7, 4): 4, (13, 7): 10}
     spot_failures = []
     for (n, k), expected in spots.items():
-        comparisons, _ = solve_game(GameParams(n, k))
+        params = GameParams(n, k)
+        steps, _ = GameSolver(params.e).solve(start_position(params))
+        comparisons = len(steps)
         if comparisons != expected:
             spot_failures.append(f"K({n},{k}) = {comparisons}, expected {expected}")
     ok = report.passed and report.cases == 42 and not spot_failures
@@ -58,7 +60,8 @@ def test_02_bare_majority_family(announce):
     failures = []
     for m in range(1, 6):
         params = GameParams(2 * m + 1, m + 1)
-        comparisons, _ = solve_game(params)
+        steps, _ = GameSolver(params.e).solve(start_position(params))
+        comparisons = len(steps)
         expected = 2 * m - binary_weight(m)
         if comparisons != expected:
             failures.append(f"m={m}: {comparisons} != {expected}")

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from majoritygame.ballgame import (
     BALL_SEARCH_GUARD_N,
-    AdversarialGameRecord,
     BallAnswer,
     InconsistentAnswerError,
     QuestionGraph,
@@ -431,22 +430,24 @@ class TestAdversary:
         assert checked > 0
 
     def test_optimal_adversary_forces_the_formula_count(self):
-        for n in range(1, 9):
+        # the game returns its question graph and the ball it announced
+        for n in range(1, 10):
             for k in range(n // 2 + 1, n + 1):
                 params = GameParams(n, k)
                 solver = GameSolver(params.e)
-                record = run_adversarial_game(params, solver.selector_move, solver.assigner_reply)
-                assert isinstance(record, AdversarialGameRecord)
-                assert record.comparisons == formula_comparisons(params), (n, k)
-                assert identify_majority(record.graph, params) == record.majority_ball
+                graph, ball = run_adversarial_game(params, solver.selector_move,
+                                                   solver.assigner_reply)
+                assert len(graph.history) == formula_comparisons(params), (n, k)
+                assert identify_majority(graph, params) == ball
 
     def test_potential_adversary_forces_the_formula_count(self):
         for n in range(1, 9):
             for k in range(n // 2 + 1, n + 1):
                 params = GameParams(n, k)
                 solver = GameSolver(params.e)
-                record = run_adversarial_game(params, solver.selector_move, solver.potential_reply)
-                assert record.comparisons == formula_comparisons(params), (n, k)
+                graph, _ = run_adversarial_game(params, solver.selector_move,
+                                                solver.potential_reply)
+                assert len(graph.history) == formula_comparisons(params), (n, k)
 
     def test_forced_answers_win_over_strategy(self):
         g = QuestionGraph(4)
@@ -521,9 +522,9 @@ class TestStrategyValues:
             for assigner in (solver.assigner_reply, solver.potential_reply):
                 steps, final = play(start_position(params), params.e, _pairing_selector, assigner)
                 assert len(steps) == expected and is_final(final, params.e), (n, assigner.__name__)
-                record = run_adversarial_game(params, _pairing_selector, assigner)
-                assert record.comparisons == expected, (n, assigner.__name__)
-                assert identify_majority(record.graph, params) == record.majority_ball
+                graph, ball = run_adversarial_game(params, _pairing_selector, assigner)
+                assert len(graph.history) == expected, (n, assigner.__name__)
+                assert identify_majority(graph, params) == ball
 
 
 def _reference_start_state(n):
@@ -864,8 +865,8 @@ class TestTranscripts:
     def test_adversarial_game_round_trips(self):
         params = GameParams(7, 4)
         solver = GameSolver(params.e)
-        record = run_adversarial_game(params, solver.selector_move, solver.assigner_reply)
-        text = export_transcript(record.graph, params)
+        graph, ball = run_adversarial_game(params, solver.selector_move, solver.assigner_reply)
+        text = export_transcript(graph, params)
         params2, g2 = import_transcript(text)
-        assert identify_majority(g2, params2) == record.majority_ball
+        assert identify_majority(g2, params2) == ball
         assert export_transcript(g2, params2) == text

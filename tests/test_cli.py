@@ -393,14 +393,14 @@ class TestPlay:
         assert "too deep to solve" in err
 
     def test_transcript_survives_a_session_that_exits_2(self, capsys, monkeypatch, tmp_path):
-        # (11, 6) outgrows a 44-entry table on the engine's third selection
-        monkeypatch.setattr(solver, "MEMO_LIMIT", 44)
+        # (11, 6) outgrows a 41-entry table on the engine's third selection
+        monkeypatch.setattr(solver, "MEMO_LIMIT", 41)
         monkeypatch.setattr("sys.stdin", io.StringIO("same\n" * 5))
         path = tmp_path / "t.txt"
         code, _, err = run_cli(capsys, "play", "--n", "11", "--k", "6", "--role", "assigner",
                                "--out", str(path))
         assert code == 2
-        assert err == "error: solve table would exceed 44 entries\n"
+        assert err == "error: solve table would exceed 41 entries\n"
         params, g = import_transcript(path.read_text())
         assert (params.n, params.k) == (11, 6)
         assert g.history == [(1, 2, BallAnswer.SAME), (3, 4, BallAnswer.SAME)]

@@ -29,10 +29,10 @@ def test_readme_python_blocks_are_passing_doctests():
 
 ROOT_NAMES = {
     "core": ("GameParams", "Position", "start_position", "legal_moves"),
-    "solver": ("GameSolver", "MemoLimitExceeded", "solve_game", "formula_comparisons"),
+    "solver": ("GameSolver", "MemoLimitExceeded", "formula_comparisons"),
     "statistics": ("potential", "signed_count", "subposition_weight_counts"),
     "laurent": ("LaurentPoly", "certificate_polynomial"),
-    "verify": ("run_suite", "run_all_suites"),
+    "verify": ("run_suite", "iter_suites"),
 }
 
 

@@ -26,9 +26,8 @@ from majoritygame.solver import (
     lower_scoring_reply,
     play,
     reachable_positions,
-    solve_game,
 )
-from majoritygame.statistics import binary_weight, potential
+from majoritygame.statistics import WEIGHT_LIMIT, binary_weight, potential
 from majoritygame.verify import suite_formula
 
 
@@ -97,14 +96,14 @@ class TestValues:
 
     def test_frozen_comparison_counts(self):
         for n, k, expected in [(3, 2, 1), (5, 4, 1), (5, 3, 3), (7, 4, 4), (13, 7, 10)]:
-            comparisons, _ = solve_game(GameParams(n, k))
-            assert comparisons == expected, (n, k)
+            params = GameParams(n, k)
+            steps, _ = GameSolver(params.e).solve(start_position(params))
+            assert len(steps) == expected, (n, k)
 
     def test_unanimous_games_need_no_comparisons(self):
         for n in range(1, 10):
-            comparisons, result = solve_game(GameParams(n, n))
-            assert comparisons == 0
-            assert result.final_position == start_position(GameParams(n, n))
+            start = start_position(GameParams(n, n))
+            assert GameSolver(n).solve(start) == ([], start)
 
     def test_formula(self):
         assert formula_comparisons(GameParams(5, 3)) == 3
@@ -122,6 +121,29 @@ class TestValues:
             solver = GameSolver(e)
             for M in valid:
                 assert solver.value(M) == reference[M], (M, e)
+
+    def test_every_first_guess_gives_the_value(self, monkeypatch):
+        # the seed only orders the null-window tests: force each first guess
+        # 1..len(M) on every non-final position of total <= 15, a fresh table per
+        # guess (110,957 solves; total 16 took over 2 s)
+        positions = [Position(ws) for total in range(16) for count in range(1, 16)
+                     for ws in _partitions(total, count, total)]
+        for e in range(1, 16):
+            live = [M for M in positions
+                    if M.total >= e and (M.total - e) % 2 == 0 and not is_final(M, e)]
+            reference = _reference_values(e, live)
+            for guess in range(1, 16):
+                monkeypatch.setattr(solver_module, "potential", lambda M, e: guess)
+                solver = GameSolver(e)
+                for M in live:
+                    if len(M) >= guess:
+                        assert solver.value(M) == reference[M], (M, e, guess)
+
+    def test_total_past_the_weight_limit_starts_from_two(self):
+        # potential refuses this total, so the first guess is lo + 1
+        M = Position((2100, 2100, 2))
+        assert M.total > WEIGHT_LIMIT
+        assert GameSolver(2).value(M) == 2
 
     def test_value_validates_at_the_boundary(self):
         with pytest.raises(ValueError, match="parity"):
@@ -259,12 +281,12 @@ class TestStats:
         assert solver.stats.probes - solver.stats.hits == scans
 
     @pytest.mark.parametrize("n, k, expected", [
-        (25, 13, SolverStats(entries=1351, probes=7824, hits=5711)),
-        (29, 15, SolverStats(entries=1463, probes=8761, hits=6352)),
-        (28, 15, SolverStats(entries=1606, probes=9703, hits=6815)),
+        (25, 13, SolverStats(entries=1351, probes=7781, hits=5710)),
+        (29, 15, SolverStats(entries=1461, probes=8613, hits=6324)),
+        (28, 15, SolverStats(entries=1585, probes=9411, hits=6729)),
     ])
     def test_exact_counters_of_a_deep_solve(self, n, k, expected):
-        # pins the kernel's work: a rewrite of _test must leave these unchanged
+        # pins the work of the kernel and of value's MTD(f) loop seeded at the potential
         params = GameParams(n, k)
         solver = GameSolver(params.e)
         solver.value(start_position(params))
@@ -272,8 +294,12 @@ class TestStats:
 
     def test_final_position_is_one_entry(self):
         solver = GameSolver(1)
-        solver.value(Position((2, 1)))
-        # the first probe stores the exact value, the second reads it back
+        # value answers a final position before any probe
+        assert solver.value(Position((2, 1))) == 2
+        assert solver.stats == SolverStats()
+        # in the kernel, the first probe stores the exact value, the second reads it back
+        for _ in range(2):
+            assert solver._test((1, 2), 2) == 2
         assert solver.stats == SolverStats(entries=1, probes=2, hits=1)
 
     def test_cuts_shrink_the_table_below_the_reachable_set(self):
@@ -303,21 +329,25 @@ class TestStrategies:
                 assert solver.selector_move(M) == min(optimal), (M, e)
 
     def test_principal_variation_length(self):
-        for n, k in [(5, 3), (7, 4), (9, 5), (6, 4), (11, 6)]:
-            params = GameParams(n, k)
-            comparisons, result = solve_game(params)
-            assert len(result.principal_variation) == comparisons
-            assert is_final(result.final_position, params.e)
-            assert len(result.final_position) == result.value
+        # solve plays the solver's own strategies: one step per comparison, ending at the value
+        for n in range(1, 13):
+            for k in range(n // 2 + 1, n + 1):
+                params = GameParams(n, k)
+                start, solver = start_position(params), GameSolver(params.e)
+                steps, final = solver.solve(start)
+                assert (steps, final) == play(start, params.e, solver.selector_move,
+                                              solver.assigner_reply), (n, k)
+                assert len(steps) == formula_comparisons(params), (n, k)
+                assert is_final(final, params.e) and len(final) == solver.value(start), (n, k)
 
     def test_principal_variation_steps_compose(self):
         params = GameParams(7, 4)
-        _, result = solve_game(params)
+        steps, final = GameSolver(params.e).solve(start_position(params))
         cur = start_position(params)
-        for step in result.principal_variation:
+        for step in steps:
             assert step.position == cur
             cur = apply_move(cur, step.pair, step.choice)
-        assert cur == result.final_position
+        assert cur == final
 
     def test_potential_reply_cancels_the_opening_pair(self):
         # cancelling the opening pair is strictly better for the potential at m=3
@@ -427,6 +457,6 @@ def test_start_potential_equals_optimal_final_size():
         for k in range(n // 2 + 1, n + 1):
             params = GameParams(n, k)
             s = n - k
-            comparisons, result = solve_game(params)
+            steps, final = GameSolver(params.e).solve(start_position(params))
             assert potential(start_position(params), params.e) == params.e + binary_weight(s)
-            assert result.value == n - comparisons
+            assert len(final) == n - len(steps)

@@ -352,6 +352,21 @@ def test_weight_counts_are_cached_only_for_small_tuples():
     assert cache.cache_info().hits == hits + 1
 
 
+def test_signed_binomial_rows_are_cached_only_for_small_s():
+    rows = statistics_module._signed_binomials
+    rows.cache_clear()
+    potential(Position((1,) * 4095), 1)  # s = 2,047
+    signed_count(Position((1,) * 131), 1, 3)  # s = 65, one past the bound
+    assert rows.cache_info().currsize == 0
+    signed_count(Position((1,) * 130), 2, 3)  # s = 64 enters
+    assert rows.cache_info().currsize == 1
+    small = Position((6, 5, 4, 3, 2, 2, 1, 1))  # total 24
+    potential(small, 2)
+    hits = rows.cache_info().hits
+    potential(small, 2)
+    assert rows.cache_info().hits == hits + 1
+
+
 class TestPotential:
     def test_frozen_values(self):
         assert potential(Position((1,) * 7), 1) == 3

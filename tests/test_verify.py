@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+import majoritygame
 from majoritygame import verify
 from majoritygame.ballgame import BallAnswer, QuestionGraph
 from majoritygame.cli import main
@@ -17,7 +18,7 @@ from majoritygame.verify import (
     SUITES,
     WITNESS_CAP,
     SuiteReport,
-    run_all_suites,
+    iter_suites,
     run_suite,
     suite_conservation,
     suite_conservation_iterated,
@@ -349,7 +350,27 @@ class TestAllSuites:
         assert run("verify", "--seed", "5", "--format", "json")[0] == 1
         assert calls["randomized"]["seed"] == 5
         del calls["fixed"]
-        reports = run_all_suites(seed=9)
+        reports = list(iter_suites(seed=9))
         assert [r.suite for r in reports] == ["randomized", "fixed"]
         assert calls["randomized"]["seed"] == 9
         assert "fixed" in calls
+
+
+def test_root_iter_suites_yields_the_13_reports_in_registry_order(monkeypatch):
+    # each suite is stood in for by a stub with its signature, so none runs its checks
+    seeds = {}
+
+    def stub(name, suite):
+        def run(**given):
+            seeds[name] = given.get("seed")
+            return SuiteReport(name)
+        run.__signature__ = inspect.signature(suite)
+        return run
+
+    stubs = {name: stub(name, suite) for name, suite in SUITES.items()}
+    monkeypatch.setattr(verify, "SUITES", stubs)
+    reports = list(majoritygame.iter_suites(seed=9))
+    assert len(reports) == 13
+    assert [r.suite for r in reports] == list(SUITES)
+    assert seeds == {name: 9 if "seed" in inspect.signature(suite).parameters else None
+                     for name, suite in SUITES.items()}
