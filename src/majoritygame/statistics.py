@@ -15,9 +15,10 @@ Weight counts are computed for totals up to ``WEIGHT_LIMIT``.  The
 closed form is one dot product: the weight counts a_0..a_s against a row
 of signed binomials, one per (s, order).  The one enumeration oracle
 keeps one column of counts per element tuple and order, holding every
-excess of the total's parity: the order-1 column lists the tuple's
-submultisets once and tallies them by weight, and each higher column is
-the suffix sum over e, e+2, ... of the column one order below.  The
+excess of the total's parity: the order-1 column pairs the weight tallies
+of the submultisets of the tuple's two halves (Horowitz and Sahni), and
+each higher column is the suffix sum over e, e+2, ... of the column one
+order below.  The
 caches here (weight counts, binomial rows, columns) are each a bounded
 ``lru_cache``; weight counts and rows are kept for small tuples and small
 s only, and weight counts for the latest larger tuple too.
@@ -103,12 +104,8 @@ def subposition_weight_counts(M: Position) -> tuple[int, ...]:
     2^len(M) and are symmetric about half the total weight.  Raises
     ValueError when the total weight exceeds ``WEIGHT_LIMIT``.
     """
-    return _gated_weight_counts(M.elements, M.total)
-
-
-def _gated_weight_counts(elements: tuple[int, ...], total: int) -> tuple[int, ...]:
-    """The weight counts of elements, from the cache that ``_CACHED_BOUND`` picks."""
-    if total <= _CACHED_BOUND and len(elements) <= _CACHED_BOUND:
+    elements = M.elements
+    if sum(elements) <= _CACHED_BOUND and len(elements) <= _CACHED_BOUND:
         return _weight_counts(elements)
     return _latest_large_weight_counts(elements)
 
@@ -139,8 +136,8 @@ def _weight_counts(elements: tuple[int, ...]) -> tuple[int, ...]:
 _latest_large_weight_counts = lru_cache(maxsize=1)(_weight_counts.__wrapped__)
 
 
-def _check_excess(M: Position, e: int, order: int) -> int:
-    """Validate e against M, then order, and return M's total weight."""
+def _check_excess(M: Position, e: int, order: int) -> None:
+    """Raise for the first bad one of e (type, sign, parity against M) and order."""
     if type(e) is not int:  # bool is an int subclass
         raise ValueError(f"excess must be an integer, got {e!r}")
     if e < 0:
@@ -152,7 +149,6 @@ def _check_excess(M: Position, e: int, order: int) -> int:
         raise ValueError(f"order must be an integer, got {order!r}")
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
-    return total
 
 
 def signed_count(M: Position, e: int, order: int = 1) -> int:
@@ -167,12 +163,19 @@ def signed_count(M: Position, e: int, order: int = 1) -> int:
     cached when s <= ``_CACHED_BOUND``; the weight counts come first, so a
     total past ``WEIGHT_LIMIT`` is refused before any row is built.
     """
-    total = _check_excess(M, e, order)
+    elements = M.elements
+    total = sum(elements)
+    if type(e) is not int or type(order) is not int or e < 0 or order < 1 or (total - e) & 1:
+        _check_excess(M, e, order)  # checked inline: the hot path; this raises the message
     s = (total - e) // 2
     if s < 0:
         return 0
+    if total <= _CACHED_BOUND and len(elements) <= _CACHED_BOUND:
+        counts = _weight_counts(elements)
+    else:
+        counts = _latest_large_weight_counts(elements)
     rows = _signed_binomials if s <= _CACHED_BOUND else _uncached_signed_binomials
-    return sum(map(operator.mul, _gated_weight_counts(M.elements, total), rows(s, order)))
+    return sum(map(operator.mul, counts, rows(s, order)))
 
 
 @lru_cache(maxsize=_ROW_CACHE_SIZE)
@@ -192,14 +195,16 @@ _uncached_signed_binomials = _signed_binomials.__wrapped__
 def signed_count_recursive(M: Position, e: int, order: int) -> int:
     """The same statistic by enumeration, summing the definition over excesses.
 
-    The order-1 column walks all 2^len(M) submultisets once per element
-    tuple and tallies them by weight; its entry e // 2 is the signed sum
-    over those whose complement outweighs them by at least e, for every
-    excess e of the total weight's parity.  Each higher column is the
-    suffix sum of the column one order below, so its entry for e adds the
-    lower-order counts at e, e+2, ... up to the total weight.  An excess
-    past the total weight reads 0.  This route shares no arithmetic with
-    the closed form, so their agreement cross-checks both.
+    The order-1 column lists the submultisets of each half of M's ascending
+    elements, tallies each half by weight and pairs the two tallies: each
+    submultiset is one pair of halves, counted once, and the 2^len(M) are
+    never listed together.  Its entry e // 2 is the signed sum over those
+    whose complement outweighs them by at least e, for every excess e of
+    the total weight's parity.  Each higher column is the suffix sum of
+    the column one order below, so its entry for e adds the lower-order
+    counts at e, e+2, ... up to the total weight.  An excess past the
+    total weight reads 0.  This route shares no arithmetic with the closed
+    form, so their agreement cross-checks both.
 
     Only the 64 most recent columns are kept: each suite walks one
     position's excesses and orders before moving to the next.  Missing
@@ -207,19 +212,13 @@ def signed_count_recursive(M: Position, e: int, order: int) -> int:
     cold call at a high order stays far from the recursion limit.  The
     walk is guarded at 24 elements and at total weight ``WEIGHT_LIMIT``.
     """
-    _check_excess(M, e, order)
-    if len(M.elements) > _ENUMERATION_LIMIT:
+    elements = M.elements
+    total = sum(elements)
+    if type(e) is not int or type(order) is not int or e < 0 or order < 1 or (total - e) & 1:
+        _check_excess(M, e, order)  # checked inline, as in signed_count: the hot path
+    if len(elements) > _ENUMERATION_LIMIT:
         raise ValueError(
-            f"enumeration is limited to {_ENUMERATION_LIMIT} elements, got {len(M.elements)}")
-    return _column_entry(M.elements, e, order)
-
-
-def signed_count_bruteforce(M: Position, e: int) -> int:
-    """The order-1 signed count by enumeration: ``signed_count_recursive(M, e, 1)``."""
-    return signed_count_recursive(M, e, 1)
-
-
-def _column_entry(elements: tuple[int, ...], e: int, order: int) -> int:
+            f"enumeration is limited to {_ENUMERATION_LIMIT} elements, got {len(elements)}")
     if order > _ORDER_STEP:
         # A missing column recurses to the one below it; warming every
         # _ORDER_STEP-th order first bounds that recursion's depth.
@@ -228,6 +227,11 @@ def _column_entry(elements: tuple[int, ...], e: int, order: int) -> int:
     column = _order_column(elements, order)
     i = e // 2
     return column[i] if i < len(column) else 0
+
+
+def signed_count_bruteforce(M: Position, e: int) -> int:
+    """The order-1 signed count by enumeration: ``signed_count_recursive(M, e, 1)``."""
+    return signed_count_recursive(M, e, 1)
 
 
 #: Orders built by one recursive descent through the column cache: deep
@@ -242,19 +246,29 @@ def _order_column(elements: tuple[int, ...], order: int) -> tuple[int, ...]:
     if order > 1:
         below = _order_column(elements, order - 1)
         return tuple(accumulate(reversed(below)))[::-1]
-    # Order 1 tallies all 2^len(elements) submultisets by weight, refused
-    # past WEIGHT_LIMIT before any submultiset is listed.
+    # Order 1 pairs the signed weight tallies of the two halves' submultisets
+    # (Horowitz and Sahni), refused past WEIGHT_LIMIT before any is listed.
     total = sum(elements)
     if total > WEIGHT_LIMIT:
         raise ValueError(f"enumeration is limited to total weight {WEIGHT_LIMIT}, got {total}")
+    # Signs multiply over the halves, as (-1)^(a+b) = (-1)^a (-1)^b.  A submultiset
+    # of weight wt counts at excess e iff wt <= (total - e) / 2, so entry i adds
+    # the signed tally up to weight total // 2 - i.
+    half = len(elements) // 2
+    signed = [0] * (total + 1)
+    high = _signed_tally(elements[half:]).items()
+    for a, count in _signed_tally(elements[:half]).items():
+        for b, other in high:
+            signed[a + b] += count * other
+    return tuple(accumulate(signed[:total // 2 + 1]))[::-1]
+
+
+def _signed_tally(elements: tuple[int, ...]) -> dict[int, int]:
+    """Weight -> (-1)^weight times the number of submultisets of that weight."""
     weights = [0]
     for w in elements:
         weights.extend([wt + w for wt in weights])
-    tally = Counter(weights)
-    # A submultiset of weight wt counts at excess e iff wt <= (total - e) / 2,
-    # so entry i adds the signed tally up to weight total // 2 - i.
-    signed = [-tally[wt] if wt & 1 else tally[wt] for wt in range(total // 2 + 1)]
-    return tuple(accumulate(signed))[::-1]
+    return {wt: -n if wt & 1 else n for wt, n in Counter(weights).items()}
 
 
 def potential(M: Position, e: int) -> Valuation:

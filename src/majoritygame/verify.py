@@ -141,8 +141,8 @@ def _positions_up_to(max_total: int, extra_zeros: int = 0) -> list[Position]:
     out = []
     for total in range(max_total + 1):
         for part in _partitions(total):
-            for zeros in range(extra_zeros + 1):
-                out.append(Position(part + (0,) * zeros))
+            for zeros in range(extra_zeros + 1):  # parts descend and are valid: no re-sort
+                out.append(Position._sorted((0,) * zeros + part[::-1]))
     return out
 
 

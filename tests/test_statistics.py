@@ -1,7 +1,9 @@
 """Signed subposition counts, weight counts, valuations, potentials."""
 
 import math
+import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -157,6 +159,49 @@ class TestSignedCounts:
             with pytest.raises(ValueError, match="potential needs an integer excess"):
                 potential(M, e)
 
+    def test_each_refusal_message_under_the_inline_check(self):
+        M = Position((2, 1))  # total 3: odd excesses only
+        counts = (signed_count, signed_count_recursive)
+        cases = [  # (e, order, message), one bad argument at a time
+            *[(e, 1, f"excess must be an integer, got {e!r}") for e in (True, 1.0, "1")],
+            *[(1, b, f"order must be an integer, got {b!r}") for b in (True, 2.0, "2")],
+            (-1, 1, "excess must be non-negative, got -1"),
+            (1, 0, "order must be at least 1, got 0"),
+            (2, 1, "excess 2 has the wrong parity for total weight 3"),
+            # Two at once: e's type, then its sign, then its parity, then order.
+            (1.5, 0, "excess must be an integer, got 1.5"),
+            (False, "x", "excess must be an integer, got False"),
+            (-2, "x", "excess must be non-negative, got -2"),
+            (-1, 0, "excess must be non-negative, got -1"),
+            (2, 0, "excess 2 has the wrong parity for total weight 3"),
+            (2, 1.0, "excess 2 has the wrong parity for total weight 3"),
+            (1, -5, "order must be at least 1, got -5"),
+        ]
+        for e, order, message in cases:
+            for count in counts:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    count(M, e, order)
+        # The argument checks come before the enumeration's own guards.
+        with pytest.raises(ValueError, match="^order must be at least 1, got 0$"):
+            signed_count_recursive(Position((1,) * 25), 1, 0)
+        for e in (True, 1.0, "1", 0, -1):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"potential needs an integer excess >= 1, got {e!r}")):
+                potential(M, e)
+        with pytest.raises(ValueError, match="^excess 2 has the wrong parity for total weight 3$"):
+            potential(M, 2)
+
+    def test_valid_arguments_never_reach_the_raising_check(self, monkeypatch):
+        def check_excess(M, e, order):
+            raise AssertionError(f"valid arguments were re-checked: {M} {e} {order}")
+
+        monkeypatch.setattr(statistics_module, "_check_excess", check_excess)
+        M = Position((3, 2, 1, 0))
+        for order in range(1, 4):
+            for e in range(0, M.total + 3, 2):
+                assert signed_count(M, e, order) == signed_count_recursive(M, e, order)
+        assert potential(M, 2) == 2 + two_adic_valuation(signed_count(M, 2, 2))
+
     def test_bruteforce_guard(self):
         message = "enumeration is limited to 24 elements, got 25"
         with pytest.raises(ValueError, match=message):
@@ -221,6 +266,39 @@ class TestSignedCounts:
             for e in range(0, M.total + 3, 2):
                 assert signed_count_recursive(M, e, order) == _per_subset_iterated(
                     weights, M.total, e, order), (e, order)
+
+    @pytest.mark.parametrize("elements", [
+        (1,) * 24,
+        tuple(range(1, 25)),
+        (0,) * 9 + tuple(range(1, 16)),  # zero-led, with the split point past the zeros
+    ])
+    def test_oracle_at_its_guard_lists_only_halves(self, elements):
+        M = Position(elements)
+        assert len(M) == 24
+        statistics_module._order_column.cache_clear()
+        tracemalloc.start()
+        try:
+            columns = [[signed_count_recursive(M, e, order) for e in range(0, M.total + 1, 2)]
+                       for order in range(1, 4)]
+            # Listing all 2^24 subset weights took about 200 MiB.
+            assert tracemalloc.get_traced_memory()[1] / 2**20 < 4
+        finally:
+            tracemalloc.stop()
+        for order, column in enumerate(columns, 1):
+            assert column == [signed_count(M, e, order) for e in range(0, M.total + 1, 2)]
+
+    @pytest.mark.parametrize("elements", [
+        (5,), (0,), (3, 2, 1), (0, 0, 0, 0, 0, 3, 4, 5), (0, 0, 0, 0, 0, 0, 0, 1, 2),
+        (0, 0, 0, 1, 1), (0, 1, 1, 2, 3, 5, 8), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+        (0, 0, 6, 6, 6, 6, 6, 6, 6, 6, 7, 9, 13),
+    ])
+    def test_halves_match_the_per_subset_reference(self, elements):
+        # Odd lengths, and split points that fall inside the leading zeros.
+        M = Position(elements)
+        weights = _subset_weights(M.elements)
+        for e in range(M.total % 2, M.total + 5, 2):
+            assert signed_count_bruteforce(M, e) == _per_subset_signed_count(
+                weights, M.total, e), e
 
     def test_recursive_builds_one_column_per_order(self):
         elements = (6, 5, 3, 3, 1, 0, 0)

@@ -228,6 +228,15 @@ class TestSplitLawCatchesFaults:
         assert all(" order=1: closed " in failure for failure in report.failures)
 
 
+def test_enumerated_positions_are_the_validated_ones_in_order():
+    # The helper wraps each partition without a sort; Position() sorts and checks.
+    got = verify._positions_up_to(10, extra_zeros=2)
+    want = [Position(part + (0,) * zeros)
+            for total in range(11) for part in verify._partitions(total) for zeros in range(3)]
+    assert [M.elements for M in got] == [M.elements for M in want]
+    assert len(got) == 3 * 139  # partitions of 0..10
+
+
 class TestPotentialAgainstValues:
     def test_domination_small_games(self):
         for n in range(1, 9):
