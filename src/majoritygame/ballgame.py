@@ -9,14 +9,15 @@ the larger root, and a component is nothing but its root's two sides.
 The multiset of side-size differences is the weight-level position,
 and answering a cross-component comparison realizes one Assigner
 choice on it.  This module also hosts the identification rule, the
-exhaustive colouring oracle it is checked against, the lifting of
-weight-level strategies to balls and the one loop that plays them, and
-transcript import/export.
+colouring oracle it is checked against (all admissible colourings, by
+groups of equal side sizes), the lifting of weight-level strategies to
+balls and the one loop that plays them, and transcript import/export.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from enum import Enum
 from typing import Callable, Iterator
 
@@ -29,9 +30,6 @@ from .core import (
     move_for_pair,
 )
 from .solver import Assigner, Selector
-
-#: Components beyond which the exhaustive colouring oracle refuses to run.
-COLOURING_GUARD = 20
 
 #: Largest n for which the exhaustive ball-level strategy search runs, on a
 #: budget of 3 s for every k at every n up to it (2 cores, Python 3.11):
@@ -203,34 +201,34 @@ def side_status_table(
 ) -> list[tuple[tuple[bool, bool], tuple[bool, bool]]]:
     """Per-side colour statuses realizable by some admissible colouring.
 
-    Walks all 2^c assignments of the components' sides to the two
-    colours; an assignment is admissible when one colour reaches k.
-    Entry idx holds ((larger can be minority, larger can be majority),
-    (smaller can be minority, smaller can be majority)).  Empty smaller
-    sides keep (False, False).  Bit idx of a mask puts component idx's
-    smaller side in colour A; the colour-A counts of all masks are built
-    by doubling, and a smaller side's status is its larger side's swapped.
+    Each component's larger side takes colour A or B and its smaller side
+    the other; a colouring is admissible when one colour, the majority,
+    reaches k.  Entry idx holds ((larger can be minority, larger can be
+    majority), (smaller ditto)); a smaller side's status is its larger
+    side's swapped, and an empty one keeps (False, False).  Equal side
+    sizes are interchangeable, so each size pair (a, b) gets one bitset:
+    bit x is set when the other components can put x balls in A, and a
+    group of t of sizes (p, q) ORs in the t + 1 shifts j*p + (t - j)*q.
+    Swapping the colours' names maps each colouring onto one where A is
+    the majority, so only those are read; comps hold all n balls.
+    Cost: groups x (components + groups) shifts of n-bit ints.
     """
-    c = len(comps)
-    if c > COLOURING_GUARD:
-        raise ValueError(f"colouring enumeration is guarded at {COLOURING_GUARD} components")
-    counts = [sum(len(larger) for larger, _ in comps)]
-    for larger, smaller in comps:
-        d = len(smaller) - len(larger)
-        counts += [count + d for count in counts]
-    full = (1 << c) - 1
-    majority = minority = 0  # bit idx: component idx's larger side can be that
-    for mask, count_a in enumerate(counts):
-        if count_a >= k:
-            majority |= full ^ mask
-            minority |= mask
-        elif n - count_a >= k:
-            majority |= mask
-            minority |= full ^ mask
+    groups = Counter((len(larger), len(smaller)) for larger, smaller in comps)
+    status = {}
+    for a, b in groups:
+        reach = 1
+        for (p, q), t in groups.items():
+            t -= (p, q) == (a, b)
+            shifted = 0
+            for j in range(t + 1):
+                shifted |= reach << j * p + (t - j) * q
+            reach = shifted
+        # A holds b + x balls with the larger side in B, a + x with it in A
+        status[a, b] = (reach >> max(k - b, 0) != 0, reach >> max(k - a, 0) != 0)
     table = []
-    for idx, (_, smaller) in enumerate(comps):
-        larger = (bool(minority >> idx & 1), bool(majority >> idx & 1))
-        table.append((larger, larger[::-1] if smaller else (False, False)))
+    for larger, smaller in comps:
+        row = status[len(larger), len(smaller)]
+        table.append((row, row[::-1] if smaller else (False, False)))
     return table
 
 
@@ -238,14 +236,13 @@ def colour_options(g: QuestionGraph, params: GameParams, ball: int) -> tuple[boo
     """(can be minority, can be majority): the ball's row of side_status_table.
 
     Both sides of a component always take opposite colours, and an
-    admissible colouring must give one colour at least k balls.
-    Exhaustive over the 2^c side assignments, guarded at 20 components.
+    admissible colouring must give one colour at least k balls.  One
+    table costs about 0.03 s at n = 4,096 with 2,000 components.
     """
     _check_params(g, params)
     idx = list(g._sides).index(g.find(ball)[0])
     comps = g.components()
-    table = side_status_table(comps, params.n, params.k)
-    return table[idx][0 if ball in comps[idx][0] else 1]
+    return side_status_table(comps, params.n, params.k)[idx][0 if ball in comps[idx][0] else 1]
 
 
 def induced_move_and_choice(

@@ -574,9 +574,9 @@ def suite_reformulation(seed: int = DEFAULT_SEED, trials: int = 10_000) -> Suite
     reply would, that within-component answers are correctly forced, and
     that transcripts round-trip bit-exactly through both serializations.
     Exhaustively up to 7 balls, the identification rule is compared
-    against a colouring oracle that enumerates every admissible
-    two-colouring: a ball is announced if and only if no admissible
-    colouring puts it in the minority.
+    against a colouring oracle that covers every admissible two-colouring
+    through grouped colour counts: a ball is announced if and only if no
+    admissible colouring puts it in the minority.
     """
     max_n, oracle_n = 10, 7
     report = SuiteReport("reformulation")

@@ -1,7 +1,6 @@
 """Minimax solving, strategy extraction, and the potential's guarantees."""
 
 import weakref
-from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,37 +30,60 @@ from majoritygame.statistics import WEIGHT_LIMIT, binary_weight, potential
 from majoritygame.verify import suite_formula
 
 
-@cache
 def _replies(M):
     """(pair, plus child, minus child) for every legal move of M."""
     return tuple((pair, *(apply_move(M, pair, c) for c in AssignerChoice))
                  for pair in legal_moves(M))
 
 
-def _reference_values(e, roots):
-    """Values of the roots and of every position below them, bottom-up.
+def _children(weights):
+    """(plus, minus) weight tuples for each distinct pair w >= w' of ascending weights."""
+    last = [x for x, w in enumerate(weights) if x + 1 == len(weights) or weights[x + 1] != w]
+    children = []
+    for x in last:  # w at its last copy, w' at its last copy before x
+        for y in range(x):
+            if y + 1 == x or weights[y + 1] != weights[y]:
+                w, wp = weights[x], weights[y]
+                rest = weights[:y] + weights[y + 1:x] + weights[x + 1:]
+                children.append((tuple(sorted(rest + (w + wp,))), tuple(sorted(rest + (w - wp,)))))
+    return children
 
-    The kernel's reference: no table, no null window.  Positions are
-    valued by element count, fewest first, zeros kept.  A final position
-    is worth its element count; any other is worth its best pair's worse
-    reply, read off children of one element fewer, already valued.
+
+def _reference_values(roots, excesses):
+    """Values at each excess of the roots and of every position below them, bottom-up.
+
+    The kernel's reference: no table, no null window, and neither `core`'s
+    moves nor its finality test: positions are ascending weight tuples.  One
+    call lists each position's children once (none for a position final at
+    every excess), then values the positions valid at each excess, fewest
+    elements first, zeros kept.  A final position, whose largest weight
+    exceeds s with 2s + e the total, is worth its element count; any other
+    is worth its best pair's worse reply, read off children of one element
+    fewer, already valued.  Returns {e: {weights: value}}.
     """
-    below = {}
-    stack = list(roots)
+    least = min(excesses)
+    below = {}  # scoped to this call
+    stack = [M.elements for M in roots]
     while stack:
-        M = stack.pop()
-        if M not in below:
-            below[M] = () if is_final(M, e) else _replies(M)
-            stack.extend(child for _, *children in below[M] for child in children)
+        weights = stack.pop()
+        if weights not in below:
+            final = 2 * weights[-1] > sum(weights) - least
+            below[weights] = [] if final else _children(weights)
+            stack.extend(child for pair in below[weights] for child in pair)
+    order = sorted(below, key=len)
     values = {}
-    for M in sorted(below, key=len):
-        values[M] = max((min(values[plus], values[minus]) for _, plus, minus in below[M]),
-                        default=len(M))  # no moves: the position is final
+    for e in excesses:
+        at = values[e] = {}
+        for weights in order:
+            total = sum(weights)
+            if total >= e and (total - e) % 2 == 0:
+                at[weights] = len(weights) if 2 * weights[-1] > total - e else max(
+                    min(at[plus], at[minus]) for plus, minus in below[weights])
     return values
 
 
 def _reference_value(M, e):
-    return _reference_values(e, [M])[M]
+    return _reference_values([M], [e])[e][M.elements]
 
 
 def _partitions(total, count, cap):
@@ -85,7 +107,7 @@ def _reachable_by_excess(max_n):
         reached = set().union(*(reachable_positions(GameParams(n, (n + e) // 2))
                                 for n in range(e, max_n + 1, 2)))
         live = sorted((M for M in reached if not is_final(M, e)), key=lambda M: M.elements)
-        yield e, live, _reference_values(e, reached)
+        yield e, live, _reference_values(reached, [e])[e]
 
 
 class TestValues:
@@ -115,12 +137,12 @@ class TestValues:
         # valid excess: 70,870 cases, 16,120 of them not final
         positions = [Position(ws) for total in range(17) for count in range(1, 17)
                      for ws in _partitions(total, count, total)]
+        reference = _reference_values(positions, range(1, 17))
         for e in range(1, 17):
             valid = [M for M in positions if M.total >= e and (M.total - e) % 2 == 0]
-            reference = _reference_values(e, valid)
             solver = GameSolver(e)
             for M in valid:
-                assert solver.value(M) == reference[M], (M, e)
+                assert solver.value(M) == reference[e][M.elements], (M, e)
 
     def test_every_first_guess_gives_the_value(self, monkeypatch):
         # the seed only orders the null-window tests: force each first guess
@@ -128,16 +150,16 @@ class TestValues:
         # guess (110,957 solves; total 16 took over 2 s)
         positions = [Position(ws) for total in range(16) for count in range(1, 16)
                      for ws in _partitions(total, count, total)]
+        reference = _reference_values(positions, range(1, 16))
         for e in range(1, 16):
             live = [M for M in positions
                     if M.total >= e and (M.total - e) % 2 == 0 and not is_final(M, e)]
-            reference = _reference_values(e, live)
             for guess in range(1, 16):
                 monkeypatch.setattr(solver_module, "potential", lambda M, e: guess)
                 solver = GameSolver(e)
                 for M in live:
                     if len(M) >= guess:
-                        assert solver.value(M) == reference[M], (M, e, guess)
+                        assert solver.value(M) == reference[e][M.elements], (M, e, guess)
 
     def test_total_past_the_weight_limit_starts_from_two(self):
         # potential refuses this total, so the first guess is lo + 1
@@ -325,7 +347,8 @@ class TestStrategies:
             solver = GameSolver(e)
             for M in positions:
                 optimal = [pair for pair, plus, minus in _replies(M)
-                           if min(reference[plus], reference[minus]) >= reference[M]]
+                           if min(reference[plus.elements], reference[minus.elements])
+                           >= reference[M.elements]]
                 assert solver.selector_move(M) == min(optimal), (M, e)
 
     def test_principal_variation_length(self):
@@ -372,7 +395,7 @@ class TestAssignerReply:
         # every move from every reachable non-final position of every game with n <= 9
         for e, positions, reference in _reachable_by_excess(9):
             solver = GameSolver(e)
-            scores = {solver.assigner_reply: reference.__getitem__,
+            scores = {solver.assigner_reply: lambda M: reference[M.elements],
                       solver.potential_reply: lambda M: potential(M, e)}
             for M in positions:
                 for pair, plus, minus in _replies(M):
