@@ -165,8 +165,8 @@ class QuestionGraph:
         On a weight-0 tie the root's side, which holds the smallest ball,
         counts as larger.
         """
-        return [(zero, one) if len(zero) >= len(one) else (one, zero)
-                for zero, one in self._sides.values()]
+        return [both if len(both[0]) >= len(both[1]) else both[::-1]
+                for both in self._sides.values()]
 
     def weights(self) -> Position:
         """The weight-level position induced by the current components."""
@@ -253,16 +253,17 @@ def induced_move_and_choice(
     Only defined for balls in distinct components.  The answer merges
     the two bipartitions; sides aligned (both balls on their larger or
     both on their smaller sides) make 'same' add the weights, opposite
-    sides make 'same' cancel them.
+    sides make 'same' cancel them.  Side 0 is a root's larger side when
+    its w = |side 0| - |side 1| >= 0, so the balls align when their w
+    differ in sign exactly if they sit apart: one ``_pair`` read decides.
     """
-    ri, side_i = g.find(i)
-    rj, side_j = g.find(j)
+    ri, rj, apart = g._pair(i, j)
     if ri == rj:
         raise ValueError(f"balls {i} and {j} share a component; no move is induced")
     (zero_i, one_i), (zero_j, one_j) = g._sides[ri], g._sides[rj]
-    wi, wj = len(zero_i) - len(one_i), len(zero_j) - len(one_j)  # side 0 is larger when >= 0
+    wi, wj = len(zero_i) - len(one_i), len(zero_j) - len(one_j)
     pair = move_for_pair(g.weights(), abs(wi), abs(wj))
-    aligned = ((wi >= 0) == (side_i == 0)) == ((wj >= 0) == (side_j == 0))
+    aligned = ((wi >= 0) != (wj >= 0)) == apart
     plus = aligned == (answer is _SAME)
     return pair, AssignerChoice.PLUS if plus else AssignerChoice.MINUS
 
@@ -409,15 +410,16 @@ def import_transcript(text: str) -> tuple[GameParams, QuestionGraph]:
     if len(head) != 2:
         raise ValueError(f"transcript header must be 'n k', got {lines[0]!r}")
     params, g = _transcript_game(int(head[0]), int(head[1]))
+    add, answer_for = g.add_comparison, _ANSWERS.get
     for line in lines[1:]:
         try:
             i, j, word = line.split()
         except ValueError:
             raise ValueError(f"bad transcript record {line!r}") from None
-        answer = _ANSWERS.get(word)
+        answer = answer_for(word)
         if answer is None:
             raise ValueError(f"bad answer {word!r} in transcript")
-        g.add_comparison(int(i), int(j), answer)
+        add(int(i), int(j), answer)
     return params, g
 
 
@@ -455,6 +457,7 @@ def import_transcript_json(text: str) -> tuple[GameParams, QuestionGraph]:
     records = payload.get("comparisons", [])
     if not isinstance(records, list):
         raise ValueError(f"JSON transcript 'comparisons' must be a list, got {records!r}")
+    add, answer_for = g.add_comparison, _ANSWERS.get
     for record in records:
         if not isinstance(record, dict):
             raise ValueError(f"bad transcript record {record!r}")
@@ -462,8 +465,8 @@ def import_transcript_json(text: str) -> tuple[GameParams, QuestionGraph]:
         if type(i) is not int or type(j) is not int:  # bool is an int subclass
             i, j = _json_int(record, "i"), _json_int(record, "j")  # raises the message
         word = record.get("answer")
-        answer = _ANSWERS.get(word) if type(word) is str else None
+        answer = answer_for(word) if type(word) is str else None
         if answer is None:
             raise ValueError(f"bad answer {word!r} in transcript record {record!r}")
-        g.add_comparison(i, j, answer)
+        add(i, j, answer)
     return params, g

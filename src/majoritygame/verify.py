@@ -558,11 +558,12 @@ def _graph_for_state(n: int, state: tuple[Sides, ...]) -> QuestionGraph:
     """A question graph realizing the state: each root is compared with the rest
     of its own side (SAME) and with every ball on the other side (DIFFERENT)."""
     g = QuestionGraph(n)
-    for (root, *same), other in state:
-        for ball in same:
-            g.add_comparison(root, ball, BallAnswer.SAME)
+    add, same, different = g.add_comparison, BallAnswer.SAME, BallAnswer.DIFFERENT
+    for (root, *own), other in state:
+        for ball in own:
+            add(root, ball, same)
         for ball in other:
-            g.add_comparison(root, ball, BallAnswer.DIFFERENT)
+            add(root, ball, different)
     return g
 
 
@@ -586,13 +587,9 @@ def suite_reformulation(seed: int = DEFAULT_SEED, trials: int = 10_000) -> Suite
         n = rng.randint(2, max_n)
         k = rng.randint(n // 2 + 1, n)
         g = QuestionGraph(n)
-        while True:
-            comps = g.components()
-            if len(comps) == 1:
-                break
-            ca, cb = rng.sample(range(len(comps)), 2)
-            i = rng.choice(sorted(comps[ca][0] + comps[ca][1]))
-            j = rng.choice(sorted(comps[cb][0] + comps[cb][1]))
+        while len(comps := g.components()) > 1:
+            (a, b), (c, d) = rng.sample(comps, 2)  # same draws as sampling range(len(comps))
+            i, j = rng.choice(sorted(a + b)), rng.choice(sorted(c + d))
             answer = rng.choice(answers)
             before = g.weights()
             pair, choice = induced_move_and_choice(g, i, j, answer)

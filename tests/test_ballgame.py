@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from majoritygame import verify
+from majoritygame import ballgame, verify
 from majoritygame.ballgame import (
     BALL_SEARCH_GUARD_N,
     BallAnswer,
@@ -355,8 +355,34 @@ class TestInducedMoves:
     def test_within_component_raises(self):
         g = QuestionGraph(3)
         g.add_comparison(1, 2, BallAnswer.SAME)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="share a component; no move is induced"):
             induced_move_and_choice(g, 1, 2, BallAnswer.SAME)
+        # the pair read refuses a ball compared with itself before any root is read
+        with pytest.raises(ValueError, match="cannot compare a ball with itself"):
+            induced_move_and_choice(g, 3, 3, BallAnswer.SAME)
+
+    def test_matches_the_four_way_side_rule(self):
+        # The rule as first written, from each ball's side and its root's weight,
+        # on every cross-component pair of every labelled state up to 6 balls.
+        cases = zero_weight = 0
+        for n in range(2, 7):
+            for state in _all_ball_states(n):
+                g = _graph_for_state(n, state)
+                for i, j in itertools.permutations(range(1, n + 1), 2):
+                    (ri, side_i), (rj, side_j) = g.find(i), g.find(j)
+                    if ri == rj:
+                        continue
+                    (zero_i, one_i), (zero_j, one_j) = g.sides(ri), g.sides(rj)
+                    wi, wj = len(zero_i) - len(one_i), len(zero_j) - len(one_j)
+                    aligned = ((wi >= 0) == (side_i == 0)) == ((wj >= 0) == (side_j == 0))
+                    pair = tuple(sorted((abs(wi), abs(wj)), reverse=True))
+                    for answer in BallAnswer:
+                        plus = aligned == (answer is BallAnswer.SAME)
+                        choice = AssignerChoice.PLUS if plus else AssignerChoice.MINUS
+                        assert induced_move_and_choice(g, i, j, answer) == (pair, choice)
+                        cases += 1
+                        zero_weight += not wi or not wj
+        assert (cases, zero_weight) == (68572, 27144)
 
     def test_commutes_with_weights_randomized(self):
         rng = random.Random(11)
@@ -580,13 +606,23 @@ def _sizes(state):
     return tuple(sorted(tuple(sorted(map(len, comp), reverse=True)) for comp in state))
 
 
-def _traced_peak_mib(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
+def _live_blocks(monkeypatch, module, name, every):
+    """Samples of what stays alive, not tracemalloc's peak, which also counts freed
+    tuples parked on CPython's freelists: at every ``every``-th call of the module's
+    function, a full collection (it empties the freelists), then pymalloc's allocated
+    blocks over the count when sampling began."""
+    samples, calls, real = [], itertools.count(1), getattr(module, name)
+
+    def sampled(*args):
+        if next(calls) % every == 0:
+            gc.collect()
+            samples.append(sys.getallocatedblocks() - baseline)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, sampled)
+    gc.collect()
+    baseline = sys.getallocatedblocks()
+    return samples
 
 
 def _count(states):
@@ -609,34 +645,34 @@ class TestBallStates:
             assert {_in_root_order(state) for state in _reference_states(n)} == set(
                 _all_ball_states(n))
 
-    def test_traced_footprint(self):
-        # One state per ball is alive at a time: 0.004 MiB at n = 7, where the
-        # set of all 10,299 states took 1.7 MiB.
-        assert _traced_peak_mib(_count, _all_ball_states(7)) < 0.01
-        # Up to relabelling the search keeps 0.003 MiB at n = 8 and 2 MiB at the guard.
-        assert _traced_peak_mib(min_comparisons_ball_level, GameParams(8, 5)) < 0.01
-        n = BALL_SEARCH_GUARD_N
-        assert _traced_peak_mib(min_comparisons_ball_level, GameParams(n, n // 2 + 2)) < 4
+    def test_walk_keeps_one_state_per_ball_alive(self):
+        # Live blocks as in _live_blocks, where the walk hands out each 500th
+        # state: at most 60 at n = 7.  Keeping every state alive holds 10,299.
+        gc.collect()
+        baseline, samples = sys.getallocatedblocks(), []
+        for count, _ in enumerate(_all_ball_states(7), 1):
+            if count % 500 == 0:
+                gc.collect()
+                samples.append(sys.getallocatedblocks() - baseline)
+        assert len(samples) == 20 and max(samples) < 400
+
+    @pytest.mark.parametrize("n, k, every, most", [
+        # Sampled at every 4th search step (a call of `announced`) at n = 8: at most
+        # 108 blocks.  At every 1,000th at the guard: 18,602 at the last sample.
+        (8, 5, 4, 400),
+        (BALL_SEARCH_GUARD_N, BALL_SEARCH_GUARD_N // 2 + 2, 1000, 40_000),
+    ])
+    def test_search_table_stays_bounded(self, monkeypatch, n, k, every, most):
+        samples = _live_blocks(monkeypatch, ballgame, "announced", every)
+        min_comparisons_ball_level(GameParams(n, k))
+        assert len(samples) >= 8 and max(samples) < most
 
     def test_reformulation_keeps_few_blocks_alive(self, monkeypatch):
-        # What stays alive, not tracemalloc's peak, which also counts freed tuples
-        # parked on CPython's freelists.  At every 500th graph the suite builds, a
-        # full collection (it empties the freelists) precedes a count of pymalloc's
-        # allocated blocks: at most 1,271 over the baseline, cold.  Keeping each n's
-        # states in a list gives 5,817 at n = 6 and 35,840 at n = 7.
-        samples, calls, build = [], itertools.count(1), verify._graph_for_state
-
-        def sampled(n, state):
-            if next(calls) % 500 == 0:
-                gc.collect()
-                samples.append(sys.getallocatedblocks())
-            return build(n, state)
-
-        monkeypatch.setattr(verify, "_graph_for_state", sampled)
-        gc.collect()
-        baseline = sys.getallocatedblocks()
+        # Every 500th graph the suite builds: at most 1,271 blocks, cold.  Keeping
+        # each n's states in a list gives 5,817 at n = 6 and 35,840 at n = 7.
+        samples = _live_blocks(monkeypatch, verify, "_graph_for_state", 500)
         suite_reformulation(trials=1)
-        assert len(samples) >= 20 and max(samples) - baseline < 4000
+        assert len(samples) >= 20 and max(samples) < 4000
 
 
 class TestExhaustiveSearch:

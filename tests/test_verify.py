@@ -4,6 +4,7 @@ import contextlib
 import inspect
 import io
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -15,6 +16,7 @@ from majoritygame.cli import main
 from majoritygame.core import AssignerChoice, GameParams, Position
 from majoritygame.statistics import INFINITE, potential
 from majoritygame.verify import (
+    DEFAULT_SEED,
     SUITES,
     WITNESS_CAP,
     SuiteReport,
@@ -148,6 +150,18 @@ class TestBallSuites:
         states = report.details["states"]
         assert report.failure_count == sum(states.values()) - len(states)
         assert report.failures[0] == "n=2: graph reconstruction lost structure"
+
+    def test_sampling_components_draws_what_sampling_indices_drew(self):
+        # The suite samples its two components from the list itself; its transcripts
+        # are the ones drawn by index only while sample picks the same indices, and
+        # leaves the generator in the same state, for any population of one length.
+        for length in range(2, 11):
+            population = [(f"ball {x}",) for x in range(length)]
+            for seed in (DEFAULT_SEED, 7, *range(10)):
+                by_element, by_index = random.Random(seed), random.Random(seed)
+                indices = by_index.sample(range(length), 2)
+                assert by_element.sample(population, 2) == [population[x] for x in indices]
+                assert by_element.getstate() == by_index.getstate()
 
 
 class TestReformulationCatchesFaults:
