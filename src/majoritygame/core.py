@@ -13,28 +13,46 @@ from __future__ import annotations
 import itertools
 import re
 from bisect import insort
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
 
-@dataclass(frozen=True)
+def _frozen(self, name: str, *value: object) -> None:
+    """``__setattr__`` and ``__delattr__`` of the frozen value classes."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class GameParams:
     """Ball count n and majority threshold k, which must exceed n/2."""
 
-    n: int
-    k: int
+    __slots__ = ("n", "k")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self) -> None:
-        if type(self.n) is not int or type(self.k) is not int:  # bool is an int subclass
-            raise ValueError(f"n and k must be integers, got n={self.n!r}, k={self.k!r}")
-        if self.n < 1:
-            raise ValueError(f"ball count must be positive, got n={self.n}")
-        if self.k > self.n:
-            raise ValueError(f"threshold k={self.k} exceeds ball count n={self.n}")
-        if 2 * self.k <= self.n:
-            raise ValueError(
-                f"threshold k={self.k} does not guarantee a majority for n={self.n}")
+    def __init__(self, n: int, k: int) -> None:
+        if type(n) is not int or type(k) is not int:  # bool is an int subclass
+            raise ValueError(f"n and k must be integers, got n={n!r}, k={k!r}")
+        if n < 1:
+            raise ValueError(f"ball count must be positive, got n={n}")
+        if k > n:
+            raise ValueError(f"threshold k={k} exceeds ball count n={n}")
+        if 2 * k <= n:
+            raise ValueError(f"threshold k={k} does not guarantee a majority for n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+
+    def __repr__(self) -> str:
+        return f"GameParams(n={self.n!r}, k={self.k!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.k) == (other.n, other.k)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.k))
+
+    def __reduce__(self) -> tuple:
+        return GameParams, (self.n, self.k)
 
     @property
     def e(self) -> int:
@@ -49,7 +67,6 @@ _TERM = re.compile(r"(\d+)(?:\^(\d+))?\Z")
 PARSE_ELEMENT_LIMIT = 4096
 
 
-@dataclass(frozen=True)
 class Position:
     """A multiset of weights, stored in weakly increasing order and printed largest first.
 
@@ -60,10 +77,11 @@ class Position:
     ``Position(...)`` and ``parse`` validate and sort; the internal ``_sorted`` does neither.
     """
 
-    elements: tuple[int, ...] = ()
+    __slots__ = ("elements",)
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self) -> None:
-        elems = tuple(sorted(self.elements))
+    def __init__(self, elements: tuple[int, ...] = ()) -> None:
+        elems = tuple(sorted(elements))
         for w in elems:
             if type(w) is not int or w < 0:  # bool is an int subclass
                 raise ValueError(f"weights must be non-negative integers, got {w!r}")
@@ -75,6 +93,20 @@ class Position:
         M = object.__new__(cls)
         object.__setattr__(M, "elements", elems)
         return M
+
+    def __repr__(self) -> str:
+        return f"Position(elements={self.elements!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash((self.elements,))
+
+    def __reduce__(self) -> tuple:
+        return Position, (self.elements,)
 
     @classmethod
     def parse(cls, text: str) -> "Position":

@@ -16,13 +16,13 @@ share one tie rule, lower_scoring_reply: the lower-scoring child, MINUS on a tie
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
     AssignerChoice,
     GameParams,
     Position,
+    _frozen,
     apply_move,
     is_final,
     legal_moves,
@@ -31,7 +31,7 @@ from .core import (
 from .statistics import WEIGHT_LIMIT, Valuation, binary_weight, potential
 
 #: Cap on one solver's table entries; a fresh bare-majority solve at n = 61
-#: needs 226,794.
+#: needs 226,785.
 MEMO_LIMIT = 262_144
 
 #: Largest max_n that solved_starts sweeps, for a budget of 40 s: on 2 cores
@@ -55,7 +55,6 @@ class MemoLimitExceeded(RuntimeError):
     """
 
 
-@dataclass
 class SolverStats:
     """Work done by one solver's kernel.
 
@@ -64,18 +63,39 @@ class SolverStats:
     answered without a scan.
     """
 
-    entries: int = 0
-    probes: int = 0
-    hits: int = 0
+    def __init__(self, entries: int = 0, probes: int = 0, hits: int = 0) -> None:
+        self.entries = entries
+        self.probes = probes
+        self.hits = hits
+
+    def __repr__(self) -> str:
+        return f"SolverStats(entries={self.entries!r}, probes={self.probes!r}, hits={self.hits!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.probes, self.hits) == (other.entries, other.probes, other.hits)
 
 
-@dataclass(frozen=True)
 class TraceStep:
     """One move of a concrete line of play: the weight pair (w, w') and the reply."""
 
-    position: Position
-    pair: tuple[int, int]
-    choice: AssignerChoice
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, position: Position, pair: tuple[int, int], choice: AssignerChoice) -> None:
+        vars(self).update(position=position, pair=pair, choice=choice)
+
+    def __repr__(self) -> str:
+        return f"TraceStep(position={self.position!r}, pair={self.pair!r}, choice={self.choice!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.position, self.pair, self.choice)
+                == (other.position, other.pair, other.choice))
+
+    def __hash__(self) -> int:
+        return hash((self.position, self.pair, self.choice))
 
 
 class GameSolver:

@@ -12,11 +12,9 @@ take m, and the rest take nothing and are exhaustive over their ranges.
 
 from __future__ import annotations
 
-import inspect
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .ballgame import (
     BallAnswer,
@@ -68,14 +66,13 @@ SOLVER_GUARD_M = 7
 FAMILY_M_LIMIT = 256
 
 #: Most trials a randomized suite runs: at this limit ``reformulation`` takes
-#: about 24 s and ``conservation-iterated`` about 23 s (2 cores, Python 3.11).
+#: about 25 s and ``conservation-iterated`` about 23 s (2 cores, Python 3.11).
 TRIALS_LIMIT = 100_000
 
 #: Witness strings kept per report; further failures are only counted.
 WITNESS_CAP = 20
 
 
-@dataclass
 class SuiteReport:
     """Outcome of one verification suite.
 
@@ -84,11 +81,24 @@ class SuiteReport:
     total.  ``details`` carries extremal data such as minimal slacks.
     """
 
-    suite: str
-    cases: int = 0
-    failure_count: int = 0
-    failures: list[str] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    def __init__(self, suite: str, cases: int = 0, failure_count: int = 0,
+                 failures: list[str] | None = None, details: dict | None = None) -> None:
+        self.suite = suite
+        self.cases = cases
+        self.failure_count = failure_count
+        self.failures = [] if failures is None else failures
+        self.details = {} if details is None else details
+
+    def __repr__(self) -> str:
+        return (f"SuiteReport(suite={self.suite!r}, cases={self.cases!r}, "
+                f"failure_count={self.failure_count!r}, failures={self.failures!r}, "
+                f"details={self.details!r})")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.suite, self.cases, self.failure_count, self.failures, self.details)
+                == (other.suite, other.cases, other.failure_count, other.failures, other.details))
 
     @property
     def passed(self) -> bool:
@@ -731,6 +741,14 @@ SUITES = {
 }
 
 
+def _suite_parameters(suite: Callable[..., SuiteReport]) -> tuple[str, ...]:
+    """The names of a suite's parameters, read off the code of the function it wraps."""
+    while hasattr(suite, "__wrapped__"):
+        suite = suite.__wrapped__
+    code = suite.__code__
+    return code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+
+
 def run_suite(
     name: str, seed: int | None = None, trials: int | None = None, m: int | None = None
 ) -> SuiteReport:
@@ -742,7 +760,7 @@ def run_suite(
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}")
-    takes = inspect.signature(SUITES[name]).parameters
+    takes = _suite_parameters(SUITES[name])
     given = {key: v for key, v in (("seed", seed), ("trials", trials), ("m", m)) if v is not None}
     refused = [key for key in given if key not in takes]
     if refused:
@@ -759,4 +777,4 @@ def iter_suites(seed: int | None = None) -> Iterator[SuiteReport]:
     The seed reaches the suites that take one.
     """
     for name, suite in SUITES.items():
-        yield run_suite(name, seed=seed if "seed" in inspect.signature(suite).parameters else None)
+        yield run_suite(name, seed=seed if "seed" in _suite_parameters(suite) else None)

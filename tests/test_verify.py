@@ -1,6 +1,7 @@
 """Suite registry, dispatch, the all-suites runner, and the named checks."""
 
 import contextlib
+import functools
 import inspect
 import io
 import json
@@ -380,14 +381,15 @@ class TestAllSuites:
 
 
 def test_root_iter_suites_yields_the_13_reports_in_registry_order(monkeypatch):
-    # each suite is stood in for by a stub with its signature, so none runs its checks
+    # each suite is stood in for by a stub that wraps it, as a decorator or a tracer
+    # would, so none runs its checks and each still declares the suite's parameters
     seeds = {}
 
     def stub(name, suite):
+        @functools.wraps(suite)
         def run(**given):
             seeds[name] = given.get("seed")
             return SuiteReport(name)
-        run.__signature__ = inspect.signature(suite)
         return run
 
     stubs = {name: stub(name, suite) for name, suite in SUITES.items()}
