@@ -13,7 +13,6 @@ for invalid usage or arguments.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -64,6 +63,7 @@ def _emit(fmt: str, command: str, params: dict, results: dict | list, failures: 
         payload = {"command": command, "params": params, "results": results, "failures": failures}
         print(json.dumps(payload, indent=2))
     elif fmt == "csv":
+        import csv  # imported here so that no other output pays to load it
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     else:
         print(*text, sep="\n")

@@ -66,7 +66,7 @@ SOLVER_GUARD_M = 7
 FAMILY_M_LIMIT = 256
 
 #: Most trials a randomized suite runs: at this limit ``reformulation`` takes
-#: about 25 s and ``conservation-iterated`` about 23 s (2 cores, Python 3.11).
+#: about 13 s and ``conservation-iterated`` about 11 s (2 cores, Python 3.11).
 TRIALS_LIMIT = 100_000
 
 #: Witness strings kept per report; further failures are only counted.

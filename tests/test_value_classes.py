@@ -143,3 +143,4 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
                            text=True, check=True, timeout=60).stdout.split()
     assert "majoritygame.cli" in added
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(added), added
+    assert "csv" not in added  # only --format csv output imports it
