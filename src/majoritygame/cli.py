@@ -6,15 +6,18 @@ builds its JSON results, text lines and csv rows once and hands them to
 one emitter, ``_emit``, which prints the form ``--format`` asks for; only
 ``play``'s dialogue, ``verify``'s streamed text summaries and the
 ``value --stats`` counters on stderr are printed outside it.  Exit codes
-are 0 for success, 1 for failed verification or an aborted game, and 2
-for invalid usage or arguments.
+are 0 for success, 1 for failed verification, an aborted game or a closed
+stdout, and 2 for invalid usage or arguments.  One option table,
+``COMMANDS``, declares each command and its options once; ``parse_args``
+reads argv against it, and ``-h`` prints help written from it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import sys
+from types import SimpleNamespace
 
 from .ballgame import (
     BallAnswer,
@@ -73,7 +76,7 @@ def _emit(fmt: str, command: str, params: dict, results: dict | list, failures: 
 # table
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
     results = []
     failures = []
     text = [f"{'n':>3} {'k':>3} {'d':>3} {'comparisons':>12} {'formula':>8}  match"]
@@ -99,7 +102,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 # value
 
 
-def _game(args: argparse.Namespace) -> GameParams:
+def _game(args: SimpleNamespace) -> GameParams:
     """--n and --k, refused before anything is built past a --position literal's limit."""
     if args.n is None or args.k is None:
         raise ValueError(f"{args.command} needs --n and --k")
@@ -108,7 +111,7 @@ def _game(args: argparse.Namespace) -> GameParams:
     return GameParams(args.n, args.k)
 
 
-def _position_and_excess(args: argparse.Namespace) -> tuple[Position, int, GameParams | None]:
+def _position_and_excess(args: SimpleNamespace) -> tuple[Position, int, GameParams | None]:
     """Resolve --position with --e, or --n with --k for the game's start."""
     usage = "give either --position with --e, or --n with --k"
     if args.e is not None:
@@ -121,7 +124,7 @@ def _position_and_excess(args: argparse.Namespace) -> tuple[Position, int, GameP
     return start_position(params), params.e, params
 
 
-def cmd_value(args: argparse.Namespace) -> int:
+def cmd_value(args: SimpleNamespace) -> int:
     M, e, params = _position_and_excess(args)
     solver = GameSolver(e)
     final = is_final(M, e)
@@ -153,7 +156,7 @@ def cmd_value(args: argparse.Namespace) -> int:
 STATS_TERM_LIMIT = 131_072
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: SimpleNamespace) -> int:
     if args.position is None or args.e is None:
         raise ValueError("stats needs --position and --e")
     M = Position.parse(args.position)
@@ -198,7 +201,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 # verify
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     if args.suite is not None:
         reports = [run_suite(args.suite, args.seed, args.trials, args.m)]
     elif args.trials is not None or args.m is not None:
@@ -215,16 +218,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 0 if passed == total else 1
     reports = list(reports)
     params = {"suite": args.suite, "seed": args.seed, "trials": args.trials, "m": args.m}
-    results = [
-        {
-            "suite": report.suite,
-            "cases": report.cases,
-            "failures": report.failure_count,
-            "passed": report.passed,
-            "details": report.details,
-        }
-        for report in reports
-    ]
+    results = [{"suite": report.suite, "cases": report.cases, "failures": report.failure_count,
+                "passed": report.passed, "details": report.details} for report in reports]
     rows = [["suite", "cases", "failures", "status"]]
     rows += [[report.suite, report.cases, report.failure_count,
               "pass" if report.passed else "fail"] for report in reports]
@@ -348,7 +343,7 @@ def _play_weights(params: GameParams, role: str, selector: Selector, assigner: A
     return 0
 
 
-def cmd_play(args: argparse.Namespace) -> int:
+def cmd_play(args: SimpleNamespace) -> int:
     params = _game(args)
     if args.adversary is not None and args.role == "assigner":
         raise ValueError("--adversary sets the engine's answers to a selector; "
@@ -379,7 +374,7 @@ def cmd_play(args: argparse.Namespace) -> int:
 # trace
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
+def cmd_trace(args: SimpleNamespace) -> int:
     params = _game(args)
     from_start = args.position is None
     origin = start_position(params) if from_start else Position.parse(args.position)
@@ -396,20 +391,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
         "e": e,
         "value": len(final),
         "comparisons": len(variation),
-        "steps": [
-            {
-                "position": str(step.position),
-                "potential": _valuation_json(pot),
-                "pair": list(step.pair),
-                "choice": step.choice.value,
-            }
-            for step, pot in steps
-        ],
-        "final": {
-            "position": str(final),
-            "potential": _valuation_json(final_pot),
-            "size": len(final),
-        },
+        "steps": [{"position": str(step.position), "potential": _valuation_json(pot),
+                   "pair": list(step.pair), "choice": step.choice.value} for step, pot in steps],
+        "final": {"position": str(final), "potential": _valuation_json(final_pot),
+                  "size": len(final)},
     }
     text = [f"principal variation from {origin} at excess {e}:"]
     text += [f"step {idx}: {step.position}  potential={_valuation_text(pot)}  "
@@ -426,96 +411,113 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# option table and parser
+
+_FORMAT = ("--format", ("text", "json", "csv"), "text", "output form")
+_GAME = [("--n", int, None, "ball count n"), ("--k", int, None, "majority threshold k")]
+_THREADS = ("--threads", int, 1, "accepted and ignored: execution is single-threaded")
+
+#: Each command once: its function, its one-line help and its options, each as
+#: (flag, type or tuple of choices, default, help); a ``bool`` option is a switch.
+COMMANDS = {
+    "table": (cmd_table, "comparison counts for all thresholds up to a ball count", [
+        ("--max-n", int, 12, "largest ball count n"), _FORMAT]),
+    "value": (cmd_value, "exact game value of a position or a game's start", [
+        *_GAME, ("--position", str, None, "position to solve, such as [2,1^3]"),
+        ("--e", int, None, "excess of --position"), _FORMAT,
+        ("--stats", bool, False, "print the solver's work counters to stderr")]),
+    "stats": (cmd_stats, "signed subposition counts and potential of a position", [
+        ("--position", str, None, "position, such as [2,1^5]"), ("--e", int, None, "excess"),
+        ("--b", int, None, "highest signed-count order to report (default: e)"), _FORMAT]),
+    "verify": (cmd_verify, "run the verification suites (all, or one by name)", [
+        ("--suite", tuple(sorted(SUITES)), None, "the one suite to run"),
+        ("--seed", int, None, "seed of the randomized suites"),
+        ("--trials", int, None, "trials of a randomized suite"),
+        ("--m", int, None, "family parameter for two-one-family / assigner-tie"), _FORMAT]),
+    "play": (cmd_play, "play one side interactively against the engine", [
+        *_GAME, ("--role", ("selector", "assigner"), "selector", "the side you play"),
+        ("--adversary", ("optimal", "potential"), None, "answering strategy used against "
+         "a selector (default optimal; not with --role assigner)"),
+        ("--level", ("balls", "weights"), "balls", "play with balls or with weights"),
+        ("--out", str, None, "write the ball-level transcript to this file")]),
+    "trace": (cmd_trace, "principal variation with running potentials", [
+        *_GAME, ("--position", str, None, "trace from this position instead of the start"),
+        ("--format", ("text", "json"), "text", "output form")]),
+}
+_USAGE = "usage: majority-game COMMAND [--OPTION [VALUE]]..."
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="majority-game",
-        description="Exact analysis of the k-majority comparison game.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads", type=int, default=1, metavar="T",
-        help="accepted for interface compatibility; execution is single-threaded "
-             "and output does not depend on this value")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _fail(message: str, choices=()) -> None:
+    """Report a usage error on stderr and exit 2, as argparse did."""
+    listed = f" (choose from {', '.join(map(repr, choices))})" if choices else ""
+    print(_USAGE, f"majority-game: error: {message}{listed}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
 
-    p_table = sub.add_parser(
-        "table", parents=[common],
-        help="comparison counts for all thresholds up to a ball count")
-    p_table.add_argument("--max-n", type=int, default=12)
-    p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_table.set_defaults(func=cmd_table)
 
-    p_value = sub.add_parser(
-        "value", parents=[common],
-        help="exact game value of a position or a game's start")
-    p_value.add_argument("--n", type=int)
-    p_value.add_argument("--k", type=int)
-    p_value.add_argument("--position", type=str)
-    p_value.add_argument("--e", type=int)
-    p_value.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_value.add_argument("--stats", action="store_true",
-                         help="print the solver's work counters to stderr")
-    p_value.set_defaults(func=cmd_value)
+def _help(command: str | None) -> None:
+    """Print the top-level help, or one command's, read off the table; exit 0."""
+    if command is None:
+        lines = ["Exact analysis of the k-majority comparison game.", "", "commands:"]
+        lines += [f"  {name:<8}{entry[1]}" for name, entry in COMMANDS.items()]
+        lines += ["", "Run 'majority-game COMMAND -h' for the options of a command."]
+    else:
+        lines = [COMMANDS[command][1], "", "options:"]
+        for flag, kind, default, text in [*COMMANDS[command][2], _THREADS]:
+            meta = (f" {{{','.join(kind)}}}" if isinstance(kind, tuple)
+                    else {bool: "", int: " INT", str: " TEXT"}[kind])
+            shown = "" if default in (None, False) else f" (default: {default})"
+            lines += [f"  {flag}{meta}", f"      {text}{shown}"]
+    print(_USAGE.replace("COMMAND", command or "COMMAND"), "", *lines, sep="\n")
+    raise SystemExit(0)
 
-    p_stats = sub.add_parser(
-        "stats", parents=[common],
-        help="signed subposition counts and potential of a position")
-    p_stats.add_argument("--position", type=str)
-    p_stats.add_argument("--e", type=int)
-    p_stats.add_argument("--b", type=int, metavar="ORDER",
-                         help="highest signed-count order to report (default: e)")
-    p_stats.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_stats.set_defaults(func=cmd_stats)
 
-    p_verify = sub.add_parser(
-        "verify", parents=[common],
-        help="run the verification suites (all, or one by name)")
-    p_verify.add_argument("--suite", choices=sorted(SUITES))
-    p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--trials", type=int)
-    p_verify.add_argument("--m", type=int,
-                          help="family parameter for two-one-family / assigner-tie")
-    p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_play = sub.add_parser(
-        "play", parents=[common],
-        help="play one side interactively against the engine")
-    p_play.add_argument("--n", type=int)
-    p_play.add_argument("--k", type=int)
-    p_play.add_argument("--role", choices=("selector", "assigner"), default="selector")
-    p_play.add_argument("--adversary", choices=("optimal", "potential"),
-                        help="answering strategy used against a selector "
-                             "(default optimal; not with --role assigner)")
-    p_play.add_argument("--level", choices=("balls", "weights"), default="balls")
-    p_play.add_argument("--out", type=str,
-                        help="write the ball-level transcript to this file")
-    p_play.set_defaults(func=cmd_play)
-
-    p_trace = sub.add_parser(
-        "trace", parents=[common],
-        help="principal variation with running potentials")
-    p_trace.add_argument("--n", type=int)
-    p_trace.add_argument("--k", type=int)
-    p_trace.add_argument("--position", type=str,
-                         help="trace from this position instead of the start")
-    p_trace.add_argument("--format", choices=("text", "json"), default="text")
-    p_trace.set_defaults(func=cmd_trace)
-
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command, its function and each of its options, given or defaulted, by name."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in COMMANDS:
+        _fail("a command is required" if command is None else
+              f"argument command: invalid choice: {command!r}", COMMANDS)
+    func, _, options = COMMANDS[command]
+    kinds = {flag: kind for flag, kind, _, _ in [*options, _THREADS]}
+    values = {flag[2:].replace("-", "_"): default for flag, _, default, _ in [*options, _THREADS]}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help(command)
+        flag, given, value = token.partition("=")
+        kind = kinds.get(flag) or _fail(f"unrecognized arguments: {token}")
+        if kind is bool and given:
+            _fail(f"argument {flag}: ignored explicit argument {value!r}")
+        if kind is not bool and not given:  # a value starts with '-' only as '-' or a number
+            value = next(tokens, "--")  # at the end of argv the value is missing
+            if value[:1] == "-" and value != "-" and not value[1:].replace(".", "", 1).isdecimal():
+                _fail(f"argument {flag}: expected one argument")
+        try:
+            value = True if kind is bool else int(value) if kind is int else value
+        except ValueError:
+            _fail(f"argument {flag}: invalid int value: {value!r}")
+        if isinstance(kind, tuple) and value not in kind:
+            _fail(f"argument {flag}: invalid choice: {value!r}", kind)
+        values[flag[2:].replace("-", "_")] = value
+    return SimpleNamespace(command=command, func=func, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     if args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a reader gone early shows here, not at exit
+        return code
     except (ValueError, MemoLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout's reader left early, as `| head` does
+        if sys.stdout is not sys.__stdout__:
+            raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiets the exit flush
+        return 1

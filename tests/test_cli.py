@@ -3,13 +3,14 @@
 import io
 import json
 import re
+import subprocess
 import sys
 
 import pytest
 
-from majoritygame import solver, verify
+from majoritygame import cli, solver, verify
 from majoritygame.ballgame import BallAnswer, import_transcript
-from majoritygame.cli import STATS_TERM_LIMIT, main
+from majoritygame.cli import STATS_TERM_LIMIT, main, parse_args
 from majoritygame.core import PARSE_ELEMENT_LIMIT
 from majoritygame.statistics import WEIGHT_LIMIT
 
@@ -464,10 +465,116 @@ class TestCommonFlags:
         assert "threads" in err
 
     def test_module_entry_point(self):
-        import subprocess
-        import sys
         proc = subprocess.run(
             [sys.executable, "-m", "majoritygame", "value", "--n", "5", "--k", "4"],
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "comparisons: 1" in proc.stdout
+
+
+#: ``vars(parse_args([command]))`` less ``command`` and ``func``, as argparse gave it
+#: for each bare command before the option table replaced it.
+ARGPARSE_DEFAULTS = {
+    "table": {"threads": 1, "max_n": 12, "format": "text"},
+    "value": {"threads": 1, "n": None, "k": None, "position": None, "e": None,
+              "format": "text", "stats": False},
+    "stats": {"threads": 1, "position": None, "e": None, "b": None, "format": "text"},
+    "verify": {"threads": 1, "suite": None, "seed": None, "trials": None, "m": None,
+               "format": "text"},
+    "play": {"threads": 1, "n": None, "k": None, "role": "selector", "adversary": None,
+             "level": "balls", "out": None},
+    "trace": {"threads": 1, "n": None, "k": None, "position": None, "format": "text"},
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", ARGPARSE_DEFAULTS)
+    def test_bare_command_gives_argparse_defaults(self, command):
+        args = vars(parse_args([command]))
+        assert args.pop("func") is getattr(cli, f"cmd_{command}")
+        assert args == {"command": command, **ARGPARSE_DEFAULTS[command]}
+
+    @pytest.mark.parametrize("argv, token", [
+        ([], "command"),
+        (["bogus"], "'bogus'"),
+        (["--n", "5"], "'--n'"),
+        (["table", "--foo"], "--foo"),
+        (["table", "--max", "5"], "--max"),  # abbreviations are not expanded
+        (["table", "5"], "5"),
+        (["value", "--n"], "--n"),
+        (["value", "--n", "--k", "3"], "--n"),
+        (["value", "--position", "-x"], "--position"),
+        (["value", "--n", "x"], "'x'"),
+        (["value", "--n=", "5"], "''"),
+        (["table", "--format", "xml"], "'xml'"),
+        (["trace", "--format", "csv"], "'csv'"),
+        (["play", "--role", "Selector"], "'Selector'"),
+        (["verify", "--suite", "nonsense"], "'nonsense'"),
+        (["value", "--stats=1"], "'1'"),
+        (["value", "--stats="], "--stats"),
+    ])
+    def test_usage_error_exits_2_and_names_the_token(self, capsys, argv, token):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        usage, message = err.splitlines()
+        assert usage.startswith("usage: majority-game ")
+        assert message.startswith("majority-game: error: ")
+        assert token in message
+
+    def test_equals_form_matches_separate_value(self, capsys):
+        assert (parse_args(["verify", "--suite=formula", "--m=3", "--format=json"])
+                == parse_args(["verify", "--suite", "formula", "--m", "3", "--format", "json"]))
+        assert run_cli(capsys, "table", "--max-n=4") == run_cli(capsys, "table", "--max-n", "4")
+
+    def test_last_repeat_wins(self):
+        args = parse_args(["table", "--max-n", "3", "--format", "csv", "--max-n=5",
+                           "--format", "json"])
+        assert (args.max_n, args.format) == (5, "json")
+        assert parse_args(["value", "--stats", "--stats"]).stats is True
+
+    def test_values_may_be_negative_numbers_or_a_dash(self):
+        assert parse_args(["table", "--max-n", "-3"]).max_n == -3
+        assert parse_args(["value", "--position", "-", "--e", "-1"]).position == "-"
+        assert parse_args(["value", "--position", "-1.5"]).position == "-1.5"
+        assert parse_args(["value", "--position=-x"]).position == "-x"
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_top_level_help_lists_every_command(self, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            main([flag])
+        assert info.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith("usage: majority-game COMMAND ")
+        assert re.findall(r"^  (\w+) ", out, re.MULTILINE) == list(ARGPARSE_DEFAULTS)
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", ARGPARSE_DEFAULTS)
+    def test_command_help_lists_every_option(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--threads", "2", flag, "--bogus"])
+        assert info.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith(f"usage: majority-game {command} ")
+        listed = re.findall(r"^  --([a-z-]+)", out, re.MULTILINE)
+        assert sorted(name.replace("-", "_") for name in listed) == sorted(
+            ARGPARSE_DEFAULTS[command])
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["verify"],  # a flushed summary line per suite
+        ["stats", "--position", "[1^4096]", "--e", "0"],  # one emitted write of 3.6 MB
+    ])
+    def test_reader_leaving_after_one_line_ends_quietly(self, argv):
+        proc = subprocess.Popen([sys.executable, "-m", "majoritygame", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert first.endswith(b"\n") and err == b""

@@ -2,8 +2,9 @@
 
 These pin the behaviour the classes had as dataclasses, so that stdout
 built from a repr and any set or dict order built from a hash stay as
-they were.  ``import majoritygame.cli`` loads no ``dataclasses`` and no
-``inspect``: the last test checks that in a fresh interpreter.
+they were.  ``import majoritygame.cli`` and one ``main`` call load no
+``dataclasses``, ``inspect``, ``argparse``, ``gettext`` or ``locale``: the
+last test checks that in a fresh interpreter.
 """
 
 import copy
@@ -132,15 +133,20 @@ def test_position_messages(weights, message):
     assert str(info.value) == message
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter, so no module an earlier test imported is already loaded
+def test_cli_import_and_one_call_load_no_banned_module():
+    # a fresh interpreter, so no module an earlier test imported is already loaded; the
+    # call matters too, since argparse loaded gettext and locale only while it parsed
     probe = ("import sys; before = set(sys.modules); import majoritygame.cli; "
+             "majoritygame.cli.main(['value', '--n', '5', '--k', '3']); "
              "print(' '.join(sorted(set(sys.modules) - before)))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    added = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                           text=True, check=True, timeout=60).stdout.split()
+    stdout = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True, timeout=60).stdout
+    added = stdout.splitlines()[-1].split()
+    assert "comparisons: 3\n" in stdout
     assert "majoritygame.cli" in added
-    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(added), added
+    banned = {"dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext", "locale"}
+    assert not banned & set(added), added
     assert "csv" not in added  # only --format csv output imports it
