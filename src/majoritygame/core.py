@@ -14,19 +14,56 @@ import itertools
 import re
 from bisect import insort
 from enum import Enum
+from operator import attrgetter
 from typing import Iterator
 
 
-def _frozen(self, name: str, *value: object) -> None:
-    """``__setattr__`` and ``__delattr__`` of the frozen value classes."""
-    raise AttributeError(f"cannot assign to field {name!r}")
+class Value:
+    """Base of the value classes: repr, equality and copying read off ``_fields``.
+
+    A subclass names its fields once, ``__slots__ = _fields = ("n", "k")``, in the
+    order of its ``__init__`` parameters: repr lists them in that order, and
+    ``__reduce__`` (copy, deepcopy, pickle) passes them back positionally.
+    """
+
+    __slots__ = _fields = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls._fields:
+            # one C-level getter, not a Python loop: __eq__ runs ~90k times a ball-suite pass
+            cls._key = attrgetter(*cls._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple([getattr(self, name) for name in self._fields])
 
 
-class GameParams:
+class FrozenValue(Value):
+    """A Value set once by ``object.__setattr__`` in ``__init__``; it hashes as its fields' tuple."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+
+class GameParams(FrozenValue):
     """Ball count n and majority threshold k, which must exceed n/2."""
 
-    __slots__ = ("n", "k")
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = _fields = ("n", "k")
 
     def __init__(self, n: int, k: int) -> None:
         if type(n) is not int or type(k) is not int:  # bool is an int subclass
@@ -39,20 +76,6 @@ class GameParams:
             raise ValueError(f"threshold k={k} does not guarantee a majority for n={n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-
-    def __repr__(self) -> str:
-        return f"GameParams(n={self.n!r}, k={self.k!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.k) == (other.n, other.k)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.k))
-
-    def __reduce__(self) -> tuple:
-        return GameParams, (self.n, self.k)
 
     @property
     def e(self) -> int:
@@ -67,7 +90,7 @@ _TERM = re.compile(r"(\d+)(?:\^(\d+))?\Z")
 PARSE_ELEMENT_LIMIT = 4096
 
 
-class Position:
+class Position(FrozenValue):
     """A multiset of weights, stored in weakly increasing order and printed largest first.
 
     Ascending is the solver's table key order: the largest weight is
@@ -77,8 +100,7 @@ class Position:
     ``Position(...)`` and ``parse`` validate and sort; the internal ``_sorted`` does neither.
     """
 
-    __slots__ = ("elements",)
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = _fields = ("elements",)
 
     def __init__(self, elements: tuple[int, ...] = ()) -> None:
         elems = tuple(sorted(elements))
@@ -93,20 +115,6 @@ class Position:
         M = object.__new__(cls)
         object.__setattr__(M, "elements", elems)
         return M
-
-    def __repr__(self) -> str:
-        return f"Position(elements={self.elements!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash((self.elements,))
-
-    def __reduce__(self) -> tuple:
-        return Position, (self.elements,)
 
     @classmethod
     def parse(cls, text: str) -> "Position":

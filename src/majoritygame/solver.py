@@ -20,9 +20,10 @@ from typing import Callable
 
 from .core import (
     AssignerChoice,
+    FrozenValue,
     GameParams,
     Position,
-    _frozen,
+    Value,
     apply_move,
     is_final,
     legal_moves,
@@ -55,7 +56,7 @@ class MemoLimitExceeded(RuntimeError):
     """
 
 
-class SolverStats:
+class SolverStats(Value):
     """Work done by one solver's kernel.
 
     ``entries`` is the number of positions stored; ``probes`` counts
@@ -63,39 +64,23 @@ class SolverStats:
     answered without a scan.
     """
 
+    __slots__ = _fields = ("entries", "probes", "hits")
+
     def __init__(self, entries: int = 0, probes: int = 0, hits: int = 0) -> None:
         self.entries = entries
         self.probes = probes
         self.hits = hits
 
-    def __repr__(self) -> str:
-        return f"SolverStats(entries={self.entries!r}, probes={self.probes!r}, hits={self.hits!r})"
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.entries, self.probes, self.hits) == (other.entries, other.probes, other.hits)
-
-
-class TraceStep:
+class TraceStep(FrozenValue):
     """One move of a concrete line of play: the weight pair (w, w') and the reply."""
 
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = _fields = ("position", "pair", "choice")
 
     def __init__(self, position: Position, pair: tuple[int, int], choice: AssignerChoice) -> None:
-        vars(self).update(position=position, pair=pair, choice=choice)
-
-    def __repr__(self) -> str:
-        return f"TraceStep(position={self.position!r}, pair={self.pair!r}, choice={self.choice!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.position, self.pair, self.choice)
-                == (other.position, other.pair, other.choice))
-
-    def __hash__(self) -> int:
-        return hash((self.position, self.pair, self.choice))
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "choice", choice)
 
 
 class GameSolver:

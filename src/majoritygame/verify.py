@@ -35,6 +35,7 @@ from .core import (
     AssignerChoice,
     GameParams,
     Position,
+    Value,
     apply_move,
     is_final,
     minority_capacity,
@@ -73,13 +74,15 @@ TRIALS_LIMIT = 100_000
 WITNESS_CAP = 20
 
 
-class SuiteReport:
+class SuiteReport(Value):
     """Outcome of one verification suite.
 
     ``cases`` counts every identity checked; ``failures`` holds the first
     few witness descriptions while ``failure_count`` keeps the true
     total.  ``details`` carries extremal data such as minimal slacks.
     """
+
+    __slots__ = _fields = ("suite", "cases", "failure_count", "failures", "details")
 
     def __init__(self, suite: str, cases: int = 0, failure_count: int = 0,
                  failures: list[str] | None = None, details: dict | None = None) -> None:
@@ -88,17 +91,6 @@ class SuiteReport:
         self.failure_count = failure_count
         self.failures = [] if failures is None else failures
         self.details = {} if details is None else details
-
-    def __repr__(self) -> str:
-        return (f"SuiteReport(suite={self.suite!r}, cases={self.cases!r}, "
-                f"failure_count={self.failure_count!r}, failures={self.failures!r}, "
-                f"details={self.details!r})")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.suite, self.cases, self.failure_count, self.failures, self.details)
-                == (other.suite, other.cases, other.failure_count, other.failures, other.details))
 
     @property
     def passed(self) -> bool:

@@ -1,5 +1,6 @@
-"""Source hygiene of the package modules: imports checked with the stdlib ``ast`` only,
-and the package's line budget."""
+"""Source hygiene of the package modules: imports checked with the stdlib ``ast`` only
+(every imported name read, no ``_``-prefixed name taken from another package
+module), and the package's line budget."""
 
 import ast
 from pathlib import Path
@@ -28,9 +29,28 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def private_imports(source: str) -> list[str]:
+    """``_``-prefixed names a module imports from another package module."""
+    return [f"line {node.lineno}: {alias.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "majoritygame")
+            for alias in node.names if alias.name.startswith("_")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_imports_no_private_name_of_the_package(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_private_import_is_reported():
+    source = ("from ._util import helper\nfrom .core import Position, _frozen\n"
+              "from majoritygame.solver import _scan\nfrom os import _exit\n")
+    assert private_imports(source) == ["line 2: _frozen", "line 3: _scan"]
 
 
 def test_unused_import_is_reported():

@@ -2,9 +2,14 @@
 
 These pin the behaviour the classes had as dataclasses, so that stdout
 built from a repr and any set or dict order built from a hash stay as
-they were.  ``import majoritygame.cli`` and one ``main`` call load no
-``dataclasses``, ``inspect``, ``argparse``, ``gettext`` or ``locale``: the
-last test checks that in a fresh interpreter.
+they were.  All five classes take repr, equality, copying and (when
+frozen) hash from the ``Value`` and ``FrozenValue`` bases in ``core``,
+which read each class's ``_fields``: copies of a frozen value stay
+frozen and hash alike, a deep copy shares no mutable field, and
+``__slots__`` refuse an unknown attribute.  ``import majoritygame.cli``
+and one ``main`` call load no ``dataclasses``, ``inspect``,
+``argparse``, ``gettext`` or ``locale``: the last test checks that in a
+fresh interpreter.
 """
 
 import copy
@@ -66,6 +71,14 @@ class TestEveryClass:
         assert copy.copy(value) == value
         assert copy.deepcopy(value) == value
         assert pickle.loads(pickle.dumps(value)) == value
+        deep = copy.deepcopy(value)
+        for name, field in fields.items():
+            if isinstance(field, (list, dict)):  # SuiteReport's failures and details
+                assert getattr(deep, name) is not getattr(value, name)
+
+    def test_methods_come_from_the_value_base(self, value, text, fields, other):
+        assert type(value)._fields == tuple(fields)
+        assert not {"__repr__", "__eq__", "__hash__", "__reduce__"} & set(vars(type(value)))
 
 
 @pytest.mark.parametrize("value, text, fields, other", cases(True))
@@ -83,6 +96,13 @@ class TestFrozenClasses:
         with pytest.raises(AttributeError):
             value.unknown = 1
         assert repr(value) == text
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert hash(twin) == hash(value)
+            for name, field in fields.items():
+                with pytest.raises(AttributeError):
+                    setattr(twin, name, field)
+            with pytest.raises(AttributeError):
+                twin.unknown = 1
 
 
 @pytest.mark.parametrize("value, text, fields, other", cases(False))
@@ -100,6 +120,11 @@ def test_mutable_fields_assign_and_defaults_are_not_shared():
     first.details["k"] = 1
     assert second.failures == [] and second.details == {}
     assert first != second
+    for value in (stats, first, STEP):  # __slots__: no unknown attribute, and no vars()
+        with pytest.raises(AttributeError):
+            value.unknown = 1
+        with pytest.raises(TypeError):
+            vars(value)
 
 
 def test_position_default_and_sorting():
