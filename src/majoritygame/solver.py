@@ -6,11 +6,14 @@ finish with as few.  One kernel answers every question: a fail-soft
 null-window test (Knuth & Moore's alpha-beta with a zero-width window)
 over a table of proven (lower, upper) bounds per canonical position,
 driven to the exact value MTD(f)-style (Plaat, Schaeffer, Pijls & de
-Bruin 1996).  Values are exact integers and depend only on the excess,
-so one table serves every game of that excess.  Strategies are plain
-values that ``play`` plays out: selector_move gives the smallest optimal
-pair, and assigner_reply (by value) and potential_reply (by potential)
-share one tie rule, lower_scoring_reply: the lower-scoring child, MINUS on a tie.
+Bruin 1996).  A stored bound that decides a child, either way, answers
+it unsearched, and a move's PLUS child is built only when its MINUS
+child does not fail the move.  Values are exact integers and depend
+only on the excess, so one table serves every game of that excess.
+Strategies are plain values that ``play`` plays out: selector_move gives
+the smallest optimal pair, and assigner_reply (by value) and
+potential_reply (by potential) share one tie rule, lower_scoring_reply:
+the lower-scoring child, MINUS on a tie.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .statistics import WEIGHT_LIMIT, Valuation, binary_weight, potential
 MEMO_LIMIT = 262_144
 
 #: Largest max_n that solved_starts sweeps, for a budget of 40 s: on 2 cores
-#: under Python 3.11, ``table --max-n 48`` takes 30-38 s and 49 takes 45 s.
+#: under Python 3.11, ``table --max-n 48`` takes 23-30 s and 49 takes 31-34 s.
 TABLE_MAX_N = 48
 
 #: Largest n for which exhaustive reachability enumeration runs.
@@ -156,10 +159,14 @@ class GameSolver:
 
         A child drops the selected pair and gets the merged weight
         inserted in order, so it is never re-sorted or re-validated;
-        moves are deduplicated by value pair, as in legal_moves.  A move
-        fails as soon as either child's stored upper bound is below g,
-        before any search below it.  The scan stops at the first move
-        whose two children both reach g; when none does, the largest
+        moves are deduplicated by value pair, as in legal_moves.  The
+        MINUS child is built first, and the same list becomes the PLUS
+        child only when the MINUS child's stored upper bound does not fail
+        the move.  A move fails as soon as either child's stored upper
+        bound is below g, before any search below it; a stored bound that
+        decides a child (upper below g, or lower at least g) answers it
+        unsearched, as one probe and one hit.  The scan stops at the first
+        move whose two children both reach g; when none does, the largest
         upper bound the moves failed with bounds the value.
         """
         z = 0
@@ -186,7 +193,7 @@ class GameSolver:
             if g <= lo or hi < g:
                 stats.probes += 1
                 return z + (lo if g <= lo else hi)
-        cut = 0  # moves failed by a stored upper bound: each is a probe and a hit
+        cut = 0  # children answered by a stored bound: each is a probe and a hit
         fail = 0
         result = 0
         top = c - 1
@@ -201,28 +208,38 @@ class GameSolver:
                 rest = list(key)
                 del rest[b]
                 del rest[a]
-                plus = rest.copy()
-                insort(plus, w + wp)
-                plus = tuple(plus)
                 insort(rest, w - wp)
                 minus = tuple(rest)
                 em = bounds.get(minus)
-                ep = bounds.get(plus)
                 # a stored upper bound below g fails the move unsearched
                 if em is not None and em[1] < g:
                     v = em[1]
                     cut += 1
-                elif ep is not None and ep[1] < g:
-                    v = ep[1]
-                    cut += 1
                 else:
-                    v = self._test(minus, g)
-                    if v >= g:
-                        vp = self._test(plus, g)
-                        if vp >= g:
-                            result = v if v < vp else vp
-                            break
-                        v = vp
+                    rest.remove(w - wp)
+                    insort(rest, w + wp)
+                    plus = tuple(rest)
+                    ep = bounds.get(plus)
+                    if ep is not None and ep[1] < g:
+                        v = ep[1]
+                        cut += 1
+                    else:
+                        if em is not None and em[0] >= g:
+                            v = em[0]
+                            cut += 1
+                        else:
+                            v = self._test(minus, g)
+                            ep = None  # the search may have tightened it
+                        if v >= g:
+                            if ep is not None and ep[0] >= g:
+                                vp = ep[0]
+                                cut += 1
+                            else:
+                                vp = self._test(plus, g)
+                            if vp >= g:
+                                result = v if v < vp else vp
+                                break
+                            v = vp
                 if v > fail:
                     fail = v
             if result:

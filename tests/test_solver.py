@@ -276,6 +276,17 @@ class TestValueProperties:
             assert (b >= g) == (true >= g), (g, b, true)
             assert true >= b if b >= g else true <= b, (g, b, true)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda e: st.tuples(st.just(e), _any_weights(e))))
+    def test_every_stored_bound_brackets_the_value(self, case):
+        # a bound answered from the table in the parent is as sound as one the child proved
+        e, M = case
+        solver = GameSolver(e)
+        solver.value(M)
+        for key, (lo, hi) in solver._bounds.items():
+            true = _reference_value(Position._sorted(key), e)
+            assert lo <= true <= hi, (key, lo, hi, true)
+
     def test_every_layer_keeps_the_table_key_order(self):
         # positions store their weights ascending, as the solver keys its table
         M = Position((3, 1, 2, 1, 1))
@@ -302,16 +313,18 @@ class TestStats:
         assert solver.stats.entries == first
         assert solver.stats.probes - solver.stats.hits == scans
 
-    @pytest.mark.parametrize("n, k, expected", [
-        (25, 13, SolverStats(entries=1351, probes=7781, hits=5710)),
-        (29, 15, SolverStats(entries=1461, probes=8613, hits=6324)),
-        (28, 15, SolverStats(entries=1585, probes=9411, hits=6729)),
+    @pytest.mark.parametrize("position, e, expected", [
+        ("[1^25]", 1, SolverStats(entries=1351, probes=7781, hits=5710)),
+        ("[1^29]", 1, SolverStats(entries=1461, probes=8613, hits=6324)),
+        ("[1^28]", 2, SolverStats(entries=1585, probes=9411, hits=6729)),
+        ("[1^36]", 12, SolverStats(entries=2824, probes=18748, hits=12775)),  # start (36, 24)
+        ("[5,4,3^2,2^3,1^5]", 2, SolverStats(entries=2641, probes=17250, hits=12504)),
+        ("[3,2^2,1^6,0^2]", 1, SolverStats(entries=66, probes=197, hits=93)),
     ])
-    def test_exact_counters_of_a_deep_solve(self, n, k, expected):
+    def test_exact_counters_of_a_deep_solve(self, position, e, expected):
         # pins the work of the kernel and of value's MTD(f) loop seeded at the potential
-        params = GameParams(n, k)
-        solver = GameSolver(params.e)
-        solver.value(start_position(params))
+        solver = GameSolver(e)
+        solver.value(Position.parse(position))
         assert solver.stats == expected
 
     def test_final_position_is_one_entry(self):
